@@ -7,7 +7,7 @@ partial transposes, and logarithmic negativities.  Submodules:
 - ``hilbert``: composite-space layouts, index maps, embeddings, partial
   trace and transpose
 - ``superspace``: vectorization, sandwich superoperators, Liouvillian
-  assembly (plus an independent elementwise oracle)
+  assembly (plus an independent elementwise oracle), the route policy
 - ``steady``: dense/sparse eigenvector and row-replacement steady states,
   spectra, uniqueness checks
 - ``dynamics``: exp(L t) propagation, dense or Krylov
@@ -59,10 +59,10 @@ _EXPORTS = {
     "dissipator_super": "superspace",
     "build_liouvillian": "superspace",
     "liouvillian_oracle": "superspace",
+    "CapacityError": "superspace",
     "SteadyStateResult": "steady",
     "SpectrumResult": "steady",
     "GapReport": "steady",
-    "CapacityError": "steady",
     "DegeneracyError": "steady",
     "ConvergenceError": "steady",
     "steady_dense": "steady",

@@ -20,6 +20,7 @@ heavy import until after the environment is prepared.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -218,19 +219,20 @@ class _Runner:
         return layout, env, model, liouv
 
     def _steady(self, liouv):
+        """Run the requested or policy-chosen route; the result's policy says which."""
         args = self.args
         method = getattr(args, "method", None)
-        if method is None:
-            method = "sparse" if liouv.dim > 4096 else "dense"
+        policy = (self.superspace.RouteChoice(method, "requested") if method
+                  else self.superspace.choose_route("steady", liouv.dim))
         start = time.perf_counter()
-        if method == "dense":
+        if policy.route == "dense":
             result = self.steady.steady_dense(liouv)
-        elif method == "sparse":
+        elif policy.route == "sparse":
             result = self.steady.steady_sparse(liouv)
-        else:
+        else:  # the LU route records its own dense/sparse choice
             result = self.steady.steady_linsolve(liouv, l=args.row, gamma=args.gamma)
         self.timings["solve"] = time.perf_counter() - start
-        return result
+        return result if result.policy else dataclasses.replace(result, policy=policy)
 
     def _observable_map(self, doc, env, text):
         pairs = []
@@ -250,7 +252,8 @@ class _Runner:
             results["eigenvalue"] = result.eigenvalue
         return results
 
-    def _record(self, method, results):
+    def _record(self, method, results, policy):
+        results["policy"] = policy._asdict()
         return {
             "command": self.args.command,
             "model_hash": self.model_hash,
@@ -274,7 +277,7 @@ class _Runner:
                 values[label] = self.measures.expectation(op, result.rho)
             results["observables"] = values
         self.timings["measure"] = time.perf_counter() - start
-        return self._record(result.method, results)
+        return self._record(result.method, results, result.policy)
 
     def cmd_spectrum(self, doc=None):
         doc = doc if doc is not None else self._load_document()
@@ -283,12 +286,11 @@ class _Runner:
         start = time.perf_counter()
         spec = self.steady.spectrum(liouv, k)
         self.timings["solve"] = time.perf_counter() - start
-        method = "dense" if liouv.storage == "dense" else "sparse"
         results = {
             "count_requested": spec.count_requested,
             "eigenvalues": list(spec.eigenvalues),
         }
-        return self._record(method, results)
+        return self._record(spec.policy.route, results, spec.policy)
 
     def _initial_state(self, doc, layout, env):
         text = self.args.initial
@@ -313,9 +315,8 @@ class _Runner:
         if not times:
             raise _UsageError("no times given")
         rho0, initial_label = self._initial_state(doc, layout, env)
-        method = "dense" if liouv.dim <= self.dynamics.DENSE_PROPAGATOR_LIMIT else "krylov"
         start = time.perf_counter()
-        trajectory = self.dynamics.evolve_trajectory(liouv, rho0, times, method=method)
+        trajectory = self.dynamics.evolve_trajectory(liouv, rho0, times)
         self.timings["solve"] = time.perf_counter() - start
         start = time.perf_counter()
         observables = {}
@@ -333,7 +334,7 @@ class _Runner:
         }
         if observables:
             results["observables"] = observables
-        return self._record(method, results)
+        return self._record(trajectory.policy.route, results, trajectory.policy)
 
     def _names(self, text):
         return [name.strip() for name in text.split(",") if name.strip()]
@@ -358,7 +359,7 @@ class _Runner:
         if keep:
             results["keep"] = keep
         results["log_negativity"] = value
-        return self._record(result.method, results)
+        return self._record(result.method, results, result.policy)
 
     def cmd_ptrace(self, doc=None):
         doc = doc if doc is not None else self._load_document()
@@ -377,7 +378,7 @@ class _Runner:
         results = self._steady_results(result)
         results["keep"] = keep
         results["rho_reduced"] = reduced.to_dense()
-        return self._record(result.method, results)
+        return self._record(result.method, results, result.policy)
 
     # -- cascade -----------------------------------------------------------
 
@@ -472,7 +473,7 @@ class _Runner:
                 "n_b": bumped.n_b,
                 "max_drift": drift,
             }
-        return self._record(result.method, results)
+        return self._record(result.method, results, result.policy)
 
     # -- negativity benchmark ------------------------------------------------
 
@@ -492,7 +493,7 @@ class _Runner:
         self.timings["measure"] = time.perf_counter() - start
         results = self._steady_results(result)
         results["log_negativities"] = values
-        return self._record(result.method, results)
+        return self._record(result.method, results, result.policy)
 
 
 def run(argv=None, stdout=None, stderr=None) -> int:

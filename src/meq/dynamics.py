@@ -17,12 +17,9 @@ import numpy as np
 import scipy.linalg
 
 from .hilbert import LayoutMismatchError, Operator
-from .superspace import SuperOperator
+from .superspace import RouteChoice, SuperOperator, choose_route
 
 __all__ = ["PropagationError", "Trajectory", "evolve", "evolve_trajectory"]
-
-# Above this superspace dimension the Krylov path is used by default.
-DENSE_PROPAGATOR_LIMIT = 1024
 
 KRYLOV_DIM = 30
 KRYLOV_STEP_TOL = 1e-10
@@ -34,10 +31,11 @@ class PropagationError(RuntimeError):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States sampled along an evolution, one per requested time."""
+    """States sampled along an evolution, one per requested time, and their route."""
 
     times: tuple[float, ...]
     states: tuple[Operator, ...]
+    policy: RouteChoice | None = None
 
     def __post_init__(self):
         if len(self.times) != len(self.states):
@@ -82,8 +80,7 @@ def _arnoldi_apply(matvec, vec: np.ndarray, dt: float, m: int):
 def _expm_action(
     liouv: SuperOperator, vec: np.ndarray, t: float, m: int, tol: float
 ) -> np.ndarray:
-    matrix = liouv.matrix
-    matvec = lambda x: matrix @ x
+    matvec = liouv.matrix.dot
     norm_scale = max(liouv.norm_inf(), 1e-30)
     remaining = float(t)
     # stay roughly within the Krylov convergence radius on the first attempt
@@ -119,29 +116,11 @@ def evolve(
 ) -> Operator:
     """Propagate a state: returns devectorized exp(L t) vec(rho0).
 
-    ``method`` is "dense" (exponentiate L once), "krylov", or None for an
-    automatic choice by problem size.  Trace and Hermiticity are preserved
-    up to the stepping tolerance; t = 0 returns the input unchanged.
+    :func:`evolve_trajectory` at the single time t; t = 0 returns the input
+    unchanged.
     """
-    if rho0.layout != liouv.layout:
-        raise LayoutMismatchError("state and generator live on different layouts")
-    t = float(t)
-    if t < 0:
-        raise ValueError(f"propagation time must be >= 0, got {t}")
-    if t == 0.0:
-        return rho0
-    if method is None:
-        method = "dense" if liouv.dim <= DENSE_PROPAGATOR_LIMIT else "krylov"
-    vec = rho0.to_dense().ravel(order="F")
-    if method == "dense":
-        propagator = scipy.linalg.expm(liouv.to_dense() * t)
-        out = propagator @ vec
-    elif method == "krylov":
-        out = _expm_action(liouv, vec, t, krylov_dim, step_tol)
-    else:
-        raise ValueError(f"method must be 'dense' or 'krylov', got {method!r}")
-    d = liouv.layout.total_dim
-    return Operator(liouv.layout, out.reshape((d, d), order="F"), storage=rho0.storage)
+    trajectory = evolve_trajectory(liouv, rho0, [t], method, krylov_dim, step_tol)
+    return rho0 if trajectory.times[0] == 0.0 else trajectory.states[0]
 
 
 def evolve_trajectory(
@@ -154,9 +133,10 @@ def evolve_trajectory(
 ) -> Trajectory:
     """Propagate through an ascending list of times.
 
-    Evolution proceeds incrementally from point to point (the semigroup
-    property makes this equivalent to evolving each point from rho0, up to
-    the stepping tolerance); dense propagators are cached per distinct gap.
+    ``method`` is "dense" (exponentiate L once per distinct gap), "krylov",
+    or None for the choice of :func:`choose_route`.  Evolution proceeds
+    incrementally from point to point (the semigroup property makes this
+    equivalent to evolving each point from rho0, up to the stepping tolerance).
     """
     times = [float(t) for t in times]
     if not times:
@@ -167,11 +147,13 @@ def evolve_trajectory(
         raise ValueError("times must be ascending")
     if rho0.layout != liouv.layout:
         raise LayoutMismatchError("state and generator live on different layouts")
-    if method is None:
-        method = "dense" if liouv.dim <= DENSE_PROPAGATOR_LIMIT else "krylov"
+    if method not in (None, "dense", "krylov"):
+        raise ValueError(f"method must be 'dense' or 'krylov', got {method!r}")
+    policy = RouteChoice(method, "requested") if method else choose_route("evolve", liouv.dim)
 
     d = liouv.layout.total_dim
-    dense_mat = liouv.to_dense() if method == "dense" else None
+    dense = policy.route == "dense"
+    dense_mat = liouv.to_dense() if dense and times[-1] > 0.0 else None
     propagators: dict[float, np.ndarray] = {}
     vec = rho0.to_dense().ravel(order="F")
     previous = 0.0
@@ -179,7 +161,7 @@ def evolve_trajectory(
     for t in times:
         gap = t - previous
         if gap > 0.0:
-            if method == "dense":
+            if dense:
                 if gap not in propagators:
                     propagators[gap] = scipy.linalg.expm(dense_mat * gap)
                 vec = propagators[gap] @ vec
@@ -189,4 +171,4 @@ def evolve_trajectory(
             Operator(liouv.layout, vec.reshape((d, d), order="F"), storage=rho0.storage)
         )
         previous = t
-    return Trajectory(times=tuple(times), states=tuple(states))
+    return Trajectory(times=tuple(times), states=tuple(states), policy=policy)

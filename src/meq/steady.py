@@ -15,7 +15,7 @@ the trace is renormalized.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -23,7 +23,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .hilbert import Operator
-from .superspace import SuperOperator
+from .superspace import CapacityError, RouteChoice, SuperOperator, choose_route
 
 __all__ = [
     "CapacityError",
@@ -43,10 +43,6 @@ __all__ = [
 _TIE_TOL = 1e-12
 
 
-class CapacityError(RuntimeError):
-    """Problem too large for the requested dense method."""
-
-
 class DegeneracyError(RuntimeError):
     """The steady state is not unique (or numerically indistinguishable from it)."""
 
@@ -63,7 +59,8 @@ class SteadyStateResult:
     ``trace_before_normalization`` is the raw trace of the solver output
     (close to 1 for the linear-solve route, arbitrary for eigenvector routes);
     ``eigenvalue`` is the computed leading eigenvalue where the route
-    provides one.
+    provides one; ``policy`` is the route choice, where the LU route or a
+    caller's route policy made one.
     """
 
     rho: Operator
@@ -71,14 +68,16 @@ class SteadyStateResult:
     method: str
     trace_before_normalization: complex
     eigenvalue: complex | None = None
+    policy: RouteChoice | None = None
 
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Leading eigenvalues sorted by descending real part."""
+    """Leading eigenvalues sorted by descending real part, and the route used."""
 
     eigenvalues: np.ndarray
     count_requested: int
+    policy: RouteChoice
 
 
 @dataclass(frozen=True)
@@ -192,7 +191,7 @@ def steady_sparse(liouv: SuperOperator, gap_tol: float = 1e-8) -> SteadyStateRes
         lam0 = complex(values[order[0]])
         return _finalize(liouv, vectors[:, order[0]], "sparse-eig", lam0)
 
-    matrix = liouv.to_sparse().tocsc()
+    matrix = liouv.matrix.tocsc()
     scale = max(1.0, liouv.norm_inf())
     params = _arpack_params(n, 2)
     last_error: Exception | None = None
@@ -241,6 +240,16 @@ def _sparse_condition_estimate(lu, matrix) -> float:
     return norm_a * est
 
 
+def _replace_row(matrix: sp.csr_array, s: int, cols: np.ndarray, value: float) -> sp.csr_array:
+    """Copy of a CSR matrix whose row ``s`` holds ``value`` at ``cols`` only."""
+    start, stop = matrix.indptr[s], matrix.indptr[s + 1]
+    indptr = matrix.indptr.copy()
+    indptr[s + 1:] += cols.size - (stop - start)
+    indices = np.concatenate((matrix.indices[:start], cols.astype(indptr.dtype), matrix.indices[stop:]))
+    data = np.concatenate((matrix.data[:start], np.full(cols.size, value, complex), matrix.data[stop:]))
+    return sp.csr_array((data, indices, indptr), shape=matrix.shape)
+
+
 def steady_linsolve(
     liouv: SuperOperator,
     l: int = 1,
@@ -253,7 +262,8 @@ def steady_linsolve(
     element rho_ll) is overwritten with gamma times the vectorized identity,
     turning the normalization condition into one equation of the system; the
     right-hand side is gamma at that row and zero elsewhere.  The solve uses
-    an LU factorization, so the trace of the solution is 1 by construction.
+    an LU factorization (dense LAPACK or SuperLU, as :func:`choose_route`
+    decides by size), so the trace of the solution is 1 by construction.
     A condition estimate above ``cond_limit`` signals a degenerate steady
     state, for which the replaced system is singular.
     """
@@ -269,27 +279,20 @@ def steady_linsolve(
     diag_cols = np.arange(d) * (d + 1)
     rhs = np.zeros(n, dtype=complex)
     rhs[s] = gamma
+    policy = choose_route("linsolve", n)
 
-    if liouv.storage == "sparse":
-        replaced = liouv.to_sparse().tolil()
-        replaced[s, :] = 0.0
-        replaced[s, diag_cols] = gamma
-        replaced = replaced.tocsc()
+    if policy.route == "sparse":
+        replaced = _replace_row(liouv.matrix, s, diag_cols, gamma).tocsc()
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", spla.MatrixRankWarning)
                 lu = spla.splu(replaced)
-            cond = _sparse_condition_estimate(lu, replaced)
-            if not np.isfinite(cond) or cond > cond_limit:
-                raise DegeneracyError(
-                    f"replaced generator is ill-conditioned (estimate {cond:.2e}); "
-                    "degenerate steady states"
-                )
-            solution = lu.solve(rhs)
         except RuntimeError as exc:
             raise DegeneracyError(
                 f"replaced generator is singular ({exc}); degenerate steady states"
             ) from exc
+        rcond = 1.0 / _sparse_condition_estimate(lu, replaced)
+        solve = lu.solve
     else:
         replaced = liouv.to_dense()
         replaced[s, :] = 0.0
@@ -297,16 +300,18 @@ def steady_linsolve(
         anorm = float(np.abs(replaced).sum(axis=0).max())
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            lu, piv = scipy.linalg.lu_factor(replaced)
-        rcond, info = scipy.linalg.lapack.zgecon(lu, anorm)
-        if info != 0 or rcond == 0.0 or 1.0 / max(rcond, np.finfo(float).tiny) > cond_limit:
-            raise DegeneracyError(
-                f"replaced generator is ill-conditioned (rcond {rcond:.2e}); "
-                "degenerate steady states"
-            )
-        solution = scipy.linalg.lu_solve((lu, piv), rhs)
+            factors = scipy.linalg.lu_factor(replaced)
+        rcond, info = scipy.linalg.lapack.zgecon(factors[0], anorm)
+        rcond = rcond if info == 0 else 0.0
+        solve = lambda b: scipy.linalg.lu_solve(factors, b)
+    if not rcond >= 1.0 / cond_limit:  # also catches NaN
+        raise DegeneracyError(
+            f"replaced generator is ill-conditioned (rcond {rcond:.2e}); "
+            "degenerate steady states"
+        )
+    solution = solve(rhs)
 
-    return _finalize(liouv, solution, "linsolve", None)
+    return replace(_finalize(liouv, solution, "linsolve", None), policy=policy)
 
 
 def spectrum(liouv: SuperOperator, k: int, method: str | None = None) -> SpectrumResult:
@@ -314,34 +319,33 @@ def spectrum(liouv: SuperOperator, k: int, method: str | None = None) -> Spectru
 
     Ties in the real part are broken by descending imaginary part, then by
     input order.  The sparse route uses an Arnoldi largest-real-part
-    iteration; the dense route diagonalizes fully and truncates.
+    iteration; the dense route diagonalizes fully and truncates.  Without
+    ``method`` :func:`choose_route` picks; ARPACK needs k < n - 1.
     """
     n = liouv.dim
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range [1, {n}]")
-    if method is None:
-        method = "dense" if liouv.storage == "dense" else "sparse"
-    if method == "sparse" and k >= n - 1:
-        method = "dense"  # ARPACK requires k < n - 1
+    if method not in (None, "dense", "sparse"):
+        raise ValueError(f"method must be 'dense' or 'sparse', got {method!r}")
+    policy = choose_route("spectrum", n, k)
+    if method and not (method == "sparse" and k >= n - 1):
+        policy = RouteChoice(method, "requested")
 
-    if method == "dense":
+    if policy.route == "dense":
         values = np.linalg.eigvals(liouv.to_dense())
-    elif method == "sparse":
+    else:
         params = _arpack_params(n, k)
         try:
             values = spla.eigs(
-                liouv.to_sparse().tocsr(), k=k, which="LR",
-                return_eigenvectors=False, **params,
+                liouv.matrix, k=k, which="LR", return_eigenvectors=False, **params
             )
         except spla.ArpackNoConvergence as exc:
             raise ConvergenceError(
                 f"Arnoldi largest-real-part iteration did not converge: {exc}"
             ) from exc
-    else:
-        raise ValueError(f"method must be 'dense' or 'sparse', got {method!r}")
 
     order = _descending_order(values)[:k]
-    return SpectrumResult(eigenvalues=values[order], count_requested=k)
+    return SpectrumResult(eigenvalues=values[order], count_requested=k, policy=policy)
 
 
 def check_uniqueness(

@@ -17,7 +17,7 @@ checked against each other.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,7 +32,9 @@ from .hilbert import (
 )
 
 __all__ = [
-    "SUPER_DENSE_LIMIT",
+    "CapacityError",
+    "RouteChoice",
+    "choose_route",
     "VectorizedOperator",
     "SuperOperator",
     "LindbladModel",
@@ -45,8 +47,46 @@ __all__ = [
     "liouvillian_oracle",
 ]
 
-# Superoperators with more than this many rows default to sparse storage.
-SUPER_DENSE_LIMIT = 4096
+# Largest superspace dimension for which a dense d^2 x d^2 array is built
+# (1.6 GB of complex entries, before any LAPACK workspace).
+_DENSE_CAPACITY = 10_000
+
+# Route policy crossovers: the superspace dimension n from which each task's
+# sparse route beats its dense one (medians at one BLAS thread; the README
+# lists the measurements).  Spectra with k above _SPARSE_SPECTRUM_MAX_K stay
+# dense while they fit: ARPACK's largest-real-part iteration took 0.1-0.3 s
+# on the cascade for k <= 12 (n = 900, 2025) and failed to converge at k = 20.
+_SPARSE_FROM = {"steady": 64, "spectrum": 200, "linsolve": 400, "evolve": 150}
+_SPARSE_SPECTRUM_MAX_K = 10
+
+
+class CapacityError(RuntimeError):
+    """Problem too large for the requested dense method."""
+
+
+class RouteChoice(NamedTuple):
+    """A dense/sparse route and the deterministic reason it was chosen."""
+
+    route: str
+    reason: str
+
+
+def choose_route(task: str, n: int, k: int | None = None) -> RouteChoice:
+    """The one dense-versus-sparse policy for superspace computations.
+
+    ``task`` is "steady" (eigenvector routes), "spectrum" (``k`` leading
+    eigenvalues), "linsolve" (row-replaced LU) or "evolve" (propagation,
+    whose sparse route is "krylov"); ``n`` is the superspace dimension.
+    """
+    threshold = _SPARSE_FROM[task]
+    if task == "spectrum":
+        if k >= n - 1:
+            return RouteChoice("dense", f"spectrum: k={k} >= n-1={n - 1}, ARPACK needs k < n-1")
+        if k > _SPARSE_SPECTRUM_MAX_K and n <= _DENSE_CAPACITY:
+            return RouteChoice("dense", f"spectrum: k={k} > {_SPARSE_SPECTRUM_MAX_K}")
+    if n >= threshold:
+        return RouteChoice("krylov" if task == "evolve" else "sparse", f"{task}: n={n} >= {threshold}")
+    return RouteChoice("dense", f"{task}: n={n} < {threshold}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,42 +117,26 @@ def devectorize(vec: VectorizedOperator) -> Operator:
     return Operator(vec.layout, vec.components.reshape((d, d), order="F"))
 
 
-def _default_super_storage(n: int) -> str:
-    return "sparse" if n > SUPER_DENSE_LIMIT else "dense"
-
-
 class SuperOperator:
-    """A d^2 x d^2 matrix acting on vectorized operators."""
+    """A d^2 x d^2 matrix acting on vectorized operators, stored as CSR."""
 
-    __slots__ = ("layout", "_matrix", "storage")
+    __slots__ = ("layout", "_matrix")
 
     __array_ufunc__ = None
 
-    def __init__(self, layout: SpaceLayout, matrix, storage: str | None = None):
+    def __init__(self, layout: SpaceLayout, matrix):
         n = layout.total_dim ** 2
-        if not sp.issparse(matrix):
-            matrix = np.asarray(matrix, dtype=complex)
+        matrix = _to_csr(matrix)
         if matrix.shape != (n, n):
-            raise ValueError(
-                f"superoperator shape {matrix.shape} does not match d^2 = {n}"
-            )
-        if storage is None:
-            storage = _default_super_storage(n)
-        if storage == "dense":
-            mat = _to_dense(matrix)
-        elif storage == "sparse":
-            mat = _to_csr(matrix)
-        else:
-            raise ValueError(f"storage must be 'dense' or 'sparse', got {storage!r}")
+            raise ValueError(f"superoperator shape {matrix.shape} does not match d^2 = {n}")
         object.__setattr__(self, "layout", layout)
-        object.__setattr__(self, "_matrix", mat)
-        object.__setattr__(self, "storage", storage)
+        object.__setattr__(self, "_matrix", matrix)
 
     def __setattr__(self, name, value):
         raise AttributeError("SuperOperator is immutable")
 
     @property
-    def matrix(self):
+    def matrix(self) -> sp.csr_array:
         return self._matrix
 
     @property
@@ -121,19 +145,13 @@ class SuperOperator:
         return self.layout.total_dim ** 2
 
     def to_dense(self) -> np.ndarray:
-        if self.storage == "dense":
-            return self._matrix.copy()
+        """Dense copy, refused with :class:`CapacityError` above the dense capacity."""
+        if self.dim > _DENSE_CAPACITY:
+            raise CapacityError(
+                f"superspace dimension {self.dim} exceeds the dense capacity "
+                f"{_DENSE_CAPACITY} ({16e-9 * self.dim ** 2:.1f} GB); use a sparse route"
+            )
         return _to_dense(self._matrix)
-
-    def to_sparse(self) -> sp.csr_array:
-        if self.storage == "sparse":
-            return self._matrix.copy()
-        return _to_csr(self._matrix)
-
-    def with_storage(self, storage: str) -> "SuperOperator":
-        if storage == self.storage:
-            return self
-        return SuperOperator(self.layout, self._matrix, storage=storage)
 
     def apply(self, vec) -> np.ndarray:
         """Matrix-vector product on a vectorized operator (or raw array)."""
@@ -145,23 +163,14 @@ class SuperOperator:
 
     def norm_inf(self) -> float:
         """Matrix infinity norm (max absolute row sum)."""
-        if self.storage == "sparse":
-            row_sums = np.abs(self._matrix).sum(axis=1)
-            return float(np.max(row_sums)) if self.dim else 0.0
-        return float(np.abs(self._matrix).sum(axis=1).max())
+        return float(np.abs(self._matrix).sum(axis=1).max()) if self.dim else 0.0
 
     def _binary(self, other: "SuperOperator", combine):
         if not isinstance(other, SuperOperator):
             return NotImplemented
         if self.layout != other.layout:
             raise LayoutMismatchError("superoperators live on different layouts")
-        if self.storage == "sparse" and other.storage == "sparse":
-            return SuperOperator(
-                self.layout, combine(self._matrix, other._matrix), storage="sparse"
-            )
-        return SuperOperator(
-            self.layout, combine(self.to_dense(), other.to_dense()), storage="dense"
-        )
+        return SuperOperator(self.layout, combine(self._matrix, other._matrix))
 
     def __add__(self, other):
         return self._binary(other, lambda a, b: a + b)
@@ -171,16 +180,16 @@ class SuperOperator:
 
     def __mul__(self, other):
         if np.isscalar(other):
-            return SuperOperator(self.layout, self._matrix * complex(other), storage=self.storage)
+            return SuperOperator(self.layout, self._matrix * complex(other))
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return SuperOperator(self.layout, -self._matrix, storage=self.storage)
+        return SuperOperator(self.layout, -self._matrix)
 
     def __repr__(self) -> str:
-        return f"SuperOperator({self.layout!r}, dim={self.dim}, storage={self.storage!r})"
+        return f"SuperOperator({self.layout!r}, dim={self.dim}, nnz={self._matrix.nnz})"
 
 
 class LindbladModel:
@@ -225,20 +234,19 @@ class LindbladModel:
 
 
 def _sandwich_matrix(a: Operator, b: Operator) -> sp.csr_array:
-    # Kronecker products and sums are assembled sparsely regardless of the
-    # requested storage; for structured operators this avoids a cascade of
-    # dense d^2 x d^2 intermediates.  Coercion happens once, at the end.
+    # Kronecker products and sums are assembled sparsely; for structured
+    # operators this avoids a cascade of dense d^2 x d^2 intermediates.
     return sp.kron(b.to_sparse().T, a.to_sparse(), format="csr")
 
 
-def super_sandwich(a: Operator, b: Operator, storage: str | None = None) -> SuperOperator:
+def super_sandwich(a: Operator, b: Operator) -> SuperOperator:
     """Superoperator representing X -> A X B, i.e. kron(B^T, A)."""
     if a.layout != b.layout:
         raise LayoutMismatchError("sandwich operands live on different layouts")
-    return SuperOperator(a.layout, _sandwich_matrix(a, b), storage=storage)
+    return SuperOperator(a.layout, _sandwich_matrix(a, b))
 
 
-def hamiltonian_super(h: Operator, storage: str | None = None) -> SuperOperator:
+def hamiltonian_super(h: Operator) -> SuperOperator:
     """Superoperator for the coherent part rho -> -i [H, rho].
 
     Equals -i kron(I, H) + i kron(H^T, I): left-multiplication minus
@@ -248,10 +256,10 @@ def hamiltonian_super(h: Operator, storage: str | None = None) -> SuperOperator:
         raise ValueError("hamiltonian is not Hermitian (defect above 1e-10)")
     eye = identity_operator(h.layout, storage="sparse")
     mat = -1j * _sandwich_matrix(h, eye) + 1j * _sandwich_matrix(eye, h)
-    return SuperOperator(h.layout, mat, storage=storage)
+    return SuperOperator(h.layout, mat)
 
 
-def dissipator_super(jump: Operator, rate: float, storage: str | None = None) -> SuperOperator:
+def dissipator_super(jump: Operator, rate: float) -> SuperOperator:
     """Superoperator for rho -> Gamma (2 J rho J^dag - J^dag J rho - rho J^dag J)."""
     rate = float(rate)
     if rate <= 0:
@@ -263,15 +271,13 @@ def dissipator_super(jump: Operator, rate: float, storage: str | None = None) ->
         - _sandwich_matrix(jdag_j, eye)
         - _sandwich_matrix(eye, jdag_j)
     )
-    return SuperOperator(jump.layout, mat, storage=storage)
+    return SuperOperator(jump.layout, mat)
 
 
-def build_liouvillian(model: LindbladModel, storage: str | None = None) -> SuperOperator:
+def build_liouvillian(model: LindbladModel) -> SuperOperator:
     """Assemble the full Lindblad generator of a model in superspace."""
-    mat = hamiltonian_super(model.hamiltonian, storage="sparse").matrix
-    for rate, jump in model.dissipators:
-        mat = mat + dissipator_super(jump, rate, storage="sparse").matrix
-    return SuperOperator(model.layout, mat, storage=storage)
+    terms = (dissipator_super(jump, rate) for rate, jump in model.dissipators)
+    return sum(terms, hamiltonian_super(model.hamiltonian))
 
 
 def liouvillian_oracle(model: LindbladModel) -> SuperOperator:
@@ -283,7 +289,7 @@ def liouvillian_oracle(model: LindbladModel) -> SuperOperator:
         + sum_j Gamma_j [ 2 J_{nk} J*_{ml} - (J^dag J)_{nk} delta_{ml}
                           - delta_{kn} (J^dag J)_{lm} ]
 
-    Dense output, quadratically slower than :func:`build_liouvillian`; meant
+    Dense loops, quadratically slower than :func:`build_liouvillian`; meant
     for small dimensions as an independent cross-check.
     """
     d = model.layout.total_dim
@@ -311,4 +317,4 @@ def liouvillian_oracle(model: LindbladModel) -> SuperOperator:
                         if k == n:
                             val -= rate * jdj[l - 1, m - 1]
                     out[row, col] = val
-    return SuperOperator(model.layout, out, storage="dense")
+    return SuperOperator(model.layout, out)

@@ -54,4 +54,4 @@ def cascade_solve(cascade_liouvillian):
 
 @pytest.fixture(scope="session")
 def cascade_top5(cascade_liouvillian):
-    return spectrum(cascade_liouvillian, 5)
+    return spectrum(cascade_liouvillian, 5, method="dense")

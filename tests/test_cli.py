@@ -2,10 +2,12 @@ import io
 import json
 import os
 import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import meq
 from meq.cli import run
 from meq.modelspec import parse_model
 
@@ -138,12 +140,22 @@ class TestSteadyCommand:
 
     def test_byte_identical_records(self, model_file):
         path = model_file(DRIVEN_QUBIT)
-        argv = ["steady", path, "--method", "sparse", "--observables", "proj(q,2)"]
-        first = invoke_record(argv)
-        second = invoke_record(argv)
-        first.pop("timings")
-        second.pop("timings")
-        assert json.dumps(first) == json.dumps(second)
+        for argv, policy in (
+            (["steady", path, "--method", "sparse", "--observables", "proj(q,2)"],
+             {"route": "sparse", "reason": "requested"}),
+            (["steady", path], {"route": "dense", "reason": "steady: n=4 < 64"}),
+            (["steady", path, "--method", "solve"],
+             {"route": "dense", "reason": "linsolve: n=4 < 400"}),
+            (["spectrum", path, "-k", "2"], {"route": "dense", "reason": "spectrum: n=4 < 200"}),
+            (["evolve", path, "--times", "0,1"],
+             {"route": "dense", "reason": "evolve: n=4 < 150"}),
+        ):
+            first = invoke_record(argv)
+            second = invoke_record(argv)
+            first.pop("timings")
+            second.pop("timings")
+            assert json.dumps(first) == json.dumps(second)
+            assert first["results"]["policy"] == policy
 
     def test_model_hash_tracks_content(self, model_file):
         record_a = invoke_record(["steady", model_file(QUBIT_DECAY)])
@@ -251,6 +263,40 @@ class TestCascadeCommand:
         eigenvalues = record["results"]["eigenvalues"]
         assert len(eigenvalues) == 3
         assert abs(eigenvalues[0][0]) < 1e-9
+        assert record["method"] == record["results"]["policy"]["route"] == "dense"
+
+    def test_method_is_the_route_that_ran(self):
+        # superspace 225: ARPACK by size, but k = 224 >= n - 1 forces eigvals
+        record = invoke_record(["cascade", "--na", "4", "--nb", "0", "-k", "224"])
+        assert record["method"] == "dense"
+        assert record["results"]["policy"]["reason"] == "spectrum: k=224 >= n-1=224, ARPACK needs k < n-1"
+        record = invoke_record(["cascade", "--na", "4", "--nb", "0", "-k", "3"])
+        assert record["method"] == "sparse"
+        record = invoke_record(["cascade", *SMALL_CASCADE, "--times", "0,1"])
+        assert record["method"] == "dense"  # superspace 144 < 150
+        record = invoke_record(["cascade", "--na", "4", "--nb", "0", "--times", "0,1"])
+        assert record["method"] == "krylov"
+
+    @pytest.mark.parametrize("size,method,policy", [
+        (["--na", "1", "--nb", "0"], "dense-eig",
+         {"route": "dense", "reason": "steady: n=36 < 64"}),
+        (["--na", "2", "--nb", "0"], "sparse-eig",
+         {"route": "sparse", "reason": "steady: n=81 >= 64"}),
+    ])
+    def test_default_route_by_size(self, size, method, policy):
+        record = invoke_record(["cascade", *size])
+        assert record["method"] == method
+        assert record["results"]["policy"] == policy
+        other = "sparse" if method == "dense-eig" else "dense"
+        reference = invoke_record(["cascade", *size, "--method", other])
+        assert record["results"]["populations"]["values"] == pytest.approx(
+            reference["results"]["populations"]["values"], abs=1e-9)
+
+    def test_dense_capacity_exit_code(self):
+        # superspace 77841: refused before any dense array is allocated
+        code, out, err = invoke(["cascade", "--na", "30", "--nb", "2", "--method", "dense"])
+        assert code == 3 and out == ""
+        assert "error: numerical" in err and "77841" in err
 
     def test_negativity_all_mode(self):
         record = invoke_record(["cascade", *SMALL_CASCADE, "--negativity-all"])
@@ -301,6 +347,21 @@ class TestCascadeBenchmarkRecords:
 
 
 class TestConsoleScript:
+    def test_python_dash_m(self, tmp_path):
+        path = tmp_path / "qubit.model"
+        path.write_text(QUBIT_DECAY)
+        src = os.path.dirname(os.path.dirname(meq.__file__))
+        env = dict(os.environ, MEQ_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "meq", "steady", str(path), "--method", "dense"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        record = json.loads(proc.stdout)
+        assert record["method"] == "dense-eig"
+        assert record["results"]["rho"][0][0] == [1.0, 0.0]
+
     def test_installed_entry_point(self, tmp_path):
         path = tmp_path / "qubit.model"
         path.write_text(QUBIT_DECAY)

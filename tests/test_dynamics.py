@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 from helpers import random_density, random_model, single_space
 from meq.dynamics import PropagationError, Trajectory, evolve, evolve_trajectory
 from meq.hilbert import Operator, transition
 from meq.steady import steady_dense
-from meq.superspace import LindbladModel, build_liouvillian
+from meq.superspace import LindbladModel, build_liouvillian, choose_route
 
 
 def qubit_decay_liouvillian(rate=1.0):
@@ -170,8 +171,31 @@ class TestKrylovStepping:
         layout = single_space(2, "q")
         jump = Operator(layout, transition(2, 1, 2))
         liouv = build_liouvillian(
-            LindbladModel(Operator(layout, np.zeros((2, 2))), [(1.0, jump)]),
-            storage="sparse",
+            LindbladModel(Operator(layout, np.zeros((2, 2))), [(1.0, jump)])
         )
+        assert isinstance(liouv.matrix, sp.csr_array)
         rho_t = evolve(liouv, excited_state(), 1.0, method="krylov").to_dense()
         assert rho_t[1, 1].real == pytest.approx(np.exp(-2.0), abs=1e-9)
+
+
+class TestRoutePolicy:
+    @pytest.mark.parametrize("d,route", [(12, "dense"), (13, "krylov")])  # n = 144, 169
+    def test_route_by_size(self, d, route):
+        rng = np.random.default_rng(d)
+        model = random_model(rng, d, 1)
+        liouv = build_liouvillian(model)
+        rho0 = Operator(model.layout, random_density(rng, d))
+        trajectory = evolve_trajectory(liouv, rho0, [0.0, 0.3, 0.6])
+        assert trajectory.policy.route == route
+        assert trajectory.policy == choose_route("evolve", liouv.dim)
+        other = "krylov" if route == "dense" else "dense"
+        reference = evolve_trajectory(liouv, rho0, [0.0, 0.3, 0.6], method=other)
+        assert reference.policy == (other, "requested")
+        for state, expected in zip(trajectory.states, reference.states):
+            assert np.abs(state.to_dense() - expected.to_dense()).max() < 1e-8
+        single = evolve(liouv, rho0, 0.6).to_dense()
+        assert np.abs(single - trajectory.states[-1].to_dense()).max() < 1e-8
+
+    def test_rejects_unknown_method(self):
+        with pytest.raises(ValueError):
+            evolve_trajectory(qubit_decay_liouvillian(), excited_state(), [1.0], method="rk4")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 from helpers import random_model, single_space
 from meq.hilbert import Operator, identity_operator, transition
@@ -13,7 +14,14 @@ from meq.steady import (
     steady_linsolve,
     steady_sparse,
 )
-from meq.superspace import LindbladModel, build_liouvillian, liouvillian_oracle
+from meq.steady import _replace_row
+from meq.superspace import (
+    LindbladModel,
+    RouteChoice,
+    build_liouvillian,
+    choose_route,
+    liouvillian_oracle,
+)
 
 
 def qubit_decay_model(rate=1.0):
@@ -150,7 +158,10 @@ class TestDegeneracy:
             steady_linsolve(liouv)
 
     def test_linsolve_sparse_storage_degenerate(self):
-        liouv = build_liouvillian(degenerate_model()).with_storage("sparse")
+        # d = 20 puts the LU route on SuperLU (n = 400), the 2x2 model on LAPACK
+        layout = single_space(20, "q")
+        liouv = build_liouvillian(LindbladModel(Operator(layout, np.diag(np.arange(20.0)))))
+        assert choose_route("linsolve", liouv.dim).route == "sparse"
         with pytest.raises(DegeneracyError):
             steady_linsolve(liouv)
 
@@ -203,11 +214,19 @@ class TestSpectrum:
             spectrum(liouv, 5)
 
 
+def driven_emitter_model(d, rng):
+    """Driven d-level ladder with decay: unique steady state for any d."""
+    layout = single_space(d, "q")
+    ladder = np.diag(np.ones(d - 1), 1)
+    hamiltonian = Operator(layout, ladder + ladder.T + np.diag(rng.uniform(-1, 1, d)))
+    return LindbladModel(hamiltonian, [(1.0, Operator(layout, ladder))])
+
+
 class TestSparseStorage:
     @pytest.mark.parametrize("method", ALL_METHODS)
     def test_methods_accept_sparse_generators(self, method):
-        liouv = build_liouvillian(driven_qubit_model(1.0, 1.0), storage="sparse")
-        assert liouv.storage == "sparse"
+        liouv = build_liouvillian(driven_qubit_model(1.0, 1.0))
+        assert isinstance(liouv.matrix, sp.csr_array)
         rho = method(liouv).rho.to_dense()
         assert rho[1, 1].real == pytest.approx(1.0 / 3.0, abs=1e-10)
 
@@ -249,3 +268,68 @@ class TestUniqueness:
         model = LindbladModel(Operator(layout, random_hermitian(rng, 3)))
         report = check_uniqueness(build_liouvillian(model))
         assert not report.unique
+
+
+class TestRoutePolicy:
+    """Each branch of the route policy, driven by problem size alone."""
+
+    @pytest.mark.parametrize("d,route", [(14, "dense"), (15, "sparse")])  # n = 196, 225
+    def test_spectrum_route_by_size(self, d, route):
+        liouv = build_liouvillian(driven_emitter_model(d, np.random.default_rng(d)))
+        result = spectrum(liouv, 4)
+        assert result.policy.route == route
+        assert result.policy == choose_route("spectrum", liouv.dim, 4)
+        reference = spectrum(liouv, 4, method="dense" if route == "sparse" else "sparse")
+        assert np.allclose(result.eigenvalues, reference.eigenvalues, atol=1e-8)
+
+    @pytest.mark.parametrize("d,route", [(19, "dense"), (20, "sparse")])  # n = 361, 400
+    def test_linsolve_route_by_size(self, d, route):
+        liouv = build_liouvillian(driven_emitter_model(d, np.random.default_rng(d)))
+        result = steady_linsolve(liouv)
+        assert result.policy.route == route
+        assert result.policy == choose_route("linsolve", liouv.dim)
+        assert result.residual < 1e-10
+        reference = steady_sparse(liouv).rho.to_dense()
+        assert np.abs(result.rho.to_dense() - reference).max() < 1e-9
+
+    def test_requested_spectrum_route_is_recorded(self):
+        liouv = build_liouvillian(driven_qubit_model(1.0, 1.0))
+        assert spectrum(liouv, 2, method="sparse").policy == ("sparse", "requested")
+        assert spectrum(liouv, 2, method="dense").policy == ("dense", "requested")
+        # ARPACK needs k < n - 1, so a sparse request for k = 3 of 4 runs dense
+        assert spectrum(liouv, 3, method="sparse").policy.route == "dense"
+        with pytest.raises(ValueError):
+            spectrum(liouv, 2, method="bogus")
+
+    def test_row_edit_matches_lil(self):
+        rng = np.random.default_rng(70)
+        matrix = build_liouvillian(random_model(rng, 5, 2)).matrix
+        cols = np.arange(5) * 6
+        for row in (0, 12, 24):
+            expected = matrix.tolil()
+            expected[row, :] = 0.0
+            expected[row, cols] = 2.5
+            edited = _replace_row(matrix, row, cols, 2.5)
+            assert np.array_equal(edited.toarray(), expected.toarray())
+
+    def test_sparse_lu_matches_dense_lu_on_corpus(self, monkeypatch):
+        rng = np.random.default_rng(20240)
+        liouvs = [
+            build_liouvillian(random_model(rng, (2, 3, 4, 6)[i % 4], 1 + i % 3))
+            for i in range(50)
+        ]
+        dense = [steady_linsolve(liouv) for liouv in liouvs]
+        monkeypatch.setattr(
+            "meq.steady.choose_route", lambda task, n, k=None: RouteChoice("sparse", "forced")
+        )
+        for liouv, reference in zip(liouvs, dense):
+            assert reference.policy.route == "dense"
+            result = steady_linsolve(liouv)
+            gap = np.abs(result.rho.to_dense() - reference.rho.to_dense()).max()
+            assert gap < 1e-12
+
+    def test_default_cascade_top5_matches_dense(self, cascade_liouvillian, cascade_top5):
+        assert cascade_top5.policy == ("dense", "requested")
+        default = spectrum(cascade_liouvillian, 5)
+        assert default.policy == ("sparse", "spectrum: n=2025 >= 200")
+        assert np.allclose(default.eigenvalues, cascade_top5.eigenvalues, rtol=0, atol=1e-8)

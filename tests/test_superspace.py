@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from helpers import (
     random_density,
@@ -10,10 +11,12 @@ from helpers import (
 )
 from meq.hilbert import LayoutMismatchError, Operator, SpaceLayout, identity_operator, transition
 from meq.superspace import (
+    CapacityError,
     LindbladModel,
     SuperOperator,
     VectorizedOperator,
     build_liouvillian,
+    choose_route,
     devectorize,
     dissipator_super,
     hamiltonian_super,
@@ -267,20 +270,53 @@ class TestBuildLiouvillian:
 
 class TestSuperOperatorStorage:
     def test_threshold(self):
-        small = identity_operator(single_space(64))
-        liouv = hamiltonian_super(small * 0.0 + small)  # identity, d^2 = 4096
-        assert liouv.storage == "dense"
-        large = identity_operator(single_space(65))
-        assert hamiltonian_super(large).storage == "sparse"
+        # storage is CSR on both sides of any size; the size only picks routes
+        small = hamiltonian_super(identity_operator(single_space(64)))  # d^2 = 4096
+        large = hamiltonian_super(identity_operator(single_space(65)))
+        for superop in (small, large):
+            assert isinstance(superop.matrix, sp.csr_array)
+            assert superop.matrix.nnz == 0  # [I, rho] = 0 stores no entries
+        crossovers = {"steady": 64, "spectrum": 200, "linsolve": 400, "evolve": 150}
+        for task, n in crossovers.items():
+            sparse = "krylov" if task == "evolve" else "sparse"
+            assert choose_route(task, n - 1, k=5) == ("dense", f"{task}: n={n - 1} < {n}")
+            assert choose_route(task, n, k=5) == (sparse, f"{task}: n={n} >= {n}")
+        assert choose_route("spectrum", 2025, k=11).route == "dense"
+        assert choose_route("spectrum", 10_001, k=11).route == "sparse"
+        assert choose_route("spectrum", 4, k=3).route == "dense"  # ARPACK: k < n-1
+        with pytest.raises(TypeError):
+            choose_route("spectrum", 400)  # the spectrum policy needs k
+        with pytest.raises(KeyError):
+            choose_route("bogus", 400)
 
     def test_conversion_exact(self):
         rng = np.random.default_rng(11)
         layout = single_space(3)
         superop = dissipator_super(Operator(layout, random_matrix(rng, 3)), 1.0)
         dense = superop.to_dense()
-        assert np.array_equal(
-            SuperOperator(layout, dense, storage="sparse").to_dense(), dense
-        )
+        rebuilt = SuperOperator(layout, dense)
+        assert isinstance(rebuilt.matrix, sp.csr_array)
+        assert np.array_equal(rebuilt.to_dense(), dense)
+        assert np.array_equal(rebuilt.matrix.toarray(), dense)
+        assert np.array_equal((rebuilt + superop).to_dense(), 2 * dense)
+        assert np.array_equal((-rebuilt).to_dense(), -dense)
+        assert rebuilt.norm_inf() == pytest.approx(np.abs(dense).sum(axis=1).max(), abs=1e-12)
+
+    def test_dense_capacity_guard(self):
+        # superspace 77841: a dense copy would need 97 GB
+        layout = SpaceLayout([("a", 279)])
+        superop = hamiltonian_super(identity_operator(layout))
+        with pytest.raises(CapacityError, match="exceeds the dense capacity 10000"):
+            superop.to_dense()
+        # every dense route builds its array through to_dense
+        from meq.dynamics import evolve
+        from meq.steady import spectrum
+
+        with pytest.raises(CapacityError):
+            spectrum(superop, 5, method="dense")
+        rho0 = identity_operator(layout) / 279
+        with pytest.raises(CapacityError):
+            evolve(superop, rho0, 1.0, method="dense")
 
     def test_apply_checks_layout(self):
         liouv = hamiltonian_super(identity_operator(single_space(2)))
