@@ -111,15 +111,13 @@ def evolve(
     rho0: Operator,
     t: float,
     method: str | None = None,
-    krylov_dim: int = KRYLOV_DIM,
-    step_tol: float = KRYLOV_STEP_TOL,
 ) -> Operator:
     """Propagate a state: returns devectorized exp(L t) vec(rho0).
 
     :func:`evolve_trajectory` at the single time t; t = 0 returns the input
     unchanged.
     """
-    trajectory = evolve_trajectory(liouv, rho0, [t], method, krylov_dim, step_tol)
+    trajectory = evolve_trajectory(liouv, rho0, [t], method)
     return rho0 if trajectory.times[0] == 0.0 else trajectory.states[0]
 
 
@@ -128,8 +126,6 @@ def evolve_trajectory(
     rho0: Operator,
     times: Sequence[float],
     method: str | None = None,
-    krylov_dim: int = KRYLOV_DIM,
-    step_tol: float = KRYLOV_STEP_TOL,
 ) -> Trajectory:
     """Propagate through an ascending list of times.
 
@@ -166,9 +162,7 @@ def evolve_trajectory(
                     propagators[gap] = scipy.linalg.expm(dense_mat * gap)
                 vec = propagators[gap] @ vec
             else:
-                vec = _expm_action(liouv, vec, gap, krylov_dim, step_tol)
-        states.append(
-            Operator(liouv.layout, vec.reshape((d, d), order="F"), storage=rho0.storage)
-        )
+                vec = _expm_action(liouv, vec, gap, KRYLOV_DIM, KRYLOV_STEP_TOL)
+        states.append(Operator(liouv.layout, vec.reshape((d, d), order="F")))
         previous = t
     return Trajectory(times=tuple(times), states=tuple(states), policy=policy)

@@ -11,6 +11,11 @@ reversed subsystem order, ``kron(O_N, ..., kron(O_2, O_1))``.  This convention
 is fixed and not configurable; all index arithmetic in the package relies on
 it.  Externally everything is 1-based; 0-based translation is confined to this
 module.
+
+Operators on these d-dimensional spaces are always dense complex ndarrays:
+they are small, every solver returns a full density matrix, and sparsity pays
+off only for the d^2 x d^2 superoperators that :mod:`meq.superspace` assembles
+from them.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ import numpy as np
 import scipy.sparse as sp
 
 __all__ = [
-    "DENSE_LIMIT",
     "LayoutMismatchError",
     "SpaceLayout",
     "Operator",
@@ -39,10 +43,6 @@ __all__ = [
     "partial_trace",
     "partial_transpose",
 ]
-
-# Operators on spaces larger than this default to sparse storage.
-DENSE_LIMIT = 64
-
 
 class LayoutMismatchError(ValueError):
     """Raised when operands live on different space layouts."""
@@ -198,64 +198,44 @@ def transition(dim: int, j: int, k: int) -> np.ndarray:
     return mat
 
 
-def _default_storage(dim: int) -> str:
-    return "sparse" if dim > DENSE_LIMIT else "dense"
-
-
 def _to_dense(matrix) -> np.ndarray:
     if sp.issparse(matrix):
         return matrix.toarray().astype(complex)
     return np.asarray(matrix, dtype=complex)
 
 
-def _to_csr(matrix) -> sp.csr_array:
-    if sp.issparse(matrix):
-        return sp.csr_array(matrix, dtype=complex)
-    return sp.csr_array(np.asarray(matrix, dtype=complex))
-
-
 class Operator:
     """A linear operator on a composite space, tied to its :class:`SpaceLayout`.
 
-    The matrix is stored either densely (ndarray) or as CSR; conversion
-    between the two is exact.  When ``storage`` is None, operators on spaces
-    with dimension above :data:`DENSE_LIMIT` are kept sparse.
+    The matrix is always a dense complex ndarray; sparse input is converted
+    exactly.  Sparsity pays off only in superspace, where
+    :mod:`meq.superspace` assembles CSR from these d x d arrays.
 
     Instances are immutable; arithmetic returns new operators.  ``*`` is the
     operator product (or scaling when one side is a scalar).
     """
 
-    __slots__ = ("layout", "_matrix", "storage")
+    __slots__ = ("layout", "_matrix")
 
     # keep numpy from coercing us in mixed scalar products; defer to __rmul__
     __array_ufunc__ = None
 
-    def __init__(self, layout: SpaceLayout, matrix, storage: str | None = None):
+    def __init__(self, layout: SpaceLayout, matrix):
         d = layout.total_dim
-        if not sp.issparse(matrix):
-            matrix = np.asarray(matrix, dtype=complex)
-        if matrix.shape != (d, d):
+        mat = _to_dense(matrix)
+        if mat.shape != (d, d):
             raise ValueError(
-                f"matrix shape {matrix.shape} does not match layout dimension {d}"
+                f"matrix shape {mat.shape} does not match layout dimension {d}"
             )
-        if storage is None:
-            storage = _default_storage(d)
-        if storage == "dense":
-            mat = _to_dense(matrix)
-        elif storage == "sparse":
-            mat = _to_csr(matrix)
-        else:
-            raise ValueError(f"storage must be 'dense' or 'sparse', got {storage!r}")
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "_matrix", mat)
-        object.__setattr__(self, "storage", storage)
 
     def __setattr__(self, name, value):
         raise AttributeError("Operator is immutable")
 
     @property
-    def matrix(self):
-        """The underlying matrix (ndarray or CSR, depending on storage)."""
+    def matrix(self) -> np.ndarray:
+        """The underlying dense matrix."""
         return self._matrix
 
     @property
@@ -263,36 +243,24 @@ class Operator:
         return self.layout.total_dim
 
     def to_dense(self) -> np.ndarray:
-        if self.storage == "dense":
-            return self._matrix.copy()
-        return _to_dense(self._matrix)
-
-    def to_sparse(self) -> sp.csr_array:
-        if self.storage == "sparse":
-            return self._matrix.copy()
-        return _to_csr(self._matrix)
-
-    def with_storage(self, storage: str) -> "Operator":
-        if storage == self.storage:
-            return self
-        return Operator(self.layout, self._matrix, storage=storage)
+        return self._matrix.copy()
 
     def dag(self) -> "Operator":
         """Hermitian conjugate."""
-        return Operator(self.layout, self._matrix.conj().T, storage=self.storage)
+        return Operator(self.layout, self._matrix.conj().T)
 
     def conj(self) -> "Operator":
-        return Operator(self.layout, self._matrix.conj(), storage=self.storage)
+        return Operator(self.layout, self._matrix.conj())
 
     def transpose(self) -> "Operator":
-        return Operator(self.layout, self._matrix.T, storage=self.storage)
+        return Operator(self.layout, self._matrix.T)
 
     def trace(self) -> complex:
         return complex(self._matrix.trace())
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         """True if the defect max|M - M^dag| is below tol * max(1, max|M|)."""
-        mat = self.to_dense()
+        mat = self._matrix
         defect = np.abs(mat - mat.conj().T).max() if mat.size else 0.0
         scale = max(1.0, np.abs(mat).max()) if mat.size else 1.0
         return defect <= tol * scale
@@ -303,97 +271,60 @@ class Operator:
                 f"operands live on different layouts: {self.layout} vs {other.layout}"
             )
 
-    def _joint_storage(self, other: "Operator") -> str:
-        if self.storage == "sparse" and other.storage == "sparse":
-            return "sparse"
-        return "dense"
-
-    def _coerced(self, storage: str):
-        return self._matrix if storage == self.storage else (
-            self.to_sparse() if storage == "sparse" else self.to_dense()
-        )
-
     def __add__(self, other):
         if not isinstance(other, Operator):
             return NotImplemented
         self._check_layout(other)
-        storage = self._joint_storage(other)
-        return Operator(
-            self.layout, self._coerced(storage) + other._coerced(storage), storage=storage
-        )
+        return Operator(self.layout, self._matrix + other._matrix)
 
     def __sub__(self, other):
         if not isinstance(other, Operator):
             return NotImplemented
         self._check_layout(other)
-        storage = self._joint_storage(other)
-        return Operator(
-            self.layout, self._coerced(storage) - other._coerced(storage), storage=storage
-        )
+        return Operator(self.layout, self._matrix - other._matrix)
 
     def __mul__(self, other):
         if isinstance(other, Operator):
             self._check_layout(other)
-            storage = self._joint_storage(other)
-            return Operator(
-                self.layout,
-                self._coerced(storage) @ other._coerced(storage),
-                storage=storage,
-            )
+            return Operator(self.layout, self._matrix @ other._matrix)
         if np.isscalar(other):
-            return Operator(self.layout, self._matrix * complex(other), storage=self.storage)
+            return Operator(self.layout, self._matrix * complex(other))
         return NotImplemented
 
     def __rmul__(self, other):
         if np.isscalar(other):
-            return Operator(self.layout, self._matrix * complex(other), storage=self.storage)
+            return Operator(self.layout, self._matrix * complex(other))
         return NotImplemented
 
     def __truediv__(self, other):
         if np.isscalar(other):
-            return Operator(self.layout, self._matrix / complex(other), storage=self.storage)
+            return Operator(self.layout, self._matrix / complex(other))
         return NotImplemented
 
     def __neg__(self):
-        return Operator(self.layout, -self._matrix, storage=self.storage)
+        return Operator(self.layout, -self._matrix)
 
     def __repr__(self) -> str:
-        return f"Operator({self.layout!r}, storage={self.storage!r})"
+        return f"Operator({self.layout!r})"
 
 
-def identity_operator(layout: SpaceLayout, storage: str | None = None) -> Operator:
-    d = layout.total_dim
-    if storage is None:
-        storage = _default_storage(d)
-    mat = sp.eye_array(d, dtype=complex, format="csr") if storage == "sparse" else np.eye(d, dtype=complex)
-    return Operator(layout, mat, storage=storage)
+def identity_operator(layout: SpaceLayout) -> Operator:
+    return Operator(layout, np.eye(layout.total_dim, dtype=complex))
 
 
-def embed(
-    layout: SpaceLayout, subsystem: str, local, storage: str | None = None
-) -> Operator:
+def embed(layout: SpaceLayout, subsystem: str, local) -> Operator:
     """Lift a local matrix into the full space, acting as identity elsewhere.
 
     The full matrix is the reversed-order Kronecker chain
     ``kron(I_N, ..., local, ..., I_1)``, so that the first subsystem's index
     varies fastest, matching :func:`index_to_flat`.
     """
-    axis = layout.axis(subsystem)
-    d_local = layout.dims[axis]
-    local = np.asarray(local, dtype=complex) if not sp.issparse(local) else local
-    if local.shape != (d_local, d_local):
-        raise ValueError(
-            f"local matrix shape {local.shape} does not match subsystem "
-            f"{subsystem!r} of dimension {d_local}"
-        )
     locals_ = [None] * len(layout)
-    locals_[axis] = local
-    return tensor_all(layout, locals_, storage=storage)
+    locals_[layout.axis(subsystem)] = _to_dense(local)
+    return tensor_all(layout, locals_)
 
 
-def tensor_all(
-    layout: SpaceLayout, locals_: Sequence, storage: str | None = None
-) -> Operator:
+def tensor_all(layout: SpaceLayout, locals_: Sequence) -> Operator:
     """Tensor product of one local matrix per subsystem (None means identity).
 
     The result has elements ``O_{n;m} = prod_j (O_j)_{n_j m_j}`` under the
@@ -404,28 +335,21 @@ def tensor_all(
         raise ValueError(
             f"expected {len(dims)} local matrices, got {len(locals_)}"
         )
-    if storage is None:
-        storage = _default_storage(layout.total_dim)
     factors = []
     for j, (loc, dim) in enumerate(zip(locals_, dims)):
-        if loc is None:
-            eye = sp.eye_array(dim, dtype=complex, format="csr") if storage == "sparse" else np.eye(dim, dtype=complex)
-            factors.append(eye)
-            continue
-        if not sp.issparse(loc):
-            loc = np.asarray(loc, dtype=complex)
+        loc = np.eye(dim, dtype=complex) if loc is None else _to_dense(loc)
         if loc.shape != (dim, dim):
             name = layout.names[j]
             raise ValueError(
                 f"local matrix shape {loc.shape} does not match subsystem "
                 f"{name!r} of dimension {dim}"
             )
-        factors.append(_to_csr(loc) if storage == "sparse" else _to_dense(loc))
+        factors.append(loc)
     acc = factors[0]
     for factor in factors[1:]:
         # reversed-order chain: each further subsystem wraps from the left
-        acc = sp.kron(factor, acc, format="csr") if storage == "sparse" else np.kron(factor, acc)
-    return Operator(layout, acc, storage=storage)
+        acc = np.kron(factor, acc)
+    return Operator(layout, acc)
 
 
 def _as_multiarray(op: Operator) -> np.ndarray:
@@ -435,7 +359,7 @@ def _as_multiarray(op: Operator) -> np.ndarray:
     axis j < N carries n_j, axis N + j carries m_j.
     """
     dims = op.layout.dims
-    return op.to_dense().reshape(dims + dims, order="F")
+    return op.matrix.reshape(dims + dims, order="F")
 
 
 def _resolve_subset(layout: SpaceLayout, names: Iterable[str], what: str) -> list[int]:
@@ -494,4 +418,4 @@ def partial_transpose(op: Operator, transposed: Iterable[str]) -> Operator:
         perm[j], perm[n_sub + j] = perm[n_sub + j], perm[j]
     d = layout.total_dim
     mat = arr.transpose(perm).reshape((d, d), order="F")
-    return Operator(layout, mat, storage=op.storage)
+    return Operator(layout, mat)

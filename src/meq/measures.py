@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .hilbert import LayoutMismatchError, Operator, partial_transpose
 
@@ -44,10 +43,7 @@ def expectation(observable: Operator, rho: Operator) -> complex:
     """tr(observable * rho)."""
     if observable.layout != rho.layout:
         raise LayoutMismatchError("observable and state live on different layouts")
-    a, b = observable.matrix, rho.matrix
-    if sp.issparse(a) or sp.issparse(b):
-        return complex((observable.to_sparse() @ rho.to_sparse()).trace())
-    return complex(np.einsum("ij,ji->", a, b))
+    return complex(np.einsum("ij,ji->", observable.matrix, rho.matrix))
 
 
 def population_report(
@@ -84,6 +80,6 @@ def log_negativity(rho: Operator, transposed: Iterable[str]) -> float:
     Bell state.
     """
     swapped = partial_transpose(rho, transposed)
-    values = np.linalg.eigvals(swapped.to_dense()).real
+    values = np.linalg.eigvals(swapped.matrix).real
     total = float(np.sum(np.abs(values) - values))
     return max(0.0, float(np.log1p(total)))

@@ -581,7 +581,7 @@ def _check_expr(expr: Expr, dims: dict[str, int], known: set[str]):
 # ---------------------------------------------------------------------------
 # evaluation
 
-def _evaluate(expr: Expr, layout: SpaceLayout, env: dict, storage: str | None):
+def _evaluate(expr: Expr, layout: SpaceLayout, env: dict):
     if isinstance(expr, Literal):
         return expr.value
     if isinstance(expr, Name):
@@ -589,19 +589,19 @@ def _evaluate(expr: Expr, layout: SpaceLayout, env: dict, storage: str | None):
     if isinstance(expr, PrimitiveCall):
         space = expr.args[0]
         if expr.func == "ident":
-            return identity_operator(layout, storage=storage)
+            return identity_operator(layout)
         if expr.func == "a":
-            return embed(layout, space, annihilation(layout.dim_of(space)), storage=storage)
+            return embed(layout, space, annihilation(layout.dim_of(space)))
         if expr.func == "proj":
             j = expr.args[1]
-            return embed(layout, space, transition(layout.dim_of(space), j, j), storage=storage)
+            return embed(layout, space, transition(layout.dim_of(space), j, j))
         j, k = expr.args[1], expr.args[2]
-        return embed(layout, space, transition(layout.dim_of(space), j, k), storage=storage)
+        return embed(layout, space, transition(layout.dim_of(space), j, k))
     if isinstance(expr, Adjoint):
-        value = _evaluate(expr.operand, layout, env, storage)
+        value = _evaluate(expr.operand, layout, env)
         return value.dag() if isinstance(value, Operator) else complex(value).conjugate()
-    left = _evaluate(expr.left, layout, env, storage)
-    right = _evaluate(expr.right, layout, env, storage)
+    left = _evaluate(expr.left, layout, env)
+    right = _evaluate(expr.right, layout, env)
     left_op = isinstance(left, Operator)
     right_op = isinstance(right, Operator)
     if expr.op == "*":
@@ -614,42 +614,40 @@ def _evaluate(expr: Expr, layout: SpaceLayout, env: dict, storage: str | None):
     return left + right if expr.op == "+" else left - right
 
 
-def _as_operator(value, layout: SpaceLayout, storage: str | None) -> Operator:
+def _as_operator(value, layout: SpaceLayout) -> Operator:
     if isinstance(value, Operator):
         return value
-    return complex(value) * identity_operator(layout, storage=storage)
+    return complex(value) * identity_operator(layout)
 
 
-def document_environment(
-    doc: ModelDocument, storage: str | None = None
-) -> tuple[SpaceLayout, dict]:
+def document_environment(doc: ModelDocument) -> tuple[SpaceLayout, dict]:
     """Evaluate every binding; returns the layout and the name -> value map."""
     layout = SpaceLayout(doc.spaces)
     env: dict = {}
     for name, expr in doc.bindings:
-        env[name] = _evaluate(expr, layout, env, storage)
+        env[name] = _evaluate(expr, layout, env)
     return layout, env
 
 
-def build_model(doc: ModelDocument, storage: str | None = None) -> LindbladModel:
+def build_model(doc: ModelDocument) -> LindbladModel:
     """Evaluate a document into a LindbladModel (full-space operators)."""
-    layout, env = document_environment(doc, storage)
-    h_value = _evaluate(doc.hamiltonian, layout, env, storage)
-    h_op = _as_operator(h_value, layout, storage)
+    layout, env = document_environment(doc)
+    h_value = _evaluate(doc.hamiltonian, layout, env)
+    h_op = _as_operator(h_value, layout)
     if not h_op.is_hermitian(tol=1e-12):
         pos = getattr(doc.hamiltonian, "pos", _NOPOS)
         raise ModelSemanticError(
             "hamiltonian expression is not Hermitian", pos[0], pos[1]
         )
     dissipators = [
-        (rate, _as_operator(_evaluate(expr, layout, env, storage), layout, storage))
+        (rate, _as_operator(_evaluate(expr, layout, env), layout))
         for rate, expr in doc.dissipators
     ]
     return LindbladModel(h_op, dissipators)
 
 
 def evaluate_observable(
-    doc: ModelDocument, text: str, env: dict | None = None, storage: str | None = None
+    doc: ModelDocument, text: str, env: dict | None = None
 ) -> Operator:
     """Evaluate an expression string in a document's namespace.
 
@@ -663,10 +661,10 @@ def evaluate_observable(
     dims = dict(doc.spaces)
     _check_expr(expr, dims, {name for name, _ in doc.bindings})
     if env is None:
-        layout, env = document_environment(doc, storage)
+        layout, env = document_environment(doc)
     else:
         layout = SpaceLayout(doc.spaces)
-    return _as_operator(_evaluate(expr, layout, env, storage), layout, storage)
+    return _as_operator(_evaluate(expr, layout, env), layout)
 
 
 # ---------------------------------------------------------------------------
@@ -782,7 +780,7 @@ def cascade_layout(params: CascadeParams) -> SpaceLayout:
     return SpaceLayout([("xi", 3), ("a", params.n_a + 1), ("b", params.n_b + 1)])
 
 
-def cascade_model(params: CascadeParams = CascadeParams(), storage: str | None = None) -> LindbladModel:
+def cascade_model(params: CascadeParams = CascadeParams()) -> LindbladModel:
     """Programmatic cascade benchmark model.
 
     Layout order (xi, a, b); Hamiltonian = detunings + Jaynes-Cummings
@@ -790,12 +788,12 @@ def cascade_model(params: CascadeParams = CascadeParams(), storage: str | None =
     two spontaneous-emission channels.
     """
     layout = cascade_layout(params)
-    s11 = embed(layout, "xi", transition(3, 1, 1), storage=storage)
-    s33 = embed(layout, "xi", transition(3, 3, 3), storage=storage)
-    s12 = embed(layout, "xi", transition(3, 1, 2), storage=storage)
-    s23 = embed(layout, "xi", transition(3, 2, 3), storage=storage)
-    am = embed(layout, "a", annihilation(params.n_a + 1), storage=storage)
-    bm = embed(layout, "b", annihilation(params.n_b + 1), storage=storage)
+    s11 = embed(layout, "xi", transition(3, 1, 1))
+    s33 = embed(layout, "xi", transition(3, 3, 3))
+    s12 = embed(layout, "xi", transition(3, 1, 2))
+    s23 = embed(layout, "xi", transition(3, 2, 3))
+    am = embed(layout, "a", annihilation(params.n_a + 1))
+    bm = embed(layout, "b", annihilation(params.n_b + 1))
 
     h_delta = params.delta_b * s33 - params.delta_a * s11
     h_coupling = params.g_a * (am.dag() * s12 + am * s12.dag()) \

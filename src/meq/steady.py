@@ -41,6 +41,10 @@ __all__ = [
 
 # Real parts closer than this are treated as ties when sorting eigenvalues.
 _TIE_TOL = 1e-12
+# Eigenvalues within this of zero (or of each other) count as a degenerate kernel.
+_GAP_TOL = 1e-8
+# Row-replaced systems with a condition estimate above this are degenerate.
+_COND_LIMIT = 1e14
 
 
 class DegeneracyError(RuntimeError):
@@ -134,30 +138,23 @@ def _finalize(
     )
 
 
-def steady_dense(
-    liouv: SuperOperator, max_dim: int = 10_000, gap_tol: float = 1e-8
-) -> SteadyStateResult:
+def steady_dense(liouv: SuperOperator) -> SteadyStateResult:
     """Steady state from the full eigendecomposition of the generator.
 
     Eigenvalues are sorted by descending real part and the leading
-    eigenvector is normalized into a density matrix.  Guarded against
-    superspace dimensions above ``max_dim``.
+    eigenvector is normalized into a density matrix.  Above the dense
+    capacity :meth:`SuperOperator.to_dense` raises :class:`CapacityError`.
     """
     n = liouv.dim
-    if n > max_dim:
-        raise CapacityError(
-            f"superspace dimension {n} exceeds the dense guard {max_dim}; "
-            "use steady_sparse instead"
-        )
     values, vectors = np.linalg.eig(liouv.to_dense())
     order = _descending_order(values)
     lam0 = complex(values[order[0]])
     if n > 1:
         lam1 = complex(values[order[1]])
-        if lam0.real - lam1.real < gap_tol:
+        if lam0.real - lam1.real < _GAP_TOL:
             raise DegeneracyError(
                 f"leading eigenvalues {lam0:.3e} and {lam1:.3e} are degenerate "
-                f"within gap tolerance {gap_tol:g}"
+                f"within gap tolerance {_GAP_TOL:g}"
             )
     return _finalize(liouv, vectors[:, order[0]], "dense-eig", lam0)
 
@@ -172,7 +169,7 @@ def _arpack_params(n: int, k: int) -> dict:
     }
 
 
-def steady_sparse(liouv: SuperOperator, gap_tol: float = 1e-8) -> SteadyStateResult:
+def steady_sparse(liouv: SuperOperator) -> SteadyStateResult:
     """Steady state from a shift-inverted Arnoldi iteration targeting 0.
 
     The target eigenvalue of a valid generator is exactly 0, the largest
@@ -186,7 +183,7 @@ def steady_sparse(liouv: SuperOperator, gap_tol: float = 1e-8) -> SteadyStateRes
         # too small for ARPACK; the dense route is exact here
         values, vectors = np.linalg.eig(liouv.to_dense())
         order = np.argsort(np.abs(values))
-        if n > 1 and abs(values[order[1]]) < gap_tol:
+        if n > 1 and abs(values[order[1]]) < _GAP_TOL:
             raise DegeneracyError("second eigenvalue lies within the gap tolerance of 0")
         lam0 = complex(values[order[0]])
         return _finalize(liouv, vectors[:, order[0]], "sparse-eig", lam0)
@@ -212,9 +209,9 @@ def steady_sparse(liouv: SuperOperator, gap_tol: float = 1e-8) -> SteadyStateRes
         ) from last_error
 
     order = np.argsort(np.abs(values))
-    if abs(values[order[1]]) < gap_tol:
+    if abs(values[order[1]]) < _GAP_TOL:
         raise DegeneracyError(
-            f"two eigenvalues within {gap_tol:g} of zero "
+            f"two eigenvalues within {_GAP_TOL:g} of zero "
             f"({values[order[0]]:.3e}, {values[order[1]]:.3e}); degenerate kernel"
         )
     vec = vectors[:, order[0]]
@@ -250,12 +247,7 @@ def _replace_row(matrix: sp.csr_array, s: int, cols: np.ndarray, value: float) -
     return sp.csr_array((data, indices, indptr), shape=matrix.shape)
 
 
-def steady_linsolve(
-    liouv: SuperOperator,
-    l: int = 1,
-    gamma: float = 1.0,
-    cond_limit: float = 1e14,
-) -> SteadyStateResult:
+def steady_linsolve(liouv: SuperOperator, l: int = 1, gamma: float = 1.0) -> SteadyStateResult:
     """Steady state from the row-replacement linear system.
 
     Row l+(l-1)d of the generator (the evolution equation of the diagonal
@@ -264,8 +256,8 @@ def steady_linsolve(
     right-hand side is gamma at that row and zero elsewhere.  The solve uses
     an LU factorization (dense LAPACK or SuperLU, as :func:`choose_route`
     decides by size), so the trace of the solution is 1 by construction.
-    A condition estimate above ``cond_limit`` signals a degenerate steady
-    state, for which the replaced system is singular.
+    A condition estimate above 1e14 signals a degenerate steady state, for
+    which the replaced system is singular.
     """
     layout = liouv.layout
     d = layout.total_dim
@@ -304,7 +296,7 @@ def steady_linsolve(
         rcond, info = scipy.linalg.lapack.zgecon(factors[0], anorm)
         rcond = rcond if info == 0 else 0.0
         solve = lambda b: scipy.linalg.lu_solve(factors, b)
-    if not rcond >= 1.0 / cond_limit:  # also catches NaN
+    if not rcond >= 1.0 / _COND_LIMIT:  # also catches NaN
         raise DegeneracyError(
             f"replaced generator is ill-conditioned (rcond {rcond:.2e}); "
             "degenerate steady states"
@@ -348,18 +340,16 @@ def spectrum(liouv: SuperOperator, k: int, method: str | None = None) -> Spectru
     return SpectrumResult(eigenvalues=values[order], count_requested=k, policy=policy)
 
 
-def check_uniqueness(
-    liouv: SuperOperator, gap_tol: float = 1e-8, method: str | None = None
-) -> GapReport:
+def check_uniqueness(liouv: SuperOperator, method: str | None = None) -> GapReport:
     """Verify the kernel is one-dimensional via the two leading eigenvalues.
 
-    Unique means the largest real part vanishes within ``gap_tol`` while the
-    second-largest stays below ``-gap_tol``.
+    Unique means the largest real part vanishes within the gap tolerance
+    1e-8 while the second-largest stays below minus that tolerance.
     """
     if liouv.dim == 1:
         lam0 = complex(liouv.to_dense()[0, 0])
-        return GapReport(lam0, None, abs(lam0.real) < gap_tol)
+        return GapReport(lam0, None, abs(lam0.real) < _GAP_TOL)
     lead = spectrum(liouv, 2, method=method).eigenvalues
     lam0, lam1 = complex(lead[0]), complex(lead[1])
-    unique = abs(lam0.real) < gap_tol and lam1.real < -gap_tol
+    unique = abs(lam0.real) < _GAP_TOL and lam1.real < -_GAP_TOL
     return GapReport(lam0, lam1, unique)

@@ -22,14 +22,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .hilbert import (
-    LayoutMismatchError,
-    Operator,
-    SpaceLayout,
-    _to_csr,
-    _to_dense,
-    identity_operator,
-)
+from .hilbert import LayoutMismatchError, Operator, SpaceLayout, identity_operator
 
 __all__ = [
     "CapacityError",
@@ -126,7 +119,7 @@ class SuperOperator:
 
     def __init__(self, layout: SpaceLayout, matrix):
         n = layout.total_dim ** 2
-        matrix = _to_csr(matrix)
+        matrix = sp.csr_array(matrix, dtype=complex)
         if matrix.shape != (n, n):
             raise ValueError(f"superoperator shape {matrix.shape} does not match d^2 = {n}")
         object.__setattr__(self, "layout", layout)
@@ -151,7 +144,7 @@ class SuperOperator:
                 f"superspace dimension {self.dim} exceeds the dense capacity "
                 f"{_DENSE_CAPACITY} ({16e-9 * self.dim ** 2:.1f} GB); use a sparse route"
             )
-        return _to_dense(self._matrix)
+        return self._matrix.toarray()
 
     def apply(self, vec) -> np.ndarray:
         """Matrix-vector product on a vectorized operator (or raw array)."""
@@ -234,9 +227,10 @@ class LindbladModel:
 
 
 def _sandwich_matrix(a: Operator, b: Operator) -> sp.csr_array:
-    # Kronecker products and sums are assembled sparsely; for structured
-    # operators this avoids a cascade of dense d^2 x d^2 intermediates.
-    return sp.kron(b.to_sparse().T, a.to_sparse(), format="csr")
+    # The one place where dense d x d operators become CSR: Kronecker products
+    # and sums are assembled sparsely, which for structured operators avoids
+    # a cascade of dense d^2 x d^2 intermediates.
+    return sp.kron(sp.csr_array(b.matrix).T, sp.csr_array(a.matrix), format="csr")
 
 
 def super_sandwich(a: Operator, b: Operator) -> SuperOperator:
@@ -254,7 +248,7 @@ def hamiltonian_super(h: Operator) -> SuperOperator:
     """
     if not h.is_hermitian(tol=1e-10):
         raise ValueError("hamiltonian is not Hermitian (defect above 1e-10)")
-    eye = identity_operator(h.layout, storage="sparse")
+    eye = identity_operator(h.layout)
     mat = -1j * _sandwich_matrix(h, eye) + 1j * _sandwich_matrix(eye, h)
     return SuperOperator(h.layout, mat)
 
@@ -264,8 +258,8 @@ def dissipator_super(jump: Operator, rate: float) -> SuperOperator:
     rate = float(rate)
     if rate <= 0:
         raise ValueError(f"dissipation rate must be > 0, got {rate}")
-    eye = identity_operator(jump.layout, storage="sparse")
-    jdag_j = (jump.dag() * jump).with_storage("sparse")
+    eye = identity_operator(jump.layout)
+    jdag_j = jump.dag() * jump
     mat = rate * (
         2.0 * _sandwich_matrix(jump, jump.dag())
         - _sandwich_matrix(jdag_j, eye)

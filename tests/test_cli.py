@@ -297,6 +297,8 @@ class TestCascadeCommand:
         code, out, err = invoke(["cascade", "--na", "30", "--nb", "2", "--method", "dense"])
         assert code == 3 and out == ""
         assert "error: numerical" in err and "77841" in err
+        # the message names no library function a CLI user cannot call
+        assert "steady_sparse" not in err
 
     def test_negativity_all_mode(self):
         record = invoke_record(["cascade", *SMALL_CASCADE, "--negativity-all"])

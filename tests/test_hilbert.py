@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from helpers import (
     bell_projector,
@@ -169,12 +170,9 @@ class TestEmbed:
         rng = np.random.default_rng(7)
         layout = SpaceLayout([("p", 2), ("q", 3)])
         mat_p, mat_q = random_matrix(rng, 2), random_matrix(rng, 3)
-        # sparse products have a single term per element: exact commutation
-        a = embed(layout, "p", mat_p, storage="sparse")
-        b = embed(layout, "q", mat_q, storage="sparse")
-        assert np.array_equal((a * b).to_dense(), (b * a).to_dense())
+        a = embed(layout, "p", mat_p)
+        b = embed(layout, "q", mat_q)
         # dense BLAS accumulates zeros in either order: equal to the last ulp
-        a, b = a.with_storage("dense"), b.with_storage("dense")
         assert np.allclose((a * b).to_dense(), (b * a).to_dense(), atol=1e-15)
 
     def test_algebra_homomorphism(self):
@@ -356,8 +354,8 @@ class TestPartialTranspose:
         rng = np.random.default_rng(21)
         layout = SpaceLayout([("p", 2), ("q", 3)])
         mat = random_matrix(rng, 6)
-        dense = Operator(layout, mat, storage="dense")
-        sparse = Operator(layout, mat, storage="sparse")
+        dense = Operator(layout, mat)
+        sparse = Operator(layout, sp.csr_array(mat))
         assert np.array_equal(
             partial_transpose(sparse, ["q"]).to_dense(),
             partial_transpose(dense, ["q"]).to_dense(),
@@ -373,17 +371,18 @@ class TestOperatorStorage:
         rng = np.random.default_rng(19)
         layout = SpaceLayout([("p", 3), ("q", 3)])
         mat = random_matrix(rng, 9)
-        dense = Operator(layout, mat, storage="dense")
-        sparse = dense.with_storage("sparse")
-        assert sparse.storage == "sparse"
-        assert np.array_equal(sparse.to_dense(), mat)
-        assert np.array_equal(sparse.with_storage("dense").to_dense(), mat)
+        op = Operator(layout, sp.csr_array(mat))
+        assert type(op.matrix) is np.ndarray
+        assert np.array_equal(op.to_dense(), mat)
 
     def test_default_threshold(self):
-        small = identity_operator(SpaceLayout([("p", 64)]))
-        large = identity_operator(SpaceLayout([("p", 65)]))
-        assert small.storage == "dense"
-        assert large.storage == "sparse"
+        # one storage form at every size: d = 64 and 65 straddle the former
+        # sparse threshold, d = 279 is the cascade at (n_a, n_b) = (30, 2)
+        for d in (64, 65, 279):
+            layout = SpaceLayout([("p", d)])
+            for op in (identity_operator(layout), embed(layout, "p", annihilation(d))):
+                assert type(op.matrix) is np.ndarray
+                assert op.matrix.dtype == complex
 
     def test_layout_mismatch_raises(self):
         a = identity_operator(SpaceLayout([("p", 2)]))
@@ -413,4 +412,4 @@ class TestOperatorStorage:
     def test_immutability(self):
         op = identity_operator(SpaceLayout([("p", 2)]))
         with pytest.raises(AttributeError):
-            op.storage = "sparse"
+            op.layout = SpaceLayout([("q", 2)])

@@ -179,11 +179,6 @@ class TestEvaluation:
         model = build_model(doc)
         assert np.allclose(model.hamiltonian.to_dense(), 2 * np.eye(2))
 
-    def test_storage_request_threads_through(self):
-        model = build_model(parse_model(QUBIT_DECAY), storage="sparse")
-        assert model.hamiltonian.storage == "sparse"
-        assert model.dissipators[0][1].storage == "sparse"
-
     def test_products_do_not_commute(self):
         doc = parse_model("spaces:\n  m 3\nhamiltonian:\n  0\n")
         left = evaluate_observable(doc, "a(m)*a(m)'")

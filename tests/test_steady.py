@@ -6,7 +6,6 @@ import scipy.sparse as sp
 from helpers import random_model, single_space
 from meq.hilbert import Operator, identity_operator, transition
 from meq.steady import (
-    CapacityError,
     DegeneracyError,
     check_uniqueness,
     spectrum,
@@ -164,11 +163,6 @@ class TestDegeneracy:
         assert choose_route("linsolve", liouv.dim).route == "sparse"
         with pytest.raises(DegeneracyError):
             steady_linsolve(liouv)
-
-    def test_capacity_guard(self):
-        liouv = build_liouvillian(qubit_decay_model())
-        with pytest.raises(CapacityError, match="steady_sparse"):
-            steady_dense(liouv, max_dim=3)
 
 
 class TestSpectrum:

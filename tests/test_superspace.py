@@ -310,10 +310,12 @@ class TestSuperOperatorStorage:
             superop.to_dense()
         # every dense route builds its array through to_dense
         from meq.dynamics import evolve
-        from meq.steady import spectrum
+        from meq.steady import spectrum, steady_dense
 
         with pytest.raises(CapacityError):
             spectrum(superop, 5, method="dense")
+        with pytest.raises(CapacityError, match="exceeds the dense capacity 10000"):
+            steady_dense(superop)
         rho0 = identity_operator(layout) / 279
         with pytest.raises(CapacityError):
             evolve(superop, rho0, 1.0, method="dense")
