@@ -247,6 +247,7 @@ class _Runner:
             "superspace_dimension": result.rho.layout.total_dim ** 2,
             "residual": result.residual,
             "trace_before_normalization": result.trace_before_normalization,
+            "min_eigenvalue": result.min_eigenvalue,
         }
         if result.eigenvalue is not None:
             results["eigenvalue"] = result.eigenvalue

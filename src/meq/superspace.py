@@ -26,6 +26,7 @@ from .hilbert import LayoutMismatchError, Operator, SpaceLayout, identity_operat
 
 __all__ = [
     "CapacityError",
+    "check_dense_capacity",
     "RouteChoice",
     "choose_route",
     "VectorizedOperator",
@@ -48,13 +49,23 @@ _DENSE_CAPACITY = 10_000
 # sparse route beats its dense one (medians at one BLAS thread; the README
 # lists the measurements).  Spectra with k above _SPARSE_SPECTRUM_MAX_K stay
 # dense while they fit: ARPACK's largest-real-part iteration took 0.1-0.3 s
-# on the cascade for k <= 12 (n = 900, 2025) and failed to converge at k = 20.
+# on the cascade for k <= 12 (n = 900, 2025) and failed to converge at k = 20
+# with a restart dimension of 41 (k = 20 now gets 60).
 _SPARSE_FROM = {"steady": 64, "spectrum": 200, "linsolve": 400, "evolve": 150}
 _SPARSE_SPECTRUM_MAX_K = 10
 
 
 class CapacityError(RuntimeError):
     """Problem too large for the requested dense method."""
+
+
+def check_dense_capacity(n: int) -> None:
+    """Refuse a dense n x n superspace array above the dense capacity."""
+    if n > _DENSE_CAPACITY:
+        raise CapacityError(
+            f"superspace dimension {n} exceeds the dense capacity "
+            f"{_DENSE_CAPACITY} ({16e-9 * n ** 2:.1f} GB); use a sparse route"
+        )
 
 
 class RouteChoice(NamedTuple):
@@ -139,11 +150,7 @@ class SuperOperator:
 
     def to_dense(self) -> np.ndarray:
         """Dense copy, refused with :class:`CapacityError` above the dense capacity."""
-        if self.dim > _DENSE_CAPACITY:
-            raise CapacityError(
-                f"superspace dimension {self.dim} exceeds the dense capacity "
-                f"{_DENSE_CAPACITY} ({16e-9 * self.dim ** 2:.1f} GB); use a sparse route"
-            )
+        check_dense_capacity(self.dim)
         return self._matrix.toarray()
 
     def apply(self, vec) -> np.ndarray:

@@ -3,8 +3,14 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# Property tests draw the same examples on every run and have no per-example
+# deadline: a shared machine's timing noise must not fail them.
+settings.register_profile("meq", derandomize=True, deadline=None)
+settings.load_profile("meq")
 
 from meq.modelspec import CascadeParams, cascade_document, cascade_model, document_environment
 from meq.steady import spectrum, steady_dense, steady_linsolve, steady_sparse

@@ -43,6 +43,12 @@ def random_model(rng, d, n_dissipators=1, layout=None):
     return LindbladModel(hamiltonian, dissipators)
 
 
+def random_corpus():
+    """The 50 random models of the acceptance gate: d in {2, 3, 4, 6}, 1 to 3 channels."""
+    rng = np.random.default_rng(20240)
+    return [random_model(rng, (2, 3, 4, 6)[i % 4], 1 + i % 3) for i in range(50)]
+
+
 def _flat(dims, multi):
     """0-based flat index, first component fastest."""
     flat, stride = 0, 1

@@ -99,6 +99,21 @@ class TestExitCodes:
         assert code == 3
         assert "error: numerical" in err
 
+    def test_non_positive_state_exits_numerical(self, model_file, monkeypatch):
+        from meq import steady
+
+        finalize = steady._finalize
+
+        def tampered(liouv, basis, raw, *args):
+            raw = raw.copy()
+            raw[3] = -0.5 * raw[0]  # rho_22 = -rho_11 / 2
+            return finalize(liouv, basis, raw, *args)
+
+        monkeypatch.setattr(steady, "_finalize", tampered)
+        code, out, err = invoke(["steady", model_file(DRIVEN_QUBIT)])
+        assert code == 3 and out == ""
+        assert "error: numerical" in err and "not a density matrix" in err
+
     def test_records_go_to_stdout_only(self, model_file):
         path = model_file(QUBIT_DECAY)
         code, out, err = invoke(["steady", path])
@@ -156,6 +171,10 @@ class TestSteadyCommand:
             second.pop("timings")
             assert json.dumps(first) == json.dumps(second)
             assert first["results"]["policy"] == policy
+            if argv[0] == "steady":
+                rho = np.array(first["results"]["rho"]) @ [1.0, 1j]
+                expected = np.linalg.eigvalsh(rho).min()
+                assert first["results"]["min_eigenvalue"] == pytest.approx(expected, abs=1e-15)
 
     def test_model_hash_tracks_content(self, model_file):
         record_a = invoke_record(["steady", model_file(QUBIT_DECAY)])

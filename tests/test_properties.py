@@ -1,0 +1,73 @@
+"""Property tests over random layouts and Lindblad models with d <= 8.
+
+Hypothesis draws the layout (one to three subsystems), the number and the
+rates of the dissipation channels, the Hamiltonian scale and a seed for the
+matrix entries; the profile in ``conftest.py`` makes the draws reproducible.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
+
+from helpers import random_hermitian, random_matrix
+from meq.hilbert import Operator, SpaceLayout, embed
+from meq.steady import _real_generator, steady_dense, steady_linsolve, steady_sparse
+from meq.superspace import LindbladModel, build_liouvillian
+
+dims_strategy = st.lists(st.integers(1, 4), min_size=1, max_size=3).filter(
+    lambda dims: 2 <= math.prod(dims) <= 8
+)
+
+
+@st.composite
+def models(draw):
+    """A generic model: random H, one global jump and up to two local jumps."""
+    dims = draw(dims_strategy)
+    layout = SpaceLayout([(f"s{j}", dim) for j, dim in enumerate(dims)])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = layout.total_dim
+    scale = draw(st.floats(0.0, 5.0))
+    hamiltonian = Operator(layout, scale * random_hermitian(rng, d))
+    rates = draw(st.lists(st.floats(0.1, 3.0), min_size=1, max_size=3))
+    jumps = [Operator(layout, random_matrix(rng, d))]
+    for _ in rates[1:]:
+        name, dim = layout.subsystems[int(rng.integers(len(dims)))]
+        jumps.append(embed(layout, name, random_matrix(rng, dim)))
+    return LindbladModel(hamiltonian, list(zip(rates, jumps)))
+
+
+@given(models())
+def test_trace_preservation(model):
+    liouv = build_liouvillian(model)
+    d = model.layout.total_dim
+    trace_row = np.eye(d).ravel(order="F") @ liouv.to_dense()
+    assert np.abs(trace_row).max() < 1e-12 * max(1.0, liouv.norm_inf())
+
+
+@given(models())
+def test_real_generator_has_the_spectrum_of_l(model):
+    liouv = build_liouvillian(model)
+    real, _ = _real_generator(liouv)
+    assert real.dtype == np.float64
+    complex_values = np.linalg.eigvals(liouv.to_dense())
+    real_values = np.linalg.eigvals(real.toarray())
+    distance = np.abs(complex_values[:, None] - real_values[None, :])
+    rows, cols = linear_sum_assignment(distance)
+    assert distance[rows, cols].max() < 1e-10 * liouv.norm_inf()
+    with pytest.raises(ValueError, match="Hermiticity"):
+        _real_generator(1j * liouv)
+
+
+@given(models())
+def test_steady_routes_agree(model):
+    liouv = build_liouvillian(model)
+    results = [route(liouv) for route in (steady_dense, steady_sparse, steady_linsolve)]
+    reference = results[0].rho.to_dense()
+    for result in results:
+        assert np.abs(result.rho.to_dense() - reference).max() < 1e-10
+        assert result.residual < 1e-10 * liouv.norm_inf()
+        assert result.min_eigenvalue > -1e-10

@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from helpers import random_model, single_space
+from helpers import random_corpus, random_model, single_space
+from meq import steady
 from meq.hilbert import Operator, identity_operator, transition
+from meq.modelspec import CascadeParams, cascade_model
 from meq.steady import (
+    ConvergenceError,
     DegeneracyError,
     check_uniqueness,
     spectrum,
@@ -13,7 +17,7 @@ from meq.steady import (
     steady_linsolve,
     steady_sparse,
 )
-from meq.steady import _replace_row
+from meq.steady import _real_generator, _replace_row
 from meq.superspace import (
     LindbladModel,
     RouteChoice,
@@ -297,21 +301,19 @@ class TestRoutePolicy:
 
     def test_row_edit_matches_lil(self):
         rng = np.random.default_rng(70)
-        matrix = build_liouvillian(random_model(rng, 5, 2)).matrix
+        matrix = _real_generator(build_liouvillian(random_model(rng, 5, 2)))[0].tocsr()
+        assert matrix.dtype == np.float64
         cols = np.arange(5) * 6
         for row in (0, 12, 24):
             expected = matrix.tolil()
             expected[row, :] = 0.0
             expected[row, cols] = 2.5
             edited = _replace_row(matrix, row, cols, 2.5)
+            assert edited.dtype == np.float64
             assert np.array_equal(edited.toarray(), expected.toarray())
 
     def test_sparse_lu_matches_dense_lu_on_corpus(self, monkeypatch):
-        rng = np.random.default_rng(20240)
-        liouvs = [
-            build_liouvillian(random_model(rng, (2, 3, 4, 6)[i % 4], 1 + i % 3))
-            for i in range(50)
-        ]
+        liouvs = [build_liouvillian(model) for model in random_corpus()]
         dense = [steady_linsolve(liouv) for liouv in liouvs]
         monkeypatch.setattr(
             "meq.steady.choose_route", lambda task, n, k=None: RouteChoice("sparse", "forced")
@@ -327,3 +329,151 @@ class TestRoutePolicy:
         default = spectrum(cascade_liouvillian, 5)
         assert default.policy == ("sparse", "spectrum: n=2025 >= 200")
         assert np.allclose(default.eigenvalues, cascade_top5.eigenvalues, rtol=0, atol=1e-8)
+
+
+def _normalized(vec, d):
+    rho = vec.reshape((d, d), order="F")
+    rho = rho / np.trace(rho)
+    rho = (rho + rho.conj().T) / 2.0
+    return rho / np.trace(rho).real
+
+
+def complex_dense_reference(liouv):
+    """Leading eigenvector of the complex generator, by full ``eig``."""
+    values, vectors = np.linalg.eig(liouv.to_dense())
+    return _normalized(vectors[:, np.argmax(values.real)], liouv.layout.total_dim)
+
+
+def complex_sparse_reference(liouv):
+    """Shift-inverted ARPACK on the complex generator, with the library's settings."""
+    n = liouv.dim
+    sigma = 1e-10 * max(1.0, liouv.norm_inf())
+    values, vectors = spla.eigs(
+        liouv.matrix.tocsc(), k=2, sigma=sigma, which="LM",
+        v0=np.ones(n) / np.sqrt(n), tol=1e-12, maxiter=10 * n, ncv=min(n, 40),
+    )
+    return _normalized(vectors[:, np.argmin(np.abs(values))], liouv.layout.total_dim)
+
+
+def complex_linsolve_reference(liouv, l=1, gamma=1.0):
+    """Complex row-replaced system: row of rho_ll set to gamma vec(I)^T."""
+    d = liouv.layout.total_dim
+    s = (l - 1) * (d + 1)
+    replaced = liouv.to_dense()
+    replaced[s, :] = 0.0
+    replaced[s, np.arange(d) * (d + 1)] = gamma
+    rhs = np.zeros(d * d, dtype=complex)
+    rhs[s] = gamma
+    return _normalized(np.linalg.solve(replaced, rhs), d)
+
+
+def dephasing_model(d):
+    # diagonal H and a diagonal jump: every diagonal state is steady
+    layout = single_space(d, "q")
+    levels = np.diag(np.arange(float(d)))
+    return LindbladModel(Operator(layout, levels), [(0.5, Operator(layout, levels))])
+
+
+class TestRealBasis:
+    """The routes factor the Hermitian-basis generator R = T^dag L T."""
+
+    def test_basis_is_unitary_and_generator_real(self):
+        rng = np.random.default_rng(80)
+        liouv = build_liouvillian(random_model(rng, 4, 2))
+        real, basis = _real_generator(liouv)
+        assert real.format == "csc" and real.dtype == np.float64
+        assert np.diff(basis.indptr).max() == 2
+        assert np.abs((basis.conj().T @ basis).toarray() - np.eye(16)).max() < 1e-15
+        reference = basis.conj().T.toarray() @ liouv.to_dense() @ basis.toarray()
+        assert np.abs(real.toarray() - reference).max() < 1e-13 * liouv.norm_inf()
+
+    def test_rejects_generator_that_breaks_hermiticity(self):
+        liouv = build_liouvillian(driven_qubit_model(1.0, 1.0))
+        with pytest.raises(ValueError, match="Hermiticity"):
+            _real_generator(1j * liouv)
+        for method in ALL_METHODS:
+            with pytest.raises(ValueError, match="Hermiticity"):
+                method(1j * liouv)
+
+    def test_routes_match_complex_formulas_on_corpus(self):
+        worst = 0.0
+        for model in random_corpus():
+            liouv = build_liouvillian(model)
+            # steady_sparse runs dense eig below n = 5, too small for ARPACK
+            sparse_reference = complex_sparse_reference if liouv.dim >= 5 else complex_dense_reference
+            for method, reference in (
+                (steady_dense, complex_dense_reference),
+                (steady_sparse, sparse_reference),
+                (steady_linsolve, complex_linsolve_reference),
+            ):
+                gap = np.abs(method(liouv).rho.to_dense() - reference(liouv)).max()
+                worst = max(worst, gap)
+        assert worst < 1e-12
+
+    @pytest.mark.parametrize("route", ["dense", "sparse"])
+    def test_linsolve_row_and_gamma_match_complex_system(self, route, monkeypatch):
+        monkeypatch.setattr(
+            "meq.steady.choose_route", lambda task, n, k=None: RouteChoice(route, "forced")
+        )
+        rng = np.random.default_rng(81)
+        liouv = build_liouvillian(random_model(rng, 5, 2))
+        for l, gamma in ((1, 1.0), (3, 0.01), (5, 250.0)):
+            result = steady_linsolve(liouv, l=l, gamma=gamma)
+            assert result.policy.route == route
+            reference = complex_linsolve_reference(liouv, l, gamma)
+            assert np.abs(result.rho.to_dense() - reference).max() < 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 12])  # n = 4 (dense branch of steady_sparse), 9, 144
+    @pytest.mark.parametrize("method", ["dense", "sparse", "linsolve-dense", "linsolve-sparse"])
+    def test_degenerate_model_on_every_route(self, d, method, monkeypatch):
+        liouv = build_liouvillian(dephasing_model(d))
+        if method.startswith("linsolve"):
+            route = method.split("-")[1]
+            monkeypatch.setattr(
+                "meq.steady.choose_route", lambda task, n, k=None: RouteChoice(route, "forced")
+            )
+            solver = steady_linsolve
+        else:
+            solver = steady_dense if method == "dense" else steady_sparse
+        with pytest.raises(DegeneracyError):
+            solver(liouv)
+
+
+class TestPositivity:
+    def test_state_records_its_smallest_eigenvalue(self):
+        liouv = build_liouvillian(driven_qubit_model(1.0, 1.0))
+        for method in ALL_METHODS:
+            result = method(liouv)
+            expected = np.linalg.eigvalsh(result.rho.to_dense()).min()
+            assert result.min_eigenvalue == expected
+            assert result.min_eigenvalue > 0.0
+
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    def test_non_positive_state_is_refused(self, method, monkeypatch):
+        # rho_22 = -rho_11 / 2 in the raw solver output: eigenvalue -1 after normalization
+        finalize = steady._finalize
+
+        def tampered(liouv, basis, raw, *args):
+            raw = raw.copy()
+            raw[3] = -0.5 * raw[0]
+            return finalize(liouv, basis, raw, *args)
+
+        monkeypatch.setattr(steady, "_finalize", tampered)
+        liouv = build_liouvillian(driven_qubit_model(1.0, 1.0))
+        with pytest.raises(ConvergenceError, match="not a density matrix"):
+            method(liouv)
+
+
+class TestSparseSpectrumManyEigenvalues:
+    def test_top20_matches_dense(self):
+        # n = 900: with the old restart dimension 41 ARPACK returned a wrong top 20
+        liouv = build_liouvillian(cascade_model(CascadeParams(n_a=4, n_b=1)))
+        assert liouv.dim == 900
+        sparse = spectrum(liouv, 20, "sparse")
+        dense = spectrum(liouv, 20, "dense")
+        assert sparse.policy == ("sparse", "requested")
+        assert np.abs(sparse.eigenvalues[:19] - dense.eigenvalues[:19]).max() < 1e-10
+        # the 20th is one member of a conjugate pair that k = 20 splits; ARPACK
+        # may return either member, the dense sort keeps the positive one
+        last, reference = sparse.eigenvalues[19], dense.eigenvalues[19]
+        assert min(abs(last - reference), abs(last - reference.conj())) < 1e-10
