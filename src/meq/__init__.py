@@ -1,15 +1,15 @@
 """Lindblad master equations in superspace for composite systems.
 
 Build Liouvillians from Hamiltonians and jump operators, find steady states
-by three independent routes, propagate states, and compute reduced states,
+by four independent routes, propagate states, and compute reduced states,
 partial transposes, and logarithmic negativities.  Submodules:
 
 - ``hilbert``: composite-space layouts, index maps, embeddings, partial
   trace and transpose
 - ``superspace``: vectorization, sandwich superoperators, Liouvillian
   assembly (plus an independent elementwise oracle), the route policy
-- ``steady``: dense/sparse eigenvector and row-replacement steady states,
-  spectra, uniqueness checks
+- ``steady``: dense/sparse eigenvector, row-replacement and preconditioned
+  GMRES steady states, spectra, uniqueness checks
 - ``dynamics``: exp(L t) propagation, dense or Krylov
 - ``measures``: expectation values, displaced-frame populations,
   logarithmic negativity
@@ -68,6 +68,7 @@ _EXPORTS = {
     "steady_dense": "steady",
     "steady_sparse": "steady",
     "steady_linsolve": "steady",
+    "steady_iterative": "steady",
     "spectrum": "steady",
     "check_uniqueness": "steady",
     "Trajectory": "dynamics",

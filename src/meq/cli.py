@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_steady_flags(p, with_method=True):
         if with_method:
             p.add_argument(
-                "--method", choices=("dense", "sparse", "solve"), default=None,
+                "--method", choices=("dense", "sparse", "solve", "iterative"), default=None,
                 help="steady-state route (default: by problem size)",
             )
         p.add_argument("--row", type=int, default=1,
@@ -213,12 +213,12 @@ class _Runner:
     def _build(self, doc):
         start = time.perf_counter()
         layout, env = self.modelspec.document_environment(doc)
-        model = self.modelspec.build_model(doc)
+        model = self.modelspec.build_model(doc, (layout, env))
         liouv = self.superspace.build_liouvillian(model)
         self.timings["build"] = time.perf_counter() - start
         return layout, env, model, liouv
 
-    def _steady(self, liouv):
+    def _steady(self, liouv, model):
         """Run the requested or policy-chosen route; the result's policy says which."""
         args = self.args
         method = getattr(args, "method", None)
@@ -229,6 +229,8 @@ class _Runner:
             result = self.steady.steady_dense(liouv)
         elif policy.route == "sparse":
             result = self.steady.steady_sparse(liouv)
+        elif policy.route == "iterative":
+            result = self.steady.steady_iterative(liouv, model)
         else:  # the LU route records its own dense/sparse choice
             result = self.steady.steady_linsolve(liouv, l=args.row, gamma=args.gamma)
         self.timings["solve"] = time.perf_counter() - start
@@ -251,6 +253,8 @@ class _Runner:
         }
         if result.eigenvalue is not None:
             results["eigenvalue"] = result.eigenvalue
+        if result.diagnostics is not None:
+            results["diagnostics"] = result.diagnostics
         return results
 
     def _record(self, method, results, policy):
@@ -268,7 +272,7 @@ class _Runner:
     def cmd_steady(self, doc=None):
         doc = doc if doc is not None else self._load_document()
         layout, env, model, liouv = self._build(doc)
-        result = self._steady(liouv)
+        result = self._steady(liouv, model)
         results = self._steady_results(result)
         results["rho"] = result.rho.to_dense()
         start = time.perf_counter()
@@ -343,7 +347,7 @@ class _Runner:
     def cmd_negativity(self, doc=None):
         doc = doc if doc is not None else self._load_document()
         layout, env, model, liouv = self._build(doc)
-        result = self._steady(liouv)
+        result = self._steady(liouv, model)
         start = time.perf_counter()
         rho = result.rho
         keep = self._names(self.args.keep) if self.args.keep else None
@@ -365,7 +369,7 @@ class _Runner:
     def cmd_ptrace(self, doc=None):
         doc = doc if doc is not None else self._load_document()
         layout, env, model, liouv = self._build(doc)
-        result = self._steady(liouv)
+        result = self._steady(liouv, model)
         start = time.perf_counter()
         keep = self._names(self.args.keep)
         traced = [n for n in layout.names if n not in keep]
@@ -395,9 +399,10 @@ class _Runner:
         )
 
     def _cascade_populations(self, doc, params):
-        """Populations and displaced-frame photon numbers of the steady state."""
+        """Populations and displaced-frame photon numbers of the steady state,
+        and the bindings of the document."""
         layout, env, model, liouv = self._build(doc)
-        result = self._steady(liouv)
+        result = self._steady(liouv, model)
         start = time.perf_counter()
         observables = [
             ("sigma_11", env["s11"]),
@@ -417,7 +422,7 @@ class _Runner:
             }
         self.timings["measure"] = self.timings.get("measure", 0.0) \
             + time.perf_counter() - start
-        return result, report, displaced
+        return result, report, displaced, env
 
     def cmd_cascade(self):
         args = self.args
@@ -440,7 +445,7 @@ class _Runner:
         if args.keep:
             return self.cmd_ptrace(doc)
 
-        result, report, displaced = self._cascade_populations(doc, params)
+        result, report, displaced, env = self._cascade_populations(doc, params)
         results = self._steady_results(result)
         results["populations"] = {
             "labels": list(report.labels),
@@ -450,7 +455,6 @@ class _Runner:
         if displaced is not None:
             results["displaced_populations"] = displaced
         if self.args.observables:
-            layout, env = self.modelspec.document_environment(doc)
             extra = {}
             for label, op in self._observable_map(doc, env, self.args.observables):
                 extra[label] = self.measures.expectation(op, result.rho)
@@ -458,7 +462,7 @@ class _Runner:
         if args.check_truncation:
             bumped = self._cascade_params(bump=1)
             bumped_doc = self.modelspec.cascade_document(bumped)
-            _, bumped_report, bumped_displaced = self._cascade_populations(
+            _, bumped_report, bumped_displaced, _ = self._cascade_populations(
                 bumped_doc, bumped)
             drift = max(
                 abs(a - b) for a, b in zip(report.values, bumped_report.values)
@@ -480,7 +484,7 @@ class _Runner:
 
     def _cascade_negativities(self, doc):
         layout, env, model, liouv = self._build(doc)
-        result = self._steady(liouv)
+        result = self._steady(liouv, model)
         start = time.perf_counter()
         rho = result.rho
         partial_trace = self.hilbert.partial_trace

@@ -629,9 +629,16 @@ def document_environment(doc: ModelDocument) -> tuple[SpaceLayout, dict]:
     return layout, env
 
 
-def build_model(doc: ModelDocument) -> LindbladModel:
-    """Evaluate a document into a LindbladModel (full-space operators)."""
-    layout, env = document_environment(doc)
+def build_model(
+    doc: ModelDocument, environment: tuple[SpaceLayout, dict] | None = None
+) -> LindbladModel:
+    """Evaluate a document into a LindbladModel (full-space operators).
+
+    ``environment`` is this document's :func:`document_environment`, for a
+    caller that has already evaluated the bindings; without it they are
+    evaluated here.
+    """
+    layout, env = environment if environment is not None else document_environment(doc)
     h_value = _evaluate(doc.hamiltonian, layout, env)
     h_op = _as_operator(h_value, layout)
     if not h_op.is_hermitian(tol=1e-12):

@@ -1,27 +1,37 @@
-"""Steady states of Lindblad generators by three independent routes.
+"""Steady states of Lindblad generators by four independent routes.
 
 Every valid generator annihilates some density matrix; the routines here
 recover it either from the eigenvector of the (largest-real-part, i.e. zero)
 eigenvalue -- densely or by shift-inverted Arnoldi iteration targeting 0 --
-or by replacing one row of the generator with the trace-normalization
-condition and solving the resulting linear system by LU factorization.
+by replacing one row of the generator with the trace-normalization
+condition and solving the resulting linear system by LU factorization, or
+by preconditioned GMRES on the generator augmented with the trace condition.
 
-All three routes work in real arithmetic.  A Lindblad generator maps
-Hermitian operators to Hermitian operators, so in an orthonormal basis of
-Hermitian operators -- E_ll for each diagonal element, (E_nm + E_mn)/sqrt(2)
-and i(E_nm - E_mn)/sqrt(2) for each pair n < m -- it is a real matrix
-R = T^dag L T with the spectrum of L.  The basis element that carries rho_nm
-sits at the superindex of rho_nm, so the trace condition replaces the same
-row of R as of L and touches the same d columns.  Real LU factors take half
-the bytes per entry, and on the cascade they also have about a quarter fewer
-entries and take 40% of the complex factorization time.
+The eigenvector and LU routes work in real arithmetic.  A Lindblad
+generator maps Hermitian operators to Hermitian operators, so in an
+orthonormal basis of Hermitian operators -- E_ll for each diagonal element,
+(E_nm + E_mn)/sqrt(2) and i(E_nm - E_mn)/sqrt(2) for each pair n < m -- it
+is a real matrix R = T^dag L T with the spectrum of L.  The basis element
+that carries rho_nm sits at the superindex of rho_nm, so the trace condition
+replaces the same row of R as of L and touches the same d columns.  Real LU
+factors take half the bytes per entry, and on the cascade they also have
+about a quarter fewer entries and take 40% of the complex factorization
+time.
 
-All routes share one normalization pipeline: the real-basis vector is mapped
-back to rho = T x, divided by its trace (which also fixes the arbitrary
-eigenvector phase, forcing the trace to the real value 1), the anti-Hermitian
-rounding noise is projected out, and the trace is renormalized.  The residual
-is measured against the complex L, and a state with an eigenvalue below
--1e-8 is refused.
+The iterative route factors nothing of size d^2.  It splits the generator
+into the no-jump part S(rho) = -i (H_eff rho - rho H_eff^dag), with
+H_eff = H - i sum Gamma J^dag J, and the jumps.  S is a Sylvester operator,
+inverted in O(d^3) from one complex Schur form of H_eff (Bartels-Stewart),
+and it preconditions GMRES on L + s vec(I) vec(I)^T.  It needs the model,
+because H_eff cannot be recovered from the assembled L; it stays complex,
+because the preconditioner is complex either way and dominates the cost.
+
+All routes share one normalization pipeline: the solver's vector is mapped
+back to rho (rho = T x on the real routes), divided by its trace (which also
+fixes the arbitrary eigenvector phase, forcing the trace to the real value
+1), the anti-Hermitian rounding noise is projected out, and the trace is
+renormalized.  The residual is measured against the complex L, and a state
+with an eigenvalue below -1e-8 is refused.
 """
 
 from __future__ import annotations
@@ -34,9 +44,10 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .hilbert import Operator
+from .hilbert import LayoutMismatchError, Operator
 from .superspace import (
     CapacityError,
+    LindbladModel,
     RouteChoice,
     SuperOperator,
     check_dense_capacity,
@@ -53,6 +64,7 @@ __all__ = [
     "steady_dense",
     "steady_sparse",
     "steady_linsolve",
+    "steady_iterative",
     "spectrum",
     "check_uniqueness",
 ]
@@ -68,6 +80,25 @@ _COND_LIMIT = 1e14
 _HERMITIAN_TOL = 1e-10
 # Returned states may have eigenvalues down to minus this (their trace is 1).
 _POSITIVITY_TOL = 1e-8
+# GMRES of the iterative route: Krylov dimension between restarts, restart
+# cycles, and the tolerance on the true residual ||b - A x|| / ||b||.  The
+# cascade needs 15-40 iterations, a 60-level damped mode about 70; restarting
+# at 50 there stagnated above 1e-12.  Basis vectors are touched only as they
+# are used, so the restart length costs no memory on short solves.
+_GMRES_RESTART = 100
+_GMRES_CYCLES = 5
+_GMRES_RTOL = 1e-12
+# The no-jump operator S counts as singular when its smallest eigenvalue,
+# 2 min |Im eig(H_eff)|, is below this times ||L||_inf; it is then shifted to
+# S - sigma with sigma this times ||L||_inf.
+_SYLVESTER_GAP = 1e-8
+_SYLVESTER_SHIFT = 0.1
+# Iterative states (trace 1) from two augmentation vectors that differ by
+# more than this in any element are two different steady states.
+_STATE_GAP_TOL = 1e-6
+# An iterative solution x (trace 1) with ||L x||_inf above this times
+# ||L||_inf is refused.
+_RESIDUAL_TOL = 1e-10
 
 
 class DegeneracyError(RuntimeError):
@@ -88,7 +119,8 @@ class SteadyStateResult:
     ``min_eigenvalue`` is the smallest eigenvalue of the returned state;
     ``eigenvalue`` is the computed leading eigenvalue where the route
     provides one; ``policy`` is the route choice, where the LU route or a
-    caller's route policy made one.
+    caller's route policy made one; ``diagnostics`` holds the deterministic
+    counters of the iterative route (see :func:`steady_iterative`).
     """
 
     rho: Operator
@@ -98,6 +130,7 @@ class SteadyStateResult:
     min_eigenvalue: float
     eigenvalue: complex | None = None
     policy: RouteChoice | None = None
+    diagnostics: dict | None = None
 
 
 @dataclass(frozen=True)
@@ -176,14 +209,19 @@ def _real_generator(liouv: SuperOperator) -> tuple[sp.csc_array, sp.csc_array]:
 
 def _finalize(
     liouv: SuperOperator,
-    basis: sp.csc_array,
+    basis: sp.csc_array | None,
     raw: np.ndarray,
     method: str,
     eigenvalue: complex | None,
 ) -> SteadyStateResult:
+    """Normalize a solver's vector into a checked density matrix.
+
+    ``raw`` holds real-basis coordinates (vec(rho) = basis @ raw), or vec(rho)
+    itself when ``basis`` is None.
+    """
     layout = liouv.layout
     d = layout.total_dim
-    rho = (basis @ raw).reshape((d, d), order="F")
+    rho = (raw if basis is None else basis @ raw).reshape((d, d), order="F")
     trace_raw = complex(np.trace(rho))
     scale = np.linalg.norm(raw)
     if abs(trace_raw) < 1e-8 * max(scale, np.finfo(float).tiny):
@@ -278,8 +316,15 @@ def steady_sparse(liouv: SuperOperator) -> SteadyStateResult:
                 f"shift-inverted Arnoldi did not converge within {params['maxiter']} "
                 f"iterations: {exc}"
             ) from exc
-        except RuntimeError as exc:  # singular shifted factorization; nudge sigma
-            last_error = exc
+        except RuntimeError as exc:
+            if str(exc).startswith("ARPACK error 3:"):
+                # "no shifts could be applied": the shifted inverse has a
+                # multiple dominant eigenvalue, i.e. a many-dimensional kernel
+                raise DegeneracyError(
+                    f"shift-inverted Arnoldi found a multiple eigenvalue at 0 ({exc}); "
+                    "degenerate kernel"
+                ) from exc
+            last_error = exc  # singular shifted factorization; nudge sigma
     else:
         raise ConvergenceError(
             f"could not factorize the shifted generator: {last_error}"
@@ -386,13 +431,142 @@ def steady_linsolve(liouv: SuperOperator, l: int = 1, gamma: float = 1.0) -> Ste
     return replace(_finalize(liouv, basis, solution, "linsolve", None), policy=policy)
 
 
+def _no_jump_inverse(model: LindbladModel, norm: float):
+    """The inverse of the no-jump part of the generator, and the shift it needed.
+
+    S(X) = -i (H_eff X - X H_eff^dag) with H_eff = H - i sum Gamma J^dag J.
+    With the complex Schur form H_eff = Q U Q^dag, computed once, S(X) = Y
+    becomes U Z - Z U^dag = i Q^dag Y Q for Z = Q^dag X Q, one ``ztrsyl``
+    (Bartels-Stewart) solve per application.  The eigenvalues of S are
+    -i (lambda_j - conj(lambda_k)); the smallest in modulus is
+    2 min |Im lambda_j|, so an undamped no-jump state (a real eigenvalue of
+    H_eff) makes S singular.  Then H_eff is shifted by -i sigma / 2, which
+    inverts S - sigma instead, with sigma relative to ||L||_inf.
+    """
+    d = model.layout.total_dim
+    h_eff = model.hamiltonian.matrix.copy()
+    for rate, jump in model.dissipators:
+        h_eff -= 1j * rate * (jump.matrix.conj().T @ jump.matrix)
+    upper, unitary = scipy.linalg.schur(h_eff, output="complex")
+    shift = 0.0
+    if 2.0 * np.abs(upper.diagonal().imag).min() < _SYLVESTER_GAP * norm:
+        shift = _SYLVESTER_SHIFT * norm
+        upper[np.diag_indices(d)] -= 0.5j * shift
+    adjoint = unitary.conj().T
+
+    def apply(vec: np.ndarray) -> np.ndarray:
+        rhs = 1j * (adjoint @ vec.reshape((d, d), order="F") @ unitary)
+        solution, scale, _ = scipy.linalg.lapack.ztrsyl(
+            upper, upper, rhs, trana="N", tranb="C", isgn=-1
+        )
+        return (unitary @ solution @ adjoint).ravel(order="F") / scale
+
+    return apply, shift
+
+
+def _augmented_gmres(liouv: SuperOperator, precondition, weights: np.ndarray, norm: float):
+    """Solve (L + u vec(I)^T) x = u with u = (||L||_inf / d) vec(diag(weights)).
+
+    vec(I)^T L = 0, so the trace of the equation gives tr(x) = 1 and then
+    L x = 0: x is the steady state with trace 1, whatever the positive
+    weights.  Scaling u with ||L||_inf keeps the system, and so the
+    iteration, the same under L -> cL.  Returns x, the iteration count and
+    the true relative residual.
+    """
+    d = liouv.layout.total_dim
+    n = d * d
+    diagonal = np.arange(d) * (d + 1)
+    augment = np.zeros(n, dtype=complex)
+    augment[diagonal] = weights * (norm / d)
+    matrix = liouv.matrix
+
+    def matvec(x):
+        return matrix @ x + augment * x[diagonal].sum()
+
+    system = spla.LinearOperator((n, n), matvec=matvec, dtype=complex)
+    preconditioner = spla.LinearOperator((n, n), matvec=precondition, dtype=complex)
+    iterations = 0
+
+    def count(_):
+        nonlocal iterations
+        iterations += 1
+
+    x, info = spla.gmres(
+        system, augment, rtol=_GMRES_RTOL, atol=0.0, restart=min(_GMRES_RESTART, n),
+        maxiter=_GMRES_CYCLES, M=preconditioner, callback=count, callback_type="pr_norm",
+    )
+    relative = float(np.linalg.norm(augment - matvec(x)) / np.linalg.norm(augment))
+    if info != 0:
+        raise ConvergenceError(
+            f"GMRES stagnated at relative residual {relative:.2e} after {iterations} "
+            f"iterations (tolerance {_GMRES_RTOL:g})"
+        )
+    return x, iterations, relative
+
+
+def steady_iterative(liouv: SuperOperator, model: LindbladModel) -> SteadyStateResult:
+    """Steady state by GMRES preconditioned with the inverse no-jump operator.
+
+    Solves (L + u vec(I)^T) x = u with ``scipy.sparse.linalg.gmres``.  The
+    range of L is traceless, so the system is nonsingular exactly when the
+    kernel is one-dimensional, and its solution has trace 1.  ``model``
+    supplies H_eff for the preconditioner (see :func:`_no_jump_inverse`); it
+    must have ``liouv``'s layout.  The preconditioner changes the iteration
+    count, never the answer: GMRES solves the system built from ``liouv``.
+
+    A degenerate kernel makes the system singular but still consistent, and
+    GMRES may return any member of the steady manifold.  So a second solve
+    uses other weights in u; two states that differ by more than 1e-6 raise
+    :class:`DegeneracyError`.  GMRES stagnation, or ||L x||_inf of either
+    solution (trace 1) above 1e-10 times ||L||_inf, raises
+    :class:`ConvergenceError`.  ``diagnostics`` records both iteration
+    counts, the true relative residual of the first solve, the Sylvester
+    shift (0 when none was needed) and the largest element difference
+    between the two solutions.
+    """
+    if model.layout != liouv.layout:
+        raise LayoutMismatchError("model and generator live on different layouts")
+    d = liouv.layout.total_dim
+    norm = liouv.norm_inf() or 1.0
+    precondition, shift = _no_jump_inverse(model, norm)
+    first, iterations, relative = _augmented_gmres(liouv, precondition, np.ones(d), norm)
+    check, check_iterations, _ = _augmented_gmres(
+        liouv, precondition, np.arange(1.0, d + 1.0), norm
+    )
+    residual = max(float(np.abs(liouv.apply(x)).max()) for x in (first, check))
+    if residual > _RESIDUAL_TOL * norm:
+        raise ConvergenceError(
+            f"GMRES solution has residual {residual:.2e}, above "
+            f"{_RESIDUAL_TOL:g} times ||L||_inf = {norm:.3e}"
+        )
+    difference = float(np.abs(first - check).max())
+    if difference > _STATE_GAP_TOL:
+        raise DegeneracyError(
+            f"two augmentations gave steady states {difference:.2e} apart "
+            f"(tolerance {_STATE_GAP_TOL:g}); degenerate kernel"
+        )
+    result = _finalize(liouv, None, first, "iterative", None)
+    diagnostics = {
+        "gmres_iterations": iterations,
+        "check_iterations": check_iterations,
+        "gmres_relative_residual": relative,
+        "sylvester_shift": shift,
+        "state_difference": difference,
+    }
+    return replace(result, diagnostics=diagnostics)
+
+
 def spectrum(liouv: SuperOperator, k: int, method: str | None = None) -> SpectrumResult:
     """The k eigenvalues of largest real part, sorted descending.
 
     Ties in the real part are broken by descending imaginary part, then by
-    input order.  The sparse route uses an Arnoldi largest-real-part
-    iteration; the dense route diagonalizes fully and truncates.  Without
-    ``method`` :func:`choose_route` picks; ARPACK needs k < n - 1.
+    input order.  The spectrum of a Hermiticity-preserving L is closed under
+    conjugation, so when the k-th value's partner is not among the first k
+    the pair is split at the cut, and its +imag member is returned (ARPACK
+    may have converged to either).  The sparse route uses an Arnoldi
+    largest-real-part iteration; the dense route diagonalizes fully and
+    truncates.  Without ``method`` :func:`choose_route` picks; ARPACK needs
+    k < n - 1.
     """
     n = liouv.dim
     if not 1 <= k <= n:
@@ -416,8 +590,12 @@ def spectrum(liouv: SuperOperator, k: int, method: str | None = None) -> Spectru
                 f"Arnoldi largest-real-part iteration did not converge: {exc}"
             ) from exc
 
-    order = _descending_order(values)[:k]
-    return SpectrumResult(eigenvalues=values[order], count_requested=k, policy=policy)
+    values = values[_descending_order(values)[:k]]
+    last = values[-1]
+    tol = _GAP_TOL * max(1.0, abs(last))
+    if abs(last.imag) > tol and not (np.abs(values[:-1] - last.conjugate()) <= tol).any():
+        values[-1] = complex(last.real, abs(last.imag))
+    return SpectrumResult(eigenvalues=values, count_requested=k, policy=policy)
 
 
 def check_uniqueness(liouv: SuperOperator, method: str | None = None) -> GapReport:

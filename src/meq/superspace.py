@@ -53,6 +53,11 @@ _DENSE_CAPACITY = 10_000
 # with a restart dimension of 41 (k = 20 now gets 60).
 _SPARSE_FROM = {"steady": 64, "spectrum": 200, "linsolve": 400, "evolve": 150}
 _SPARSE_SPECTRUM_MAX_K = 10
+# From here on steady states take the factorization-free iterative route
+# (GMRES preconditioned by the no-jump part) instead of shift-inverted ARPACK:
+# it won on the cascade and on two-mode models from n of about 1000, and
+# lost by about 2x on a single long damped mode (README lists the medians).
+_ITERATIVE_FROM = 1024
 
 
 class CapacityError(RuntimeError):
@@ -78,11 +83,15 @@ class RouteChoice(NamedTuple):
 def choose_route(task: str, n: int, k: int | None = None) -> RouteChoice:
     """The one dense-versus-sparse policy for superspace computations.
 
-    ``task`` is "steady" (eigenvector routes), "spectrum" (``k`` leading
-    eigenvalues), "linsolve" (row-replaced LU) or "evolve" (propagation,
-    whose sparse route is "krylov"); ``n`` is the superspace dimension.
+    ``task`` is "steady" (the dense and sparse eigenvector routes, and from
+    :data:`_ITERATIVE_FROM` on the "iterative" route), "spectrum" (``k``
+    leading eigenvalues), "linsolve" (row-replaced LU) or "evolve"
+    (propagation, whose sparse route is "krylov"); ``n`` is the superspace
+    dimension.
     """
     threshold = _SPARSE_FROM[task]
+    if task == "steady" and n >= _ITERATIVE_FROM:
+        return RouteChoice("iterative", f"steady: n={n} >= {_ITERATIVE_FROM}")
     if task == "spectrum":
         if k >= n - 1:
             return RouteChoice("dense", f"spectrum: k={k} >= n-1={n - 1}, ARPACK needs k < n-1")

@@ -95,9 +95,10 @@ class TestExitCodes:
 
     def test_numerical_errors(self, model_file):
         path = model_file(DEGENERATE)
-        code, _, err = invoke(["steady", path, "--method", "solve"])
-        assert code == 3
-        assert "error: numerical" in err
+        for method in ("solve", "iterative"):
+            code, _, err = invoke(["steady", path, "--method", method])
+            assert code == 3
+            assert "error: numerical" in err
 
     def test_non_positive_state_exits_numerical(self, model_file, monkeypatch):
         from meq import steady
@@ -132,7 +133,7 @@ class TestSteadyCommand:
         assert rho[0][0] == [1.0, 0.0]
         assert rho[1][1] == [0.0, 0.0]
 
-    @pytest.mark.parametrize("method", ["dense", "sparse", "solve"])
+    @pytest.mark.parametrize("method", ["dense", "sparse", "solve", "iterative"])
     def test_observables(self, model_file, method):
         path = model_file(DRIVEN_QUBIT)
         record = invoke_record(
@@ -164,6 +165,10 @@ class TestSteadyCommand:
             (["spectrum", path, "-k", "2"], {"route": "dense", "reason": "spectrum: n=4 < 200"}),
             (["evolve", path, "--times", "0,1"],
              {"route": "dense", "reason": "evolve: n=4 < 150"}),
+            (["steady", path, "--method", "iterative"],
+             {"route": "iterative", "reason": "requested"}),
+            (["cascade", "--na", "3", "--nb", "2"],
+             {"route": "iterative", "reason": "steady: n=1296 >= 1024"}),
         ):
             first = invoke_record(argv)
             second = invoke_record(argv)
@@ -171,6 +176,14 @@ class TestSteadyCommand:
             second.pop("timings")
             assert json.dumps(first) == json.dumps(second)
             assert first["results"]["policy"] == policy
+            if policy["route"] == "iterative":
+                assert first["method"] == "iterative"
+                assert set(first["results"]["diagnostics"]) == {
+                    "gmres_iterations", "check_iterations", "gmres_relative_residual",
+                    "sylvester_shift", "state_difference",
+                }
+            else:
+                assert "diagnostics" not in first["results"]
             if argv[0] == "steady":
                 rho = np.array(first["results"]["rho"]) @ [1.0, 1j]
                 expected = np.linalg.eigvalsh(rho).min()
@@ -180,6 +193,38 @@ class TestSteadyCommand:
         record_a = invoke_record(["steady", model_file(QUBIT_DECAY)])
         record_b = invoke_record(["steady", model_file(DRIVEN_QUBIT, "other.model")])
         assert record_a["model_hash"] != record_b["model_hash"]
+
+
+class TestBindingEvaluation:
+    """Each model binding is evaluated once per command."""
+
+    @pytest.mark.parametrize("argv", [
+        ["steady", "MODEL", "--observables", "sm'*sm"],
+        ["evolve", "MODEL", "--times", "0,1", "--observables", "proj(q,2)"],
+        ["cascade", *SMALL_CASCADE, "--observables", "s11,am"],
+    ])
+    def test_once_and_records_unchanged(self, model_file, monkeypatch, argv):
+        from meq import modelspec
+
+        argv = [model_file(DRIVEN_QUBIT) if arg == "MODEL" else arg for arg in argv]
+        environment, build_model = modelspec.document_environment, modelspec.build_model
+        calls = []
+
+        def counted(doc):
+            calls.append(doc)
+            return environment(doc)
+
+        monkeypatch.setattr(modelspec, "document_environment", counted)
+        record = invoke_record(argv)
+        assert len(calls) == 1
+        # every binding evaluated afresh, as before: the same record
+        calls.clear()
+        monkeypatch.setattr(modelspec, "build_model", lambda doc, environment=None: build_model(doc))
+        reference = invoke_record(argv)
+        assert len(calls) == 2
+        record.pop("timings")
+        reference.pop("timings")
+        assert json.dumps(record) == json.dumps(reference)
 
 
 class TestSpectrumCommand:
@@ -270,10 +315,10 @@ class TestCascadeCommand:
 
     def test_methods_agree(self):
         values = {}
-        for method in ("dense", "sparse", "solve"):
+        for method in ("dense", "sparse", "solve", "iterative"):
             record = invoke_record(["cascade", *SMALL_CASCADE, "--method", method])
             values[method] = record["results"]["populations"]["values"]
-        for method in ("sparse", "solve"):
+        for method in ("sparse", "solve", "iterative"):
             assert values[method] == pytest.approx(values["dense"], abs=1e-8)
 
     def test_spectrum_mode(self):
@@ -301,12 +346,14 @@ class TestCascadeCommand:
          {"route": "dense", "reason": "steady: n=36 < 64"}),
         (["--na", "2", "--nb", "0"], "sparse-eig",
          {"route": "sparse", "reason": "steady: n=81 >= 64"}),
+        (["--na", "3", "--nb", "2"], "iterative",
+         {"route": "iterative", "reason": "steady: n=1296 >= 1024"}),
     ])
     def test_default_route_by_size(self, size, method, policy):
         record = invoke_record(["cascade", *size])
         assert record["method"] == method
         assert record["results"]["policy"] == policy
-        other = "sparse" if method == "dense-eig" else "dense"
+        other = "sparse" if method in ("dense-eig", "iterative") else "dense"
         reference = invoke_record(["cascade", *size, "--method", other])
         assert record["results"]["populations"]["values"] == pytest.approx(
             reference["results"]["populations"]["values"], abs=1e-9)

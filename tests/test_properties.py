@@ -15,7 +15,13 @@ from scipy.optimize import linear_sum_assignment
 
 from helpers import random_hermitian, random_matrix
 from meq.hilbert import Operator, SpaceLayout, embed
-from meq.steady import _real_generator, steady_dense, steady_linsolve, steady_sparse
+from meq.steady import (
+    _real_generator,
+    steady_dense,
+    steady_iterative,
+    steady_linsolve,
+    steady_sparse,
+)
 from meq.superspace import LindbladModel, build_liouvillian
 
 dims_strategy = st.lists(st.integers(1, 4), min_size=1, max_size=3).filter(
@@ -66,6 +72,7 @@ def test_real_generator_has_the_spectrum_of_l(model):
 def test_steady_routes_agree(model):
     liouv = build_liouvillian(model)
     results = [route(liouv) for route in (steady_dense, steady_sparse, steady_linsolve)]
+    results.append(steady_iterative(liouv, model))
     reference = results[0].rho.to_dense()
     for result in results:
         assert np.abs(result.rho.to_dense() - reference).max() < 1e-10

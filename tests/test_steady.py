@@ -6,7 +6,7 @@ import scipy.sparse.linalg as spla
 
 from helpers import random_corpus, random_model, single_space
 from meq import steady
-from meq.hilbert import Operator, identity_operator, transition
+from meq.hilbert import LayoutMismatchError, Operator, identity_operator, transition
 from meq.modelspec import CascadeParams, cascade_model
 from meq.steady import (
     ConvergenceError,
@@ -14,6 +14,7 @@ from meq.steady import (
     check_uniqueness,
     spectrum,
     steady_dense,
+    steady_iterative,
     steady_linsolve,
     steady_sparse,
 )
@@ -75,9 +76,10 @@ class TestQubitDecay:
 class TestDrivenQubit:
     @pytest.mark.parametrize("omega,rate", [(1.0, 1.0), (2.0, 1.0), (0.5, 3.0)])
     def test_analytic_excited_population(self, omega, rate):
-        liouv = build_liouvillian(driven_qubit_model(omega, rate))
+        model = driven_qubit_model(omega, rate)
+        liouv = build_liouvillian(model)
         expected = omega**2 / (rate**2 + 2 * omega**2)
-        for method in ALL_METHODS:
+        for method in [*ALL_METHODS, lambda liouv: steady_iterative(liouv, model)]:
             rho = method(liouv).rho.to_dense()
             assert rho[1, 1].real == pytest.approx(expected, abs=1e-10)
 
@@ -423,11 +425,17 @@ class TestRealBasis:
             reference = complex_linsolve_reference(liouv, l, gamma)
             assert np.abs(result.rho.to_dense() - reference).max() < 1e-12
 
-    @pytest.mark.parametrize("d", [2, 3, 12])  # n = 4 (dense branch of steady_sparse), 9, 144
-    @pytest.mark.parametrize("method", ["dense", "sparse", "linsolve-dense", "linsolve-sparse"])
+    # n = 4 (dense branch of steady_sparse), 9, 144, 400 (ARPACK error 3 on the sparse route)
+    @pytest.mark.parametrize("d", [2, 3, 12, 20])
+    @pytest.mark.parametrize(
+        "method", ["dense", "sparse", "linsolve-dense", "linsolve-sparse", "iterative"]
+    )
     def test_degenerate_model_on_every_route(self, d, method, monkeypatch):
-        liouv = build_liouvillian(dephasing_model(d))
-        if method.startswith("linsolve"):
+        model = dephasing_model(d)
+        liouv = build_liouvillian(model)
+        if method == "iterative":
+            solver = lambda liouv: steady_iterative(liouv, model)
+        elif method.startswith("linsolve"):
             route = method.split("-")[1]
             monkeypatch.setattr(
                 "meq.steady.choose_route", lambda task, n, k=None: RouteChoice(route, "forced")
@@ -439,16 +447,24 @@ class TestRealBasis:
             solver(liouv)
 
 
+def steady_iterative_driven_qubit(liouv):
+    """The iterative route on the generator of ``driven_qubit_model(1.0, 1.0)``."""
+    return steady_iterative(liouv, driven_qubit_model(1.0, 1.0))
+
+
+DRIVEN_QUBIT_METHODS = [*ALL_METHODS, steady_iterative_driven_qubit]
+
+
 class TestPositivity:
     def test_state_records_its_smallest_eigenvalue(self):
         liouv = build_liouvillian(driven_qubit_model(1.0, 1.0))
-        for method in ALL_METHODS:
+        for method in DRIVEN_QUBIT_METHODS:
             result = method(liouv)
             expected = np.linalg.eigvalsh(result.rho.to_dense()).min()
             assert result.min_eigenvalue == expected
             assert result.min_eigenvalue > 0.0
 
-    @pytest.mark.parametrize("method", ALL_METHODS)
+    @pytest.mark.parametrize("method", DRIVEN_QUBIT_METHODS)
     def test_non_positive_state_is_refused(self, method, monkeypatch):
         # rho_22 = -rho_11 / 2 in the raw solver output: eigenvalue -1 after normalization
         finalize = steady._finalize
@@ -464,6 +480,97 @@ class TestPositivity:
             method(liouv)
 
 
+def scaled_model(model, c):
+    """The model whose generator is c times the original."""
+    return LindbladModel(
+        c * model.hamiltonian, [(c * rate, jump) for rate, jump in model.dissipators]
+    )
+
+
+class TestIterative:
+    """GMRES preconditioned by the inverse no-jump Sylvester operator."""
+
+    def test_decaying_qubit_needs_the_shift(self):
+        # H = 0: the ground state is an undamped no-jump state, S is singular
+        model = qubit_decay_model()
+        liouv = build_liouvillian(model)
+        result = steady_iterative(liouv, model)
+        assert np.allclose(result.rho.to_dense(), np.diag([1.0, 0.0]), atol=1e-12)
+        assert result.method == "iterative" and result.eigenvalue is None
+        shift = result.diagnostics["sylvester_shift"]
+        assert shift == pytest.approx(steady._SYLVESTER_SHIFT * liouv.norm_inf())
+
+    def test_driven_qubit_needs_no_shift(self):
+        # the drive mixes the ground state into the damped one: no real eigenvalue
+        model = driven_qubit_model(1.0, 1.0)
+        result = steady_iterative(build_liouvillian(model), model)
+        assert result.diagnostics["sylvester_shift"] == 0.0
+
+    def test_corpus_matches_linsolve(self):
+        worst = 0.0
+        for model in random_corpus():
+            liouv = build_liouvillian(model)
+            result = steady_iterative(liouv, model)
+            reference = steady_linsolve(liouv).rho.to_dense()
+            worst = max(worst, np.abs(result.rho.to_dense() - reference).max())
+            assert result.residual < 1e-10 * liouv.norm_inf()
+            assert result.trace_before_normalization == pytest.approx(1.0, abs=1e-10)
+        assert worst < 1e-10
+
+    def test_cascade_matches_sparse_route(self, cascade_liouvillian, cascade_sparse):
+        model = cascade_model(CascadeParams())
+        result = steady_iterative(cascade_liouvillian, model)
+        assert np.abs(result.rho.to_dense() - cascade_sparse[0].rho.to_dense()).max() < 1e-10
+        assert result.residual < 1e-10
+        diagnostics = result.diagnostics
+        assert diagnostics["sylvester_shift"] == 0.0
+        assert 0 < diagnostics["gmres_iterations"] <= 40
+        assert diagnostics["gmres_relative_residual"] <= steady._GMRES_RTOL
+        assert diagnostics["state_difference"] < 1e-10
+        assert steady_iterative(cascade_liouvillian, model).diagnostics == diagnostics
+
+    def test_degenerate_hamiltonian_only(self):
+        model = degenerate_model()
+        with pytest.raises(DegeneracyError, match="augmentations"):
+            steady_iterative(build_liouvillian(model), model)
+
+    # the augmentation scales with ||L||_inf; unscaled, c = 1e-8 and 1e8 fail
+    @pytest.mark.parametrize("c", [1e-8, 1e-3, 1e3, 1e8])
+    def test_scale_invariance(self, c):
+        for model in (driven_emitter_model(6, np.random.default_rng(6)), qubit_decay_model()):
+            liouv = build_liouvillian(model)
+            reference = steady_iterative(liouv, model)
+            result = steady_iterative(c * liouv, scaled_model(model, c))
+            assert np.abs(result.rho.to_dense() - reference.rho.to_dense()).max() < 1e-12
+            counts = ("gmres_iterations", "check_iterations")
+            assert [result.diagnostics[key] for key in counts] == [
+                reference.diagnostics[key] for key in counts
+            ]
+        model = dephasing_model(3)
+        with pytest.raises(DegeneracyError):
+            steady_iterative(c * build_liouvillian(model), scaled_model(model, c))
+
+    def test_stagnation_raises(self, monkeypatch):
+        monkeypatch.setattr(steady, "_GMRES_RESTART", 2)
+        monkeypatch.setattr(steady, "_GMRES_CYCLES", 1)
+        model = driven_emitter_model(6, np.random.default_rng(6))
+        with pytest.raises(ConvergenceError, match="stagnated"):
+            steady_iterative(build_liouvillian(model), model)
+
+    def test_loose_solution_is_refused(self, monkeypatch):
+        # GMRES meets its own (loosened) tolerance; the true ||L x|| does not
+        monkeypatch.setattr(steady, "_GMRES_RTOL", 1e-4)
+        model = driven_emitter_model(6, np.random.default_rng(6))
+        with pytest.raises(ConvergenceError, match="solution has residual"):
+            steady_iterative(build_liouvillian(model), model)
+
+    def test_layout_must_match(self):
+        model = driven_qubit_model(1.0, 1.0)
+        other = LindbladModel(Operator(single_space(2, "p"), np.zeros((2, 2))))
+        with pytest.raises(LayoutMismatchError):
+            steady_iterative(build_liouvillian(model), other)
+
+
 class TestSparseSpectrumManyEigenvalues:
     def test_top20_matches_dense(self):
         # n = 900: with the old restart dimension 41 ARPACK returned a wrong top 20
@@ -472,8 +579,18 @@ class TestSparseSpectrumManyEigenvalues:
         sparse = spectrum(liouv, 20, "sparse")
         dense = spectrum(liouv, 20, "dense")
         assert sparse.policy == ("sparse", "requested")
-        assert np.abs(sparse.eigenvalues[:19] - dense.eigenvalues[:19]).max() < 1e-10
-        # the 20th is one member of a conjugate pair that k = 20 splits; ARPACK
-        # may return either member, the dense sort keeps the positive one
-        last, reference = sparse.eigenvalues[19], dense.eigenvalues[19]
-        assert min(abs(last - reference), abs(last - reference.conj())) < 1e-10
+        # the 20th is one member of a conjugate pair that k = 20 splits; both
+        # routes keep the +imag member, whichever one ARPACK converged to
+        assert np.abs(sparse.eigenvalues - dense.eigenvalues).max() < 1e-10
+        assert sparse.eigenvalues[19].imag > 0
+
+    def test_split_pair_keeps_positive_member(self, monkeypatch):
+        # ARPACK returning the -imag member of the pair at the cut, as it did
+        # with two BLAS threads on the cascade above
+        liouv = build_liouvillian(driven_emitter_model(4, np.random.default_rng(4)))
+        dense = spectrum(liouv, 16, "dense").eigenvalues
+        cut = next(k for k in range(2, 12) if dense[k - 1].imag > 1e-6)
+        arpack = np.concatenate((dense[: cut - 1], dense[cut - 1: cut].conj()))
+        monkeypatch.setattr(steady.spla, "eigs", lambda *args, **kwargs: arpack[::-1])
+        values = spectrum(liouv, cut, "sparse").eigenvalues
+        assert np.abs(values - dense[:cut]).max() < 1e-12

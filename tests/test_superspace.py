@@ -281,6 +281,9 @@ class TestSuperOperatorStorage:
             sparse = "krylov" if task == "evolve" else "sparse"
             assert choose_route(task, n - 1, k=5) == ("dense", f"{task}: n={n - 1} < {n}")
             assert choose_route(task, n, k=5) == (sparse, f"{task}: n={n} >= {n}")
+        assert choose_route("steady", 1023) == ("sparse", "steady: n=1023 >= 64")
+        assert choose_route("steady", 1024) == ("iterative", "steady: n=1024 >= 1024")
+        assert choose_route("steady", 321_489).route == "iterative"
         assert choose_route("spectrum", 2025, k=11).route == "dense"
         assert choose_route("spectrum", 10_001, k=11).route == "sparse"
         assert choose_route("spectrum", 4, k=3).route == "dense"  # ARPACK: k < n-1
