@@ -10,7 +10,7 @@ partial transposes, and logarithmic negativities.  Submodules:
   assembly (plus an independent elementwise oracle), the route policy
 - ``steady``: dense/sparse eigenvector, row-replacement and preconditioned
   GMRES steady states, spectra, uniqueness checks
-- ``dynamics``: exp(L t) propagation, dense or Krylov
+- ``dynamics``: exp(L t) propagation, dense ``expm`` or ``expm_multiply``
 - ``measures``: expectation values, displaced-frame populations,
   logarithmic negativity
 - ``modelspec``: text model format and the built-in cascade benchmark

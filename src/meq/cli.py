@@ -336,6 +336,7 @@ class _Runner:
             "initial": initial_label,
             "times": list(trajectory.times),
             "trace": traces,
+            "min_eigenvalues": list(trajectory.min_eigenvalues),
         }
         if observables:
             results["observables"] = observables

@@ -1,11 +1,15 @@
 """Time propagation of density matrices under a fixed generator.
 
 The solution of the vectorized master equation is rho(t) = exp(L t) rho(0).
-Small problems exponentiate the generator once (scaling and squaring) and
-apply it; larger ones approximate the action of the exponential on the
-vectorized state in a Krylov subspace (Arnoldi, since L is not normal),
-sub-stepping adaptively so the per-step error estimate stays below a target.
-The exponential itself is never formed on the large path.
+Propagation runs in real arithmetic: in the Hermitian operator basis T of
+:mod:`meq.steady` the generator is the real matrix R = T^dag L T, a Hermitian
+rho(0) has real coordinates x(0) with vec(rho(0)) = T x(0), and
+rho(t) = T exp(R t) x(0).  Small problems exponentiate R once per distinct
+time gap (scaling and squaring) and apply it; larger ones compute the action
+exp(R t) x with ``scipy.sparse.linalg.expm_multiply`` (Al-Mohy and Higham,
+SIAM J. Sci. Comput. 33, 488 (2011)) and never form the exponential.
+Every state is checked to be a density matrix up to its smallest
+eigenvalue.
 """
 
 from __future__ import annotations
@@ -15,95 +19,34 @@ from typing import Sequence
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.linalg as spla
 
 from .hilbert import LayoutMismatchError, Operator
-from .superspace import RouteChoice, SuperOperator, choose_route
+from .steady import _HERMITIAN_TOL, _POSITIVITY_TOL, _hermitian_basis, _real_generator
+from .superspace import RouteChoice, SuperOperator, check_dense_capacity, choose_route
 
 __all__ = ["PropagationError", "Trajectory", "evolve", "evolve_trajectory"]
 
-KRYLOV_DIM = 30
-KRYLOV_STEP_TOL = 1e-10
-
 
 class PropagationError(RuntimeError):
-    """Time stepping failed (step size underflow or breakdown)."""
+    """A propagated state is not a density matrix."""
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States sampled along an evolution, one per requested time, and their route."""
+    """States sampled along an evolution, one per requested time, and their route.
+
+    ``min_eigenvalues`` holds the smallest eigenvalue of each state.
+    """
 
     times: tuple[float, ...]
     states: tuple[Operator, ...]
+    min_eigenvalues: tuple[float, ...] = ()
     policy: RouteChoice | None = None
 
     def __post_init__(self):
         if len(self.times) != len(self.states):
             raise ValueError("times and states have different lengths")
-
-
-def _arnoldi_apply(matvec, vec: np.ndarray, dt: float, m: int):
-    """One Krylov approximation of exp(dt A) vec.
-
-    Returns (result, error_estimate, exact) where ``exact`` flags a happy
-    breakdown (the Krylov space is invariant, so the result carries no
-    projection error).
-    """
-    beta = np.linalg.norm(vec)
-    if beta == 0.0:
-        return vec.copy(), 0.0, True
-    n = vec.size
-    m = min(m, n)
-    basis = np.empty((n, m), dtype=complex)
-    hess = np.zeros((m + 1, m), dtype=complex)
-    basis[:, 0] = vec / beta
-    for j in range(m):
-        w = matvec(basis[:, j])
-        for i in range(j + 1):  # modified Gram-Schmidt
-            hess[i, j] = np.vdot(basis[:, i], w)
-            w = w - hess[i, j] * basis[:, i]
-        h_next = np.linalg.norm(w)
-        hess[j + 1, j] = h_next
-        if h_next <= 1e-14 * max(1.0, np.abs(hess[: j + 2, : j + 1]).max()):
-            k = j + 1
-            phases = scipy.linalg.expm(dt * hess[:k, :k])
-            return beta * (basis[:, :k] @ phases[:, 0]), 0.0, True
-        if j + 1 < m:
-            basis[:, j + 1] = w / h_next
-    phases = scipy.linalg.expm(dt * hess[:m, :m])
-    result = beta * (basis @ phases[:, 0])
-    # a-posteriori estimate: first neglected term of the expansion
-    error = beta * abs(hess[m, m - 1]) * abs(phases[m - 1, 0])
-    return result, float(error), False
-
-
-def _expm_action(
-    liouv: SuperOperator, vec: np.ndarray, t: float, m: int, tol: float
-) -> np.ndarray:
-    matvec = liouv.matrix.dot
-    norm_scale = max(liouv.norm_inf(), 1e-30)
-    remaining = float(t)
-    # stay roughly within the Krylov convergence radius on the first attempt
-    dt = min(remaining, m / (2.0 * norm_scale))
-    current = vec
-    while remaining > 0.0:
-        dt = min(dt, remaining)
-        while True:
-            stepped, error, exact = _arnoldi_apply(matvec, current, dt, m)
-            if exact or error <= tol * max(1.0, np.linalg.norm(stepped)):
-                break
-            dt *= 0.5
-            if dt < 1e-15 * t:
-                raise PropagationError(
-                    f"time step underflow at t = {t - remaining:g} "
-                    f"(remaining {remaining:g}); generator too stiff for the "
-                    f"Krylov dimension {m}"
-                )
-        current = stepped
-        remaining -= dt
-        if not exact and error < 0.1 * tol:
-            dt *= 2.0
-    return current
 
 
 def evolve(
@@ -129,10 +72,14 @@ def evolve_trajectory(
 ) -> Trajectory:
     """Propagate through an ascending list of times.
 
-    ``method`` is "dense" (exponentiate L once per distinct gap), "krylov",
-    or None for the choice of :func:`choose_route`.  Evolution proceeds
-    incrementally from point to point (the semigroup property makes this
-    equivalent to evolving each point from rho0, up to the stepping tolerance).
+    ``method`` is "dense" (real ``expm`` once per distinct gap), "sparse"
+    (``expm_multiply`` once per gap), or None for the choice of
+    :func:`choose_route`.  Evolution proceeds incrementally from point to
+    point (the semigroup property makes this equivalent to evolving each
+    point from rho0, up to the propagator's tolerance).  ``rho0`` must be
+    Hermitian, within 1e-10 of its largest element, with no eigenvalue below
+    -1e-8, or ``ValueError`` is raised; a propagated state with an
+    eigenvalue below -1e-8 raises :class:`PropagationError`.
     """
     times = [float(t) for t in times]
     if not times:
@@ -143,26 +90,47 @@ def evolve_trajectory(
         raise ValueError("times must be ascending")
     if rho0.layout != liouv.layout:
         raise LayoutMismatchError("state and generator live on different layouts")
-    if method not in (None, "dense", "krylov"):
-        raise ValueError(f"method must be 'dense' or 'krylov', got {method!r}")
+    if method not in (None, "dense", "sparse"):
+        raise ValueError(f"method must be 'dense' or 'sparse', got {method!r}")
     policy = RouteChoice(method, "requested") if method else choose_route("evolve", liouv.dim)
 
-    d = liouv.layout.total_dim
+    rho = rho0.to_dense()
+    defect = float(np.abs(rho - rho.conj().T).max())
+    if defect > _HERMITIAN_TOL * max(1.0, float(np.abs(rho).max())):
+        raise ValueError(f"initial state is not Hermitian: anti-Hermitian part {defect:.2e}")
+    lowest = float(np.linalg.eigvalsh(rho).min())
+    if lowest < -_POSITIVITY_TOL:
+        raise ValueError(
+            f"initial state has eigenvalue {lowest:.3e}, below -{_POSITIVITY_TOL:g}; "
+            "it is not a density matrix"
+        )
+    real, basis = _real_generator(liouv)
     dense = policy.route == "dense"
-    dense_mat = liouv.to_dense() if dense and times[-1] > 0.0 else None
+    if dense:
+        check_dense_capacity(liouv.dim)
+        generator = real.toarray()
+    d = liouv.layout.total_dim
+    coords = (_hermitian_basis(d)[1] @ rho.ravel(order="F")).real
     propagators: dict[float, np.ndarray] = {}
-    vec = rho0.to_dense().ravel(order="F")
     previous = 0.0
-    states = []
+    states, minima = [], []
     for t in times:
         gap = t - previous
         if gap > 0.0:
             if dense:
                 if gap not in propagators:
-                    propagators[gap] = scipy.linalg.expm(dense_mat * gap)
-                vec = propagators[gap] @ vec
+                    propagators[gap] = scipy.linalg.expm(generator * gap)
+                coords = propagators[gap] @ coords
             else:
-                vec = _expm_action(liouv, vec, gap, KRYLOV_DIM, KRYLOV_STEP_TOL)
-        states.append(Operator(liouv.layout, vec.reshape((d, d), order="F")))
+                coords = spla.expm_multiply(real * gap, coords)
+            rho = (basis @ coords).reshape((d, d), order="F")
+            lowest = float(np.linalg.eigvalsh(rho).min())
+            if lowest < -_POSITIVITY_TOL:
+                raise PropagationError(
+                    f"state at t = {t:g} has eigenvalue {lowest:.3e}, below "
+                    f"-{_POSITIVITY_TOL:g}; it is not a density matrix"
+                )
+        states.append(Operator(liouv.layout, rho))
+        minima.append(lowest)
         previous = t
-    return Trajectory(times=tuple(times), states=tuple(states), policy=policy)
+    return Trajectory(tuple(times), tuple(states), tuple(minima), policy)

@@ -1,4 +1,4 @@
-"""Steady states of Lindblad generators by four independent routes.
+"""Steady states and spectra of Lindblad generators.
 
 Every valid generator annihilates some density matrix; the routines here
 recover it either from the eigenvector of the (largest-real-part, i.e. zero)
@@ -7,16 +7,18 @@ by replacing one row of the generator with the trace-normalization
 condition and solving the resulting linear system by LU factorization, or
 by preconditioned GMRES on the generator augmented with the trace condition.
 
-The eigenvector and LU routes work in real arithmetic.  A Lindblad
-generator maps Hermitian operators to Hermitian operators, so in an
-orthonormal basis of Hermitian operators -- E_ll for each diagonal element,
-(E_nm + E_mn)/sqrt(2) and i(E_nm - E_mn)/sqrt(2) for each pair n < m -- it
-is a real matrix R = T^dag L T with the spectrum of L.  The basis element
-that carries rho_nm sits at the superindex of rho_nm, so the trace condition
-replaces the same row of R as of L and touches the same d columns.  Real LU
-factors take half the bytes per entry, and on the cascade they also have
-about a quarter fewer entries and take 40% of the complex factorization
-time.
+Everything but the GMRES route works in real arithmetic: the eigenvector
+and LU steady routes, :func:`spectrum` and :func:`check_uniqueness` here,
+and propagation in :mod:`meq.dynamics`.  A Lindblad generator maps
+Hermitian operators to Hermitian operators, so in an orthonormal basis of
+Hermitian operators -- E_ll for each diagonal element, (E_nm + E_mn)/sqrt(2)
+and i(E_nm - E_mn)/sqrt(2) for each pair n < m -- it is a real matrix
+R = T^dag L T with the spectrum of L, because T is unitary.  The basis
+element that carries rho_nm sits at the superindex of rho_nm, so the trace
+condition replaces the same row of R as of L and touches the same d
+columns.  Real LU factors take half the bytes per entry, and on the cascade
+they also have about a quarter fewer entries and take 40% of the complex
+factorization time; real ARPACK takes about half the time of complex.
 
 The iterative route factors nothing of size d^2.  It splits the generator
 into the no-jump part S(rho) = -i (H_eff rho - rho H_eff^dag), with
@@ -36,6 +38,7 @@ with an eigenvalue below -1e-8 is refused.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, replace
 
@@ -170,46 +173,56 @@ def _descending_order(values: np.ndarray) -> list[int]:
     return out
 
 
-def _real_generator(liouv: SuperOperator) -> tuple[sp.csc_array, sp.csc_array]:
-    """The generator in the Hermitian operator basis: real CSC R = T^dag L T, and T.
+@functools.lru_cache(maxsize=4)
+def _hermitian_basis(d: int) -> tuple[sp.csr_array, sp.csr_array]:
+    """The unitary T of the Hermitian operator basis for dimension d, and T^dag.
 
-    Column j = n + m d of the unitary T is E_nn if n = m, (E_nm + E_mn)/sqrt(2)
-    if n < m and i(E_mn - E_nm)/sqrt(2) if n > m, so T has at most two
-    nonzeros per column and the real coordinates x of a Hermitian rho satisfy
-    vec(rho) = T x.  Raises ``ValueError`` if L does not preserve Hermiticity.
+    Column j = n + m d of T is E_nn if n = m, (E_nm + E_mn)/sqrt(2) if n < m
+    and i(E_mn - E_nm)/sqrt(2) if n > m, so T has at most two nonzeros per
+    column and the real coordinates x of a Hermitian rho satisfy
+    vec(rho) = T x.  Cached, because it depends on d alone; callers must not
+    modify the arrays.
     """
-    d = liouv.layout.total_dim
     j = np.arange(d * d)
     row, col = j % d, j // d
     off = row != col
     h = np.sqrt(0.5)
     self_data = np.where(off, np.where(row < col, h, -1j * h), 1.0)
     partner_data = np.where(row[off] < col[off], h, 1j * h)
-    basis = sp.csc_array(
+    basis = sp.csr_array(
         (
             np.concatenate((self_data, partner_data)),
             (np.concatenate((j, col[off] + row[off] * d)), np.concatenate((j, j[off]))),
         ),
         shape=(d * d, d * d),
     )
-    product = (basis.conj().T @ liouv.matrix @ basis).tocsc()
+    return basis, basis.conj().T.tocsr()
+
+
+def _real_generator(liouv: SuperOperator) -> tuple[sp.csc_array, sp.csr_array]:
+    """The generator in the Hermitian operator basis: real CSC R = T^dag L T, and T.
+
+    T is :func:`_hermitian_basis`.  Raises ``ValueError`` if L does not
+    preserve Hermiticity.
+    """
+    basis, adjoint = _hermitian_basis(liouv.layout.total_dim)
+    product = adjoint @ liouv.matrix @ basis
     defect = float(np.abs(product.data.imag).max()) if product.nnz else 0.0
-    tol = _HERMITIAN_TOL * max(1.0, liouv.norm_inf())
-    if defect > tol:
-        raise ValueError(
-            f"generator does not preserve Hermiticity: imaginary part {defect:.2e} "
-            f"in the Hermitian basis exceeds {tol:.2e}"
-        )
-    real = sp.csc_array(
-        (product.data.real.copy(), product.indices, product.indptr), shape=product.shape
-    )
+    if defect > _HERMITIAN_TOL:  # the bound is relative to max(1, ||L||_inf)
+        tol = _HERMITIAN_TOL * max(1.0, liouv.norm_inf())
+        if defect > tol:
+            raise ValueError(
+                f"generator does not preserve Hermiticity: imaginary part {defect:.2e} "
+                f"in the Hermitian basis exceeds {tol:.2e}"
+            )
+    real = sp.csr_array((product.data.real, product.indices, product.indptr), shape=product.shape)
     real.eliminate_zeros()
-    return real, basis
+    return real.tocsc(), basis
 
 
 def _finalize(
     liouv: SuperOperator,
-    basis: sp.csc_array | None,
+    basis: sp.csr_array | None,
     raw: np.ndarray,
     method: str,
     eigenvalue: complex | None,
@@ -294,16 +307,9 @@ def steady_sparse(liouv: SuperOperator) -> SteadyStateResult:
     means the kernel is degenerate.
     """
     n = liouv.dim
+    if n < 5:  # too small for ARPACK; the dense route is exact here
+        return replace(steady_dense(liouv), method="sparse-eig")
     matrix, basis = _real_generator(liouv)
-    if n < 5:
-        # too small for ARPACK; the dense route is exact here
-        values, vectors = np.linalg.eig(matrix.toarray())
-        order = np.argsort(np.abs(values))
-        if n > 1 and abs(values[order[1]]) < _GAP_TOL:
-            raise DegeneracyError("second eigenvalue lies within the gap tolerance of 0")
-        lam0 = complex(values[order[0]])
-        return _finalize(liouv, basis, vectors[:, order[0]], "sparse-eig", lam0)
-
     scale = max(1.0, liouv.norm_inf())
     params = _arpack_params(n, 2)
     last_error: Exception | None = None
@@ -403,13 +409,19 @@ def steady_linsolve(liouv: SuperOperator, l: int = 1, gamma: float = 1.0) -> Ste
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", spla.MatrixRankWarning)
-                lu = spla.splu(replaced)
+                # the row-replaced R is nearly structurally symmetric: an
+                # A + A^T ordering with diagonal pivots halves the fill
+                lu = spla.splu(
+                    replaced, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+                    options={"SymmetricMode": True},
+                )
         except RuntimeError as exc:
             raise DegeneracyError(
                 f"replaced generator is singular ({exc}); degenerate steady states"
             ) from exc
         rcond = 1.0 / _sparse_condition_estimate(lu, replaced)
         solve = lu.solve
+        diagnostics = {"lu_nnz": lu.L.nnz + lu.U.nnz}
     else:
         replaced = real.toarray()
         replaced[s, :] = 0.0
@@ -421,6 +433,7 @@ def steady_linsolve(liouv: SuperOperator, l: int = 1, gamma: float = 1.0) -> Ste
         rcond, info = scipy.linalg.lapack.dgecon(factors[0], anorm)
         rcond = rcond if info == 0 else 0.0
         solve = lambda b: scipy.linalg.lu_solve(factors, b)
+        diagnostics = None
     if not rcond >= 1.0 / _COND_LIMIT:  # also catches NaN
         raise DegeneracyError(
             f"replaced generator is ill-conditioned (rcond {rcond:.2e}); "
@@ -428,7 +441,8 @@ def steady_linsolve(liouv: SuperOperator, l: int = 1, gamma: float = 1.0) -> Ste
         )
     solution = solve(rhs)
 
-    return replace(_finalize(liouv, basis, solution, "linsolve", None), policy=policy)
+    result = _finalize(liouv, basis, solution, "linsolve", None)
+    return replace(result, policy=policy, diagnostics=diagnostics)
 
 
 def _no_jump_inverse(model: LindbladModel, norm: float):
@@ -560,13 +574,13 @@ def spectrum(liouv: SuperOperator, k: int, method: str | None = None) -> Spectru
     """The k eigenvalues of largest real part, sorted descending.
 
     Ties in the real part are broken by descending imaginary part, then by
-    input order.  The spectrum of a Hermiticity-preserving L is closed under
-    conjugation, so when the k-th value's partner is not among the first k
-    the pair is split at the cut, and its +imag member is returned (ARPACK
-    may have converged to either).  The sparse route uses an Arnoldi
-    largest-real-part iteration; the dense route diagonalizes fully and
-    truncates.  Without ``method`` :func:`choose_route` picks; ARPACK needs
-    k < n - 1.
+    input order.  Both routes work on the real generator R, whose spectrum
+    is L's and closed under conjugation, so when the k-th value's partner is
+    not among the first k the pair is split at the cut, and its +imag member
+    is returned (ARPACK may have converged to either).  The sparse route uses
+    an Arnoldi largest-real-part iteration; the dense route diagonalizes
+    fully and truncates.  Without ``method`` :func:`choose_route` picks;
+    ARPACK needs k < n - 1.
     """
     n = liouv.dim
     if not 1 <= k <= n:
@@ -577,20 +591,21 @@ def spectrum(liouv: SuperOperator, k: int, method: str | None = None) -> Spectru
     if method and not (method == "sparse" and k >= n - 1):
         policy = RouteChoice(method, "requested")
 
+    real, _ = _real_generator(liouv)
     if policy.route == "dense":
-        values = np.linalg.eigvals(liouv.to_dense())
+        check_dense_capacity(n)
+        values = np.linalg.eigvals(real.toarray())
     else:
         params = _arpack_params(n, k)
         try:
-            values = spla.eigs(
-                liouv.matrix, k=k, which="LR", return_eigenvectors=False, **params
-            )
+            values = spla.eigs(real, k=k, which="LR", return_eigenvectors=False, **params)
         except spla.ArpackNoConvergence as exc:
             raise ConvergenceError(
                 f"Arnoldi largest-real-part iteration did not converge: {exc}"
             ) from exc
 
-    values = values[_descending_order(values)[:k]]
+    # eigvals returns a real array when every eigenvalue of R is real
+    values = values[_descending_order(values)[:k]].astype(complex)
     last = values[-1]
     tol = _GAP_TOL * max(1.0, abs(last))
     if abs(last.imag) > tol and not (np.abs(values[:-1] - last.conjugate()) <= tol).any():

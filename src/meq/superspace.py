@@ -86,8 +86,7 @@ def choose_route(task: str, n: int, k: int | None = None) -> RouteChoice:
     ``task`` is "steady" (the dense and sparse eigenvector routes, and from
     :data:`_ITERATIVE_FROM` on the "iterative" route), "spectrum" (``k``
     leading eigenvalues), "linsolve" (row-replaced LU) or "evolve"
-    (propagation, whose sparse route is "krylov"); ``n`` is the superspace
-    dimension.
+    (propagation); ``n`` is the superspace dimension.
     """
     threshold = _SPARSE_FROM[task]
     if task == "steady" and n >= _ITERATIVE_FROM:
@@ -98,7 +97,7 @@ def choose_route(task: str, n: int, k: int | None = None) -> RouteChoice:
         if k > _SPARSE_SPECTRUM_MAX_K and n <= _DENSE_CAPACITY:
             return RouteChoice("dense", f"spectrum: k={k} > {_SPARSE_SPECTRUM_MAX_K}")
     if n >= threshold:
-        return RouteChoice("krylov" if task == "evolve" else "sparse", f"{task}: n={n} >= {threshold}")
+        return RouteChoice("sparse", f"{task}: n={n} >= {threshold}")
     return RouteChoice("dense", f"{task}: n={n} < {threshold}")
 
 

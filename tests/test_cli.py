@@ -169,6 +169,8 @@ class TestSteadyCommand:
              {"route": "iterative", "reason": "requested"}),
             (["cascade", "--na", "3", "--nb", "2"],
              {"route": "iterative", "reason": "steady: n=1296 >= 1024"}),
+            (["cascade", "--na", "3", "--nb", "1", "--method", "solve"],
+             {"route": "sparse", "reason": "linsolve: n=576 >= 400"}),
         ):
             first = invoke_record(argv)
             second = invoke_record(argv)
@@ -182,6 +184,9 @@ class TestSteadyCommand:
                     "gmres_iterations", "check_iterations", "gmres_relative_residual",
                     "sylvester_shift", "state_difference",
                 }
+            elif first["method"] == "linsolve" and policy["route"] == "sparse":
+                assert set(first["results"]["diagnostics"]) == {"lu_nnz"}
+                assert first["results"]["diagnostics"]["lu_nnz"] > 0
             else:
                 assert "diagnostics" not in first["results"]
             if argv[0] == "steady":
@@ -266,6 +271,40 @@ class TestEvolveCommand:
         assert series[0][0] == pytest.approx(1.0)
         assert series[1][0] == pytest.approx(1.0, abs=1e-9)
 
+    def test_min_eigenvalues_recorded(self, model_file):
+        path = model_file(DRIVEN_QUBIT)
+        record = invoke_record(["evolve", path, "--initial", "maximally-mixed",
+                                "--times", "0,0.5,3"])
+        lowest = record["results"]["min_eigenvalues"]
+        assert len(lowest) == 3
+        assert lowest[0] == pytest.approx(0.5)
+        assert all(value > -1e-12 for value in lowest)
+
+    @pytest.mark.parametrize("initial,message", [
+        ("proj(q,1) + sm", "not Hermitian"),
+        ("2*proj(q,1) - proj(q,2)", "not a density matrix"),
+    ])
+    def test_invalid_initial_state_is_usage_error(self, model_file, initial, message):
+        code, out, err = invoke(["evolve", model_file(DRIVEN_QUBIT), "--initial", initial,
+                                 "--times", "0,1"])
+        assert code == 1 and out == ""
+        assert "error: usage" in err and message in err
+
+    def test_negative_propagated_state_exits_numerical(self, model_file, monkeypatch):
+        from meq import dynamics
+
+        real_generator = dynamics._real_generator
+
+        def reversed_time(liouv):  # -L drives the excited state out of the positive cone
+            real, basis = real_generator(liouv)
+            return -real, basis
+
+        monkeypatch.setattr(dynamics, "_real_generator", reversed_time)
+        code, out, err = invoke(["evolve", model_file(QUBIT_DECAY), "--initial", "proj(q,2)",
+                                 "--times", "0,1"])
+        assert code == 3 and out == ""
+        assert "error: numerical" in err and "not a density matrix" in err
+
 
 class TestReductionCommands:
     def test_ptrace_product_steady_state(self, model_file):
@@ -339,7 +378,7 @@ class TestCascadeCommand:
         record = invoke_record(["cascade", *SMALL_CASCADE, "--times", "0,1"])
         assert record["method"] == "dense"  # superspace 144 < 150
         record = invoke_record(["cascade", "--na", "4", "--nb", "0", "--times", "0,1"])
-        assert record["method"] == "krylov"
+        assert record["method"] == "sparse"
 
     @pytest.mark.parametrize("size,method,policy", [
         (["--na", "1", "--nb", "0"], "dense-eig",

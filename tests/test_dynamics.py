@@ -4,7 +4,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from helpers import random_density, random_model, single_space
-from meq.dynamics import KRYLOV_STEP_TOL, PropagationError, Trajectory, _expm_action, evolve, evolve_trajectory
+from meq.dynamics import PropagationError, Trajectory, evolve, evolve_trajectory
 from meq.hilbert import Operator, transition
 from meq.steady import steady_dense
 from meq.superspace import LindbladModel, build_liouvillian, choose_route
@@ -28,7 +28,7 @@ class TestEvolve:
         rho0 = excited_state()
         assert evolve(liouv, rho0, 0.0) is rho0
 
-    @pytest.mark.parametrize("method", ["dense", "krylov"])
+    @pytest.mark.parametrize("method", ["dense", "sparse"])
     @pytest.mark.parametrize("t", [0.3, 1.0, 2.5])
     def test_exponential_decay(self, method, t):
         rate = 1.0
@@ -45,8 +45,8 @@ class TestEvolve:
             rho0 = Operator(model.layout, random_density(rng, 4))
             t = 0.8
             direct = scipy.linalg.expm(liouv.to_dense() * t) @ rho0.to_dense().ravel(order="F")
-            krylov = evolve(liouv, rho0, t, method="krylov").to_dense().ravel(order="F")
-            assert np.abs(direct - krylov).max() < 1e-8
+            sparse = evolve(liouv, rho0, t, method="sparse").to_dense().ravel(order="F")
+            assert np.abs(direct - sparse).max() < 1e-8
 
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
@@ -57,7 +57,7 @@ class TestEvolve:
         model = random_model(rng, 3, 1)
         liouv = build_liouvillian(model)
         rho0 = Operator(model.layout, random_density(rng, 3))
-        for method in ("dense", "krylov"):
+        for method in ("dense", "sparse"):
             rho_t = evolve(liouv, rho0, 2.0, method=method).to_dense()
             assert abs(np.trace(rho_t) - 1) < 1e-10
             assert np.abs(rho_t - rho_t.conj().T).max() < 1e-10
@@ -141,7 +141,7 @@ class TestCascadeRelaxation:
         # sparse and dense steady states agree to 1e-8, see acceptance)
         layout = cascade_liouvillian.layout
         rho0 = Operator(layout, np.eye(layout.total_dim) / layout.total_dim)
-        evolved = evolve(cascade_liouvillian, rho0, 10.0, method="krylov")
+        evolved = evolve(cascade_liouvillian, rho0, 10.0, method="sparse")
         from meq.measures import expectation
 
         for label in ("s11", "s22", "s33", "n_a", "n_b"):
@@ -158,15 +158,25 @@ class TestKrylovStepping:
         hamiltonian = Operator(layout, 0.1 * (transition(2, 1, 2) + transition(2, 2, 1)))
         jump = Operator(layout, transition(2, 1, 2))
         liouv = build_liouvillian(LindbladModel(hamiltonian, [(50.0, jump)]))
-        rho_t = evolve(liouv, excited_state(), 3.0, method="krylov").to_dense()
+        rho_t = evolve(liouv, excited_state(), 3.0, method="sparse").to_dense()
         direct = scipy.linalg.expm(liouv.to_dense() * 3.0) @ excited_state().to_dense().ravel(order="F")
         assert np.abs(rho_t.ravel(order="F") - direct).max() < 1e-8
 
-    def test_small_krylov_dimension_still_converges(self):
-        liouv = qubit_decay_liouvillian()
-        vec = excited_state().to_dense().ravel(order="F")
-        rho_t = _expm_action(liouv, vec, 1.0, 3, KRYLOV_STEP_TOL).reshape((2, 2), order="F")
-        assert rho_t[1, 1].real == pytest.approx(np.exp(-2.0), abs=1e-8)
+    def test_stiff_random_generator_matches_complex_expm(self):
+        # rates of 20-200 against times up to 3: ||L t||_inf reaches the
+        # thousands, so expm_multiply needs many steps of its own
+        rng = np.random.default_rng(66)
+        model = random_model(rng, 4, 2)
+        liouv = build_liouvillian(LindbladModel(
+            model.hamiltonian, [(100.0 * rate, jump) for rate, jump in model.dissipators]
+        ))
+        assert liouv.norm_inf() > 500
+        rho0 = Operator(model.layout, random_density(rng, 4))
+        times = [0.001, 0.01, 0.5, 3.0]
+        trajectory = evolve_trajectory(liouv, rho0, times, method="sparse")
+        for t, state in zip(times, trajectory.states):
+            direct = scipy.linalg.expm(liouv.to_dense() * t) @ rho0.to_dense().ravel(order="F")
+            assert np.abs(state.to_dense().ravel(order="F") - direct).max() < 1e-8
 
     def test_sparse_storage_generator(self):
         layout = single_space(2, "q")
@@ -175,12 +185,54 @@ class TestKrylovStepping:
             LindbladModel(Operator(layout, np.zeros((2, 2))), [(1.0, jump)])
         )
         assert isinstance(liouv.matrix, sp.csr_array)
-        rho_t = evolve(liouv, excited_state(), 1.0, method="krylov").to_dense()
+        rho_t = evolve(liouv, excited_state(), 1.0, method="sparse").to_dense()
         assert rho_t[1, 1].real == pytest.approx(np.exp(-2.0), abs=1e-9)
 
 
+class TestStateChecks:
+    """Propagation needs a Hermitian initial state and returns density matrices."""
+
+    @pytest.mark.parametrize("method", ["dense", "sparse"])
+    def test_rejects_non_hermitian_initial_state(self, method):
+        layout = single_space(2, "q")
+        rho0 = Operator(layout, np.array([[0.5, 0.1], [0.0, 0.5]]))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            evolve_trajectory(qubit_decay_liouvillian(), rho0, [0.0, 1.0], method=method)
+
+    @pytest.mark.parametrize("method", ["dense", "sparse"])
+    def test_rejects_negative_initial_state(self, method):
+        layout = single_space(2, "q")
+        rho0 = Operator(layout, np.diag([1.0 + 1e-7, -1e-7]))
+        with pytest.raises(ValueError, match="not a density matrix"):
+            evolve_trajectory(qubit_decay_liouvillian(), rho0, [1.0], method=method)
+        # rounding-sized negative eigenvalues pass
+        rho0 = Operator(layout, np.diag([1.0 + 1e-9, -1e-9]))
+        evolve_trajectory(qubit_decay_liouvillian(), rho0, [1.0], method=method)
+
+    @pytest.mark.parametrize("method", ["dense", "sparse"])
+    def test_min_eigenvalues_recorded(self, method):
+        rng = np.random.default_rng(67)
+        model = random_model(rng, 3, 2)
+        liouv = build_liouvillian(model)
+        rho0 = Operator(model.layout, random_density(rng, 3))
+        trajectory = evolve_trajectory(liouv, rho0, [0.0, 0.5, 0.5, 2.0], method=method)
+        assert len(trajectory.min_eigenvalues) == 4
+        for state, lowest in zip(trajectory.states, trajectory.min_eigenvalues):
+            assert lowest == np.linalg.eigvalsh(state.to_dense()).min()
+        assert min(trajectory.min_eigenvalues) > -1e-12
+
+    @pytest.mark.parametrize("method", ["dense", "sparse"])
+    def test_negative_propagated_state_raises(self, method):
+        # -L pumps population into the excited state, so rho_11 turns negative
+        liouv = -1.0 * qubit_decay_liouvillian()
+        trajectory = evolve_trajectory(liouv, excited_state(), [0.0], method=method)
+        assert trajectory.min_eigenvalues == (0.0,)
+        with pytest.raises(PropagationError, match="t = 0.5 .*not a density matrix"):
+            evolve_trajectory(liouv, excited_state(), [0.5, 1.0], method=method)
+
+
 class TestRoutePolicy:
-    @pytest.mark.parametrize("d,route", [(12, "dense"), (13, "krylov")])  # n = 144, 169
+    @pytest.mark.parametrize("d,route", [(12, "dense"), (13, "sparse")])  # n = 144, 169
     def test_route_by_size(self, d, route):
         rng = np.random.default_rng(d)
         model = random_model(rng, d, 1)
@@ -189,7 +241,7 @@ class TestRoutePolicy:
         trajectory = evolve_trajectory(liouv, rho0, [0.0, 0.3, 0.6])
         assert trajectory.policy.route == route
         assert trajectory.policy == choose_route("evolve", liouv.dim)
-        other = "krylov" if route == "dense" else "dense"
+        other = "sparse" if route == "dense" else "dense"
         reference = evolve_trajectory(liouv, rho0, [0.0, 0.3, 0.6], method=other)
         assert reference.policy == (other, "requested")
         for state, expected in zip(trajectory.states, reference.states):

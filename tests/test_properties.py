@@ -9,14 +9,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from helpers import random_hermitian, random_matrix
+from helpers import random_density, random_hermitian, random_matrix
+from meq.dynamics import evolve_trajectory
 from meq.hilbert import Operator, SpaceLayout, embed
 from meq.steady import (
     _real_generator,
+    spectrum,
     steady_dense,
     steady_iterative,
     steady_linsolve,
@@ -78,3 +81,33 @@ def test_steady_routes_agree(model):
         assert np.abs(result.rho.to_dense() - reference).max() < 1e-10
         assert result.residual < 1e-10 * liouv.norm_inf()
         assert result.min_eigenvalue > -1e-10
+
+
+@given(models(), st.integers(1, 6))
+def test_spectrum_routes_match_complex_eigenvalues(model, k):
+    liouv = build_liouvillian(model)
+    k = min(k, liouv.dim - 2)  # ARPACK needs k < n - 1
+    tol = 1e-10 * liouv.norm_inf()
+    complex_values = np.linalg.eigvals(liouv.to_dense())
+    top_real = np.sort(complex_values.real)[::-1][:k]
+    for route in ("dense", "sparse"):
+        values = spectrum(liouv, k, route).eigenvalues
+        assert np.abs(values.real - top_real).max() < tol  # the k largest real parts
+        distance = np.abs(values[:, None] - complex_values[None, :])
+        rows, cols = linear_sum_assignment(distance)
+        assert distance[rows, cols].max() < tol  # each one an eigenvalue of L
+
+
+@given(models(), st.integers(0, 2**32 - 1), st.floats(0.01, 2.0))
+def test_propagation_routes_match_complex_expm(model, seed, t):
+    liouv = build_liouvillian(model)
+    d = model.layout.total_dim
+    rho0 = random_density(np.random.default_rng(seed), d)
+    times = [t / 3, t]
+    expected = [
+        scipy.linalg.expm(liouv.to_dense() * time) @ rho0.ravel(order="F") for time in times
+    ]
+    for route in ("dense", "sparse"):
+        trajectory = evolve_trajectory(liouv, Operator(model.layout, rho0), times, route)
+        for state, direct in zip(trajectory.states, expected):
+            assert np.abs(state.to_dense().ravel(order="F") - direct).max() < 1e-10

@@ -6,6 +6,7 @@ import scipy.sparse.linalg as spla
 
 from helpers import random_corpus, random_model, single_space
 from meq import steady
+from meq.dynamics import evolve_trajectory
 from meq.hilbert import LayoutMismatchError, Operator, identity_operator, transition
 from meq.modelspec import CascadeParams, cascade_model
 from meq.steady import (
@@ -396,6 +397,13 @@ class TestRealBasis:
         for method in ALL_METHODS:
             with pytest.raises(ValueError, match="Hermiticity"):
                 method(1j * liouv)
+        for route in ("dense", "sparse"):
+            with pytest.raises(ValueError, match="Hermiticity"):
+                spectrum(1j * liouv, 1, route)
+            with pytest.raises(ValueError, match="Hermiticity"):
+                check_uniqueness(1j * liouv, route)
+            with pytest.raises(ValueError, match="Hermiticity"):
+                evolve_trajectory(1j * liouv, Operator(liouv.layout, np.eye(2) / 2), [1.0], route)
 
     def test_routes_match_complex_formulas_on_corpus(self):
         worst = 0.0

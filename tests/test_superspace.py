@@ -278,9 +278,8 @@ class TestSuperOperatorStorage:
             assert superop.matrix.nnz == 0  # [I, rho] = 0 stores no entries
         crossovers = {"steady": 64, "spectrum": 200, "linsolve": 400, "evolve": 150}
         for task, n in crossovers.items():
-            sparse = "krylov" if task == "evolve" else "sparse"
             assert choose_route(task, n - 1, k=5) == ("dense", f"{task}: n={n - 1} < {n}")
-            assert choose_route(task, n, k=5) == (sparse, f"{task}: n={n} >= {n}")
+            assert choose_route(task, n, k=5) == ("sparse", f"{task}: n={n} >= {n}")
         assert choose_route("steady", 1023) == ("sparse", "steady: n=1023 >= 64")
         assert choose_route("steady", 1024) == ("iterative", "steady: n=1024 >= 1024")
         assert choose_route("steady", 321_489).route == "iterative"
