@@ -6,8 +6,8 @@ partial transposes, and logarithmic negativities.  Submodules:
 
 - ``hilbert``: composite-space layouts, index maps, embeddings, partial
   trace and transpose
-- ``superspace``: vectorization, sandwich superoperators, Liouvillian
-  assembly (plus an independent elementwise oracle), the route policy
+- ``superspace``: sandwich superoperators, Liouvillian assembly (plus an
+  independent elementwise oracle), the route policy
 - ``steady``: dense/sparse eigenvector, row-replacement and preconditioned
   GMRES steady states, spectra, uniqueness checks
 - ``dynamics``: exp(L t) propagation, dense ``expm`` or ``expm_multiply``
@@ -49,11 +49,8 @@ _EXPORTS = {
     "identity_operator": "hilbert",
     "partial_trace": "hilbert",
     "partial_transpose": "hilbert",
-    "VectorizedOperator": "superspace",
     "SuperOperator": "superspace",
     "LindbladModel": "superspace",
-    "vectorize": "superspace",
-    "devectorize": "superspace",
     "super_sandwich": "superspace",
     "hamiltonian_super": "superspace",
     "dissipator_super": "superspace",

@@ -221,9 +221,8 @@ class _Runner:
     def _steady(self, liouv, model):
         """Run the requested or policy-chosen route; the result's policy says which."""
         args = self.args
-        method = getattr(args, "method", None)
-        policy = (self.superspace.RouteChoice(method, "requested") if method
-                  else self.superspace.choose_route("steady", liouv.dim))
+        policy = self.superspace.choose_route(
+            "steady", liouv.dim, method=getattr(args, "method", None))
         start = time.perf_counter()
         if policy.route == "dense":
             result = self.steady.steady_dense(liouv)
@@ -345,19 +344,20 @@ class _Runner:
     def _names(self, text):
         return [name.strip() for name in text.split(",") if name.strip()]
 
+    def _reduce_to(self, rho, keep):
+        """Partial trace over every subsystem not in ``keep``; unknown names fail early."""
+        for name in keep:
+            rho.layout.axis(name)
+        traced = [n for n in rho.layout.names if n not in keep]
+        return self.hilbert.partial_trace(rho, traced) if traced else rho
+
     def cmd_negativity(self, doc=None):
         doc = doc if doc is not None else self._load_document()
         layout, env, model, liouv = self._build(doc)
         result = self._steady(liouv, model)
         start = time.perf_counter()
-        rho = result.rho
-        keep = self._names(self.args.keep) if self.args.keep else None
-        if keep:
-            for name in keep:
-                rho.layout.axis(name)  # unknown names fail early
-            traced = [n for n in rho.layout.names if n not in keep]
-            if traced:
-                rho = self.hilbert.partial_trace(rho, traced)
+        keep = self._names(self.args.keep or "")
+        rho = self._reduce_to(result.rho, keep) if keep else result.rho
         value = self.measures.log_negativity(rho, self._names(self.args.transpose))
         self.timings["measure"] = time.perf_counter() - start
         results = self._steady_results(result)
@@ -373,13 +373,7 @@ class _Runner:
         result = self._steady(liouv, model)
         start = time.perf_counter()
         keep = self._names(self.args.keep)
-        traced = [n for n in layout.names if n not in keep]
-        for name in keep:
-            layout.axis(name)  # unknown names fail early
-        if not traced:
-            reduced = result.rho
-        else:
-            reduced = self.hilbert.partial_trace(result.rho, traced)
+        reduced = self._reduce_to(result.rho, keep)
         self.timings["measure"] = time.perf_counter() - start
         results = self._steady_results(result)
         results["keep"] = keep

@@ -90,9 +90,7 @@ def evolve_trajectory(
         raise ValueError("times must be ascending")
     if rho0.layout != liouv.layout:
         raise LayoutMismatchError("state and generator live on different layouts")
-    if method not in (None, "dense", "sparse"):
-        raise ValueError(f"method must be 'dense' or 'sparse', got {method!r}")
-    policy = RouteChoice(method, "requested") if method else choose_route("evolve", liouv.dim)
+    policy = choose_route("evolve", liouv.dim, method=method)
 
     rho = rho0.to_dense()
     defect = float(np.abs(rho - rho.conj().T).max())

@@ -249,12 +249,6 @@ class Operator:
         """Hermitian conjugate."""
         return Operator(self.layout, self._matrix.conj().T)
 
-    def conj(self) -> "Operator":
-        return Operator(self.layout, self._matrix.conj())
-
-    def transpose(self) -> "Operator":
-        return Operator(self.layout, self._matrix.T)
-
     def trace(self) -> complex:
         return complex(self._matrix.trace())
 

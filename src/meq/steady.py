@@ -154,23 +154,14 @@ class GapReport:
     unique: bool
 
 
-def _descending_order(values: np.ndarray) -> list[int]:
+def _descending_order(values: np.ndarray) -> np.ndarray:
     """Indices sorting by descending real part; ties (real parts within
     _TIE_TOL of their neighbour) are broken by descending imaginary part,
     then input order."""
-    order = sorted(range(len(values)), key=lambda i: -values[i].real)
-    out: list[int] = []
-    i = 0
-    while i < len(order):
-        j = i + 1
-        while (
-            j < len(order)
-            and values[order[j - 1]].real - values[order[j]].real <= _TIE_TOL
-        ):
-            j += 1
-        out.extend(sorted(order[i:j], key=lambda idx: -values[idx].imag))
-        i = j
-    return out
+    order = np.argsort(-values.real, kind="stable")
+    ties = np.diff(values.real[order]) < -_TIE_TOL
+    group = np.concatenate(([0], np.cumsum(ties)))
+    return order[np.lexsort((-values.imag[order], group))]
 
 
 @functools.lru_cache(maxsize=4)
@@ -348,23 +339,6 @@ def steady_sparse(liouv: SuperOperator) -> SteadyStateResult:
     return _finalize(liouv, basis, vec, "sparse-eig", lam0)
 
 
-def _sparse_condition_estimate(lu, matrix) -> float:
-    """Rough infinity-norm condition estimate from the LU factors."""
-    n = matrix.shape[0]
-    x = np.ones(n, dtype=matrix.dtype) / np.sqrt(n)
-    est = 0.0
-    for _ in range(6):
-        y = lu.solve(x)
-        z = lu.solve(y, trans="H")
-        nz = np.linalg.norm(z)
-        if nz == 0.0:
-            return np.inf
-        est = np.sqrt(nz)
-        x = z / nz
-    norm_a = float(np.max(np.abs(matrix).sum(axis=1)))
-    return norm_a * est
-
-
 def _replace_row(matrix: sp.csr_array, s: int, cols: np.ndarray, value: float) -> sp.csr_array:
     """Copy of a CSR matrix whose row ``s`` holds ``value`` at ``cols`` only."""
     start, stop = matrix.indptr[s], matrix.indptr[s + 1]
@@ -419,7 +393,14 @@ def steady_linsolve(liouv: SuperOperator, l: int = 1, gamma: float = 1.0) -> Ste
             raise DegeneracyError(
                 f"replaced generator is singular ({exc}); degenerate steady states"
             ) from exc
-        rcond = 1.0 / _sparse_condition_estimate(lu, replaced)
+        # ||A||_1 ||A^-1||_1 as dgecon estimates it on the dense branch, with
+        # the Higham-Tisseur block estimate of ||A^-1||_1 from LU solves
+        inverse = spla.LinearOperator(
+            replaced.shape, matvec=lu.solve, rmatvec=lambda b: lu.solve(b, trans="T"),
+            dtype=replaced.dtype,
+        )
+        anorm = float(abs(replaced).sum(axis=0).max())
+        rcond = 1.0 / (anorm * spla.onenormest(inverse))
         solve = lu.solve
         diagnostics = {"lu_nnz": lu.L.nnz + lu.U.nnz}
     else:
@@ -585,11 +566,7 @@ def spectrum(liouv: SuperOperator, k: int, method: str | None = None) -> Spectru
     n = liouv.dim
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range [1, {n}]")
-    if method not in (None, "dense", "sparse"):
-        raise ValueError(f"method must be 'dense' or 'sparse', got {method!r}")
-    policy = choose_route("spectrum", n, k)
-    if method and not (method == "sparse" and k >= n - 1):
-        policy = RouteChoice(method, "requested")
+    policy = choose_route("spectrum", n, k, method)
 
     real, _ = _real_generator(liouv)
     if policy.route == "dense":

@@ -1,4 +1,4 @@
-"""Vectorized operators, superoperators, and Liouvillian assembly.
+"""Superoperators, Liouvillian assembly, and the dense/sparse route policy.
 
 An operator O on a d-dimensional space becomes a d^2 vector by stacking its
 columns: component n + (m-1)d holds O_{nm}.  In that representation the map
@@ -16,7 +16,6 @@ checked against each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -29,11 +28,8 @@ __all__ = [
     "check_dense_capacity",
     "RouteChoice",
     "choose_route",
-    "VectorizedOperator",
     "SuperOperator",
     "LindbladModel",
-    "vectorize",
-    "devectorize",
     "super_sandwich",
     "hamiltonian_super",
     "dissipator_super",
@@ -58,6 +54,12 @@ _SPARSE_SPECTRUM_MAX_K = 10
 # it won on the cascade and on two-mode models from n of about 1000, and
 # lost by about 2x on a single long damped mode (README lists the medians).
 _ITERATIVE_FROM = 1024
+# The routes a caller may request per task; the LU route picks its own by n.
+_REQUESTABLE = {
+    "steady": ("dense", "sparse", "solve", "iterative"),
+    "spectrum": ("dense", "sparse"),
+    "evolve": ("dense", "sparse"),
+}
 
 
 class CapacityError(RuntimeError):
@@ -80,15 +82,26 @@ class RouteChoice(NamedTuple):
     reason: str
 
 
-def choose_route(task: str, n: int, k: int | None = None) -> RouteChoice:
+def choose_route(
+    task: str, n: int, k: int | None = None, method: str | None = None
+) -> RouteChoice:
     """The one dense-versus-sparse policy for superspace computations.
 
     ``task`` is "steady" (the dense and sparse eigenvector routes, and from
     :data:`_ITERATIVE_FROM` on the "iterative" route), "spectrum" (``k``
     leading eigenvalues), "linsolve" (row-replaced LU) or "evolve"
-    (propagation); ``n`` is the superspace dimension.
+    (propagation); ``n`` is the superspace dimension.  A caller's ``method``
+    (steady: "dense", "sparse", "solve" or "iterative"; spectrum and evolve:
+    "dense" or "sparse") is checked and returned as requested, except that a
+    sparse spectrum with k >= n - 1, which ARPACK cannot compute, runs dense.
     """
     threshold = _SPARSE_FROM[task]
+    if method is not None:
+        allowed = _REQUESTABLE[task]
+        if method not in allowed:
+            raise ValueError(f"method must be {' or '.join(map(repr, allowed))}, got {method!r}")
+        if not (task == "spectrum" and method == "sparse" and k >= n - 1):
+            return RouteChoice(method, "requested")
     if task == "steady" and n >= _ITERATIVE_FROM:
         return RouteChoice("iterative", f"steady: n={n} >= {_ITERATIVE_FROM}")
     if task == "spectrum":
@@ -99,34 +112,6 @@ def choose_route(task: str, n: int, k: int | None = None) -> RouteChoice:
     if n >= threshold:
         return RouteChoice("sparse", f"{task}: n={n} >= {threshold}")
     return RouteChoice("dense", f"{task}: n={n} < {threshold}")
-
-
-@dataclass(frozen=True, eq=False)
-class VectorizedOperator:
-    """Column-stacked form of an operator: component n+(m-1)d is element (n, m)."""
-
-    layout: SpaceLayout
-    components: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        comps = np.asarray(self.components, dtype=complex).ravel()
-        d = self.layout.total_dim
-        if comps.shape != (d * d,):
-            raise ValueError(
-                f"vectorized operator has {comps.size} components, expected {d * d}"
-            )
-        object.__setattr__(self, "components", comps)
-
-
-def vectorize(op: Operator) -> VectorizedOperator:
-    """Stack the columns of an operator into a d^2 vector."""
-    return VectorizedOperator(op.layout, op.to_dense().ravel(order="F"))
-
-
-def devectorize(vec: VectorizedOperator) -> Operator:
-    """Inverse of :func:`vectorize`."""
-    d = vec.layout.total_dim
-    return Operator(vec.layout, vec.components.reshape((d, d), order="F"))
 
 
 class SuperOperator:
@@ -162,11 +147,7 @@ class SuperOperator:
         return self._matrix.toarray()
 
     def apply(self, vec) -> np.ndarray:
-        """Matrix-vector product on a vectorized operator (or raw array)."""
-        if isinstance(vec, VectorizedOperator):
-            if vec.layout != self.layout:
-                raise LayoutMismatchError("vector and superoperator layouts differ")
-            vec = vec.components
+        """Matrix-vector product on a column-stacked operator of length d^2."""
         return self._matrix @ np.asarray(vec, dtype=complex)
 
     def norm_inf(self) -> float:

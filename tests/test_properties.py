@@ -3,6 +3,8 @@
 Hypothesis draws the layout (one to three subsystems), the number and the
 rates of the dissipation channels, the Hamiltonian scale and a seed for the
 matrix entries; the profile in ``conftest.py`` makes the draws reproducible.
+The partial trace and transpose are checked on the same layouts, with
+random subsystem sets, against the loop oracles of ``helpers``.
 """
 
 import math
@@ -10,13 +12,19 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from helpers import random_density, random_hermitian, random_matrix
+from helpers import (
+    ptrace_oracle,
+    ptranspose_oracle,
+    random_density,
+    random_hermitian,
+    random_matrix,
+)
 from meq.dynamics import evolve_trajectory
-from meq.hilbert import Operator, SpaceLayout, embed
+from meq.hilbert import Operator, SpaceLayout, embed, partial_trace, partial_transpose
 from meq.steady import (
     _real_generator,
     spectrum,
@@ -30,6 +38,16 @@ from meq.superspace import LindbladModel, build_liouvillian
 dims_strategy = st.lists(st.integers(1, 4), min_size=1, max_size=3).filter(
     lambda dims: 2 <= math.prod(dims) <= 8
 )
+
+
+@st.composite
+def operators_and_subsets(draw):
+    """A random complex matrix on a random layout, and a nonempty subsystem set."""
+    dims = draw(dims_strategy)
+    layout = SpaceLayout([(f"s{j}", dim) for j, dim in enumerate(dims)])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    subset = draw(st.lists(st.sampled_from(layout.names), min_size=1, unique=True))
+    return Operator(layout, random_matrix(rng, layout.total_dim)), subset
 
 
 @st.composite
@@ -47,6 +65,35 @@ def models(draw):
         name, dim = layout.subsystems[int(rng.integers(len(dims)))]
         jumps.append(embed(layout, name, random_matrix(rng, dim)))
     return LindbladModel(hamiltonian, list(zip(rates, jumps)))
+
+
+@settings(max_examples=400)  # about 2 ms each; reaches two traced subsystems of three
+@given(operators_and_subsets())
+def test_partial_trace_identities(case):
+    op, traced = case
+    layout, mat = op.layout, op.to_dense()
+    if len(traced) == len(layout):
+        with pytest.raises(ValueError, match="scalar"):
+            partial_trace(op, traced)
+        return
+    reduced = partial_trace(op, traced)
+    assert reduced.layout.names == tuple(n for n in layout.names if n not in traced)
+    assert abs(reduced.trace() - np.trace(mat)) < 1e-12 * np.abs(mat).sum()
+    axes = [layout.axis(name) for name in traced]
+    assert np.abs(reduced.to_dense() - ptrace_oracle(mat, layout.dims, axes)).max() < 1e-12
+
+
+@settings(max_examples=400)
+@given(operators_and_subsets())
+def test_partial_transpose_identities(case):
+    op, transposed = case
+    layout, mat = op.layout, op.to_dense()
+    once = partial_transpose(op, transposed)
+    axes = [layout.axis(name) for name in transposed]
+    # an index permutation: every comparison is exact
+    assert np.array_equal(once.to_dense(), ptranspose_oracle(mat, layout.dims, axes))
+    assert np.array_equal(partial_transpose(once, transposed).to_dense(), mat)
+    assert np.array_equal(partial_transpose(op, layout.names).to_dense(), mat.T)
 
 
 @given(models())

@@ -207,6 +207,31 @@ class TestSpectrum:
         sparse = spectrum(liouv, 4, method="sparse").eigenvalues
         assert np.allclose(dense, sparse, atol=1e-8)
 
+    def test_order_matches_loop_reference(self):
+        def loop_order(values):  # the grouping loop the numpy ordering replaced
+            order = sorted(range(len(values)), key=lambda i: -values[i].real)
+            out, i = [], 0
+            while i < len(order):
+                j = i + 1
+                while (
+                    j < len(order)
+                    and values[order[j - 1]].real - values[order[j]].real <= steady._TIE_TOL
+                ):
+                    j += 1
+                out.extend(sorted(order[i:j], key=lambda idx: -values[idx].imag))
+                i = j
+            return out
+
+        rng = np.random.default_rng(53)
+        for _ in range(2000):
+            size = int(rng.integers(1, 12))
+            # few distinct parts, nudged by amounts on both sides of the tie tolerance
+            real = rng.integers(-2, 2, size) + rng.choice([0.0, 4e-13, 9e-13, 3e-12], size)
+            imag = rng.integers(-2, 3, size) * rng.choice([1.0, 0.5], size)
+            values = real + 1j * imag
+            assert list(steady._descending_order(values)) == loop_order(values)
+            assert list(steady._descending_order(real)) == loop_order(real)
+
     def test_k_range(self):
         liouv = build_liouvillian(qubit_decay_model())
         with pytest.raises(ValueError):
@@ -314,6 +339,23 @@ class TestRoutePolicy:
             edited = _replace_row(matrix, row, cols, 2.5)
             assert edited.dtype == np.float64
             assert np.array_equal(edited.toarray(), expected.toarray())
+
+    def test_sparse_condition_estimate_within_factor_three(self, monkeypatch):
+        # cascade n_a = 3, n_b = 1: n = 576, on the SuperLU branch
+        liouv = build_liouvillian(cascade_model(CascadeParams(n_a=3, n_b=1)))
+        assert choose_route("linsolve", liouv.dim).route == "sparse"
+        d = liouv.layout.total_dim
+        real = _real_generator(liouv)[0].tocsr()
+        exact = np.linalg.cond(_replace_row(real, 0, np.arange(d) * (d + 1), 1.0).toarray(), 1)
+        # the route refuses an estimate above the limit: it passes at cond_1 and
+        # fails at cond_1 / 3; onenormest draws start vectors from the global RNG
+        monkeypatch.setattr(steady, "_COND_LIMIT", exact * (1 + 1e-9))
+        np.random.seed(576)
+        steady_linsolve(liouv)
+        monkeypatch.setattr(steady, "_COND_LIMIT", exact / 3)
+        np.random.seed(576)
+        with pytest.raises(DegeneracyError, match="ill-conditioned"):
+            steady_linsolve(liouv)
 
     def test_sparse_lu_matches_dense_lu_on_corpus(self, monkeypatch):
         liouvs = [build_liouvillian(model) for model in random_corpus()]

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -14,15 +16,12 @@ from meq.superspace import (
     CapacityError,
     LindbladModel,
     SuperOperator,
-    VectorizedOperator,
     build_liouvillian,
     choose_route,
-    devectorize,
     dissipator_super,
     hamiltonian_super,
     liouvillian_oracle,
     super_sandwich,
-    vectorize,
 )
 
 
@@ -31,40 +30,53 @@ def as_operator(mat, layout=None):
     return Operator(layout, mat)
 
 
+def identity_sandwich(d):
+    eye = identity_operator(single_space(d))
+    return super_sandwich(eye, eye)
+
+
 class TestVectorize:
+    """Column stacking as SuperOperator.apply sees it: component n+(m-1)d is X_nm."""
+
     def test_column_stacking(self):
-        op = as_operator(np.array([[1.0, 3.0], [2.0, 4.0]]))
-        assert np.array_equal(vectorize(op).components, [1, 2, 3, 4])
+        # sigma_x X swaps the rows of X = [[1, 3], [2, 4]], stacked as [1, 2, 3, 4]
+        flip = as_operator(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        eye = identity_operator(flip.layout)
+        out = super_sandwich(flip, eye).apply(np.array([1.0, 2.0, 3.0, 4.0]))
+        assert np.array_equal(out, [2, 1, 4, 3])
 
     def test_identity(self):
-        op = as_operator(np.eye(2))
-        assert np.array_equal(vectorize(op).components, [1, 0, 0, 1])
+        assert np.array_equal(identity_sandwich(2).apply(np.eye(2).ravel(order="F")), [1, 0, 0, 1])
 
     def test_superindex_convention(self):
-        rng = np.random.default_rng(0)
-        mat = random_matrix(rng, 3)
-        vec = vectorize(as_operator(mat))
-        # component n+(m-1)d for (n,m)=(1,2): 1-based 4
-        assert vec.components[3] == mat[0, 1]
+        # E_nk X E_lm = X_kl E_nm: column k+(l-1)d maps to component n+(m-1)d
+        d = 3
+        for n, m, k, l in itertools.product(range(1, d + 1), repeat=4):
+            left = as_operator(transition(d, n, k))
+            right = Operator(left.layout, transition(d, l, m))
+            unit = np.zeros(d * d)
+            unit[(k - 1) + (l - 1) * d] = 1.0
+            expected = np.zeros(d * d)
+            expected[(n - 1) + (m - 1) * d] = 1.0
+            assert np.array_equal(super_sandwich(left, right).apply(unit), expected)
 
     def test_devectorize_examples(self):
-        layout = single_space(2)
-        vec = VectorizedOperator(layout, np.array([1.0, 2.0, 3.0, 4.0]))
-        assert np.array_equal(devectorize(vec).to_dense(), [[1, 3], [2, 4]])
-        zero = VectorizedOperator(layout, np.zeros(4))
-        assert np.array_equal(devectorize(zero).to_dense(), np.zeros((2, 2)))
+        out = identity_sandwich(2).apply(np.array([1.0, 2.0, 3.0, 4.0]))
+        assert np.array_equal(out.reshape((2, 2), order="F"), [[1, 3], [2, 4]])
+        zero = identity_sandwich(2).apply(np.zeros(4))
+        assert np.array_equal(zero.reshape((2, 2), order="F"), np.zeros((2, 2)))
 
     def test_roundtrip_exact(self):
         rng = np.random.default_rng(1)
-        layout = single_space(4)
+        sandwich = identity_sandwich(4)
         for _ in range(100):
             mat = random_matrix(rng, 4)
-            back = devectorize(vectorize(Operator(layout, mat)))
-            assert np.array_equal(back.to_dense(), mat)
+            back = sandwich.apply(mat.ravel(order="F")).reshape((4, 4), order="F")
+            assert np.array_equal(back, mat)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            VectorizedOperator(single_space(2), np.zeros(5))
+            identity_sandwich(2).apply(np.zeros(5))
 
 
 class TestSandwich:
@@ -79,11 +91,9 @@ class TestSandwich:
         b = Operator(layout, random_matrix(rng, 2))
         x = random_matrix(rng, 2)
         sandwich = super_sandwich(a, b)
-        out = devectorize(
-            VectorizedOperator(layout, sandwich.apply(x.ravel(order="F")))
-        )
+        out = sandwich.apply(x.ravel(order="F")).reshape((2, 2), order="F")
         expected = a.to_dense() @ x @ b.to_dense()
-        assert np.allclose(out.to_dense(), expected, atol=1e-12)
+        assert np.allclose(out, expected, atol=1e-12)
 
     def test_left_right_specialization(self):
         rng = np.random.default_rng(3)
@@ -291,6 +301,33 @@ class TestSuperOperatorStorage:
         with pytest.raises(KeyError):
             choose_route("bogus", 400)
 
+    def test_requested_routes(self):
+        requestable = {
+            "steady": ("dense", "sparse", "solve", "iterative"),
+            "spectrum": ("dense", "sparse"),
+            "evolve": ("dense", "sparse"),
+        }
+        for task, methods in requestable.items():
+            for n in (4, 2025, 321_489):
+                for method in methods:
+                    assert choose_route(task, n, k=2, method=method) == (method, "requested")
+            with pytest.raises(ValueError, match="method must be 'dense' or 'sparse'"):
+                choose_route(task, 400, k=2, method="bogus")
+        for task, method in (("spectrum", "solve"), ("evolve", "iterative")):
+            with pytest.raises(ValueError):
+                choose_route(task, 400, k=2, method=method)
+        # the LU route picks dense or sparse by n alone
+        with pytest.raises(KeyError):
+            choose_route("linsolve", 400, method="dense")
+
+    def test_requested_sparse_spectrum_needs_k_below_n_minus_1(self):
+        assert choose_route("spectrum", 4, k=2, method="sparse") == ("sparse", "requested")
+        for k in (3, 4):
+            assert choose_route("spectrum", 4, k=k, method="sparse") == (
+                "dense", f"spectrum: k={k} >= n-1=3, ARPACK needs k < n-1"
+            )
+            assert choose_route("spectrum", 4, k=k, method="dense") == ("dense", "requested")
+
     def test_conversion_exact(self):
         rng = np.random.default_rng(11)
         layout = single_space(3)
@@ -323,7 +360,7 @@ class TestSuperOperatorStorage:
             evolve(superop, rho0, 1.0, method="dense")
 
     def test_apply_checks_layout(self):
+        # a column-stacked operator of another dimension is refused
         liouv = hamiltonian_super(identity_operator(single_space(2)))
-        other = vectorize(identity_operator(SpaceLayout([("other", 2)])))
-        with pytest.raises(LayoutMismatchError):
-            liouv.apply(other)
+        with pytest.raises(ValueError):
+            liouv.apply(np.eye(3).ravel(order="F"))
