@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -157,6 +158,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_casc.add_argument("--times", default=None)
     p_casc.add_argument("--initial", default="ground")
     return parser
+
+
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # parse_args leaves the parser unchanged, so one serves every run() call
+    return build_parser()
 
 
 def _encode(value):
@@ -505,9 +512,8 @@ def run(argv=None, stdout=None, stderr=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     _apply_thread_cap()
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageError as exc:
         print(f"meq: error: usage: {exc}", file=stderr)
         return 1

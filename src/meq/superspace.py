@@ -8,10 +8,19 @@ Lindblad generator
     d rho/dt = -i [H, rho] + sum_j Gamma_j (2 J_j rho J_j^dag
                - J_j^dag J_j rho - rho J_j^dag J_j)
 
-assembles from a handful of Kronecker products.  :func:`liouvillian_oracle`
-rebuilds the same matrix from the elementwise formula with explicit loops and
-shares no code with :func:`build_liouvillian`; it exists so the two can be
-checked against each other.
+assembles from Kronecker products.  :func:`build_liouvillian` uses the
+no-jump form
+
+    L = kron(I, K) + kron(conj(K), I) + sum_j 2 Gamma_j kron(conj(J_j), J_j),
+    K = -i H_eff = -i H - sum_j Gamma_j J_j^dag J_j,
+
+with K formed once at the d x d level: the entries of every product come
+from index arithmetic on the nonzeros of its dense factors, and all of them
+are converted to CSR in one step that sums the duplicates.
+:func:`liouvillian_oracle` rebuilds the same matrix from the elementwise
+formula with explicit loops and shares no code with
+:func:`build_liouvillian`; it exists so the two can be checked against each
+other.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .hilbert import LayoutMismatchError, Operator, SpaceLayout, identity_operator
+from .hilbert import LayoutMismatchError, Operator, SpaceLayout
 
 __all__ = [
     "CapacityError",
@@ -222,18 +231,63 @@ class LindbladModel:
         )
 
 
-def _sandwich_matrix(a: Operator, b: Operator) -> sp.csr_array:
-    # The one place where dense d x d operators become CSR: Kronecker products
-    # and sums are assembled sparsely, which for structured operators avoids
-    # a cascade of dense d^2 x d^2 intermediates.
-    return sp.kron(sp.csr_array(b.matrix).T, sp.csr_array(a.matrix), format="csr")
+def _effective_hamiltonian(model: LindbladModel) -> np.ndarray:
+    """H_eff = H - i sum_j Gamma_j J_j^dag J_j, the generator of the no-jump evolution."""
+    h_eff = model.hamiltonian.matrix.copy()
+    for rate, jump in model.dissipators:
+        h_eff -= 1j * rate * (jump.matrix.conj().T @ jump.matrix)
+    return h_eff
+
+
+def _nonzeros(matrix: np.ndarray, index: type):
+    """Row indices, column indices (of integer type ``index``) and values of
+    the nonzeros of a dense matrix."""
+    row, col = np.nonzero(matrix)
+    return row.astype(index), col.astype(index), matrix[row, col]
+
+
+def _kron_entries(pairs, d: int, index: type):
+    """COO entries (values, (rows, cols)) of sum_k kron(P_k, Q_k), duplicates kept.
+
+    Entry (a, b) x (c, e) of kron(P, Q) sits at row a d + c, column b d + e,
+    so each product's entries are outer sums and products of the nonzeros
+    of its dense d x d factors, written into one set of arrays.
+    """
+    factors = [(_nonzeros(p, index), _nonzeros(q, index)) for p, q in pairs]
+    total = sum(left[2].size * right[2].size for left, right in factors)
+    rows, cols = np.empty(total, index), np.empty(total, index)
+    values = np.empty(total, complex)
+    start = 0
+    for (lrow, lcol, lval), (rrow, rcol, rval) in factors:
+        shape = (lval.size, rval.size)
+        block = slice(start, start + lval.size * rval.size)
+        np.add((lrow * d)[:, None], rrow, out=rows[block].reshape(shape))
+        np.add((lcol * d)[:, None], rcol, out=cols[block].reshape(shape))
+        np.multiply(lval[:, None], rval, out=values[block].reshape(shape))
+        start = block.stop
+    return values, (rows, cols)
+
+
+def _kron_sum(layout: SpaceLayout, pairs) -> SuperOperator:
+    """The superoperator sum_k kron(P_k, Q_k) of dense d x d factor pairs.
+
+    The entries of all products are converted to CSR once, which sums the
+    duplicates; entries that cancel exactly are dropped.
+    """
+    d = layout.total_dim
+    n = d * d
+    index = np.int32 if n < 2 ** 31 else np.int64
+    matrix = sp.csr_array(_kron_entries(pairs, d, index), shape=(n, n))
+    matrix.eliminate_zeros()
+    # its arrays are views of the longer entry list: copy them to size
+    return SuperOperator(layout, matrix.copy())
 
 
 def super_sandwich(a: Operator, b: Operator) -> SuperOperator:
     """Superoperator representing X -> A X B, i.e. kron(B^T, A)."""
     if a.layout != b.layout:
         raise LayoutMismatchError("sandwich operands live on different layouts")
-    return SuperOperator(a.layout, _sandwich_matrix(a, b))
+    return _kron_sum(a.layout, [(b.matrix.T, a.matrix)])
 
 
 def hamiltonian_super(h: Operator) -> SuperOperator:
@@ -244,9 +298,8 @@ def hamiltonian_super(h: Operator) -> SuperOperator:
     """
     if not h.is_hermitian(tol=1e-10):
         raise ValueError("hamiltonian is not Hermitian (defect above 1e-10)")
-    eye = identity_operator(h.layout)
-    mat = -1j * _sandwich_matrix(h, eye) + 1j * _sandwich_matrix(eye, h)
-    return SuperOperator(h.layout, mat)
+    eye = np.eye(h.layout.total_dim)
+    return _kron_sum(h.layout, [(eye, -1j * h.matrix), (1j * h.matrix.T, eye)])
 
 
 def dissipator_super(jump: Operator, rate: float) -> SuperOperator:
@@ -254,20 +307,25 @@ def dissipator_super(jump: Operator, rate: float) -> SuperOperator:
     rate = float(rate)
     if rate <= 0:
         raise ValueError(f"dissipation rate must be > 0, got {rate}")
-    eye = identity_operator(jump.layout)
-    jdag_j = jump.dag() * jump
-    mat = rate * (
-        2.0 * _sandwich_matrix(jump, jump.dag())
-        - _sandwich_matrix(jdag_j, eye)
-        - _sandwich_matrix(eye, jdag_j)
-    )
-    return SuperOperator(jump.layout, mat)
+    eye = np.eye(jump.layout.total_dim)
+    j = jump.matrix
+    jdag_j = j.conj().T @ j
+    pairs = [(2.0 * rate * j.conj(), j), (eye, -rate * jdag_j), (-rate * jdag_j.T, eye)]
+    return _kron_sum(jump.layout, pairs)
 
 
 def build_liouvillian(model: LindbladModel) -> SuperOperator:
-    """Assemble the full Lindblad generator of a model in superspace."""
-    terms = (dissipator_super(jump, rate) for rate, jump in model.dissipators)
-    return sum(terms, hamiltonian_super(model.hamiltonian))
+    """Assemble the full Lindblad generator of a model in superspace.
+
+    L = kron(I, K) + kron(conj(K), I) + sum_j 2 Gamma_j kron(conj(J_j), J_j)
+    with K = -i H_eff: the no-jump part rho -> K rho + rho K^dag plus the
+    jumps, assembled by one CSR conversion.
+    """
+    eye = np.eye(model.layout.total_dim)
+    k = -1j * _effective_hamiltonian(model)
+    pairs = [(eye, k), (k.conj(), eye)]
+    pairs += [(2.0 * rate * jump.matrix.conj(), jump.matrix) for rate, jump in model.dissipators]
+    return _kron_sum(model.layout, pairs)
 
 
 def liouvillian_oracle(model: LindbladModel) -> SuperOperator:

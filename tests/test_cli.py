@@ -81,6 +81,12 @@ def model_file(tmp_path):
 
 
 class TestExitCodes:
+    def test_one_parser_per_process(self):
+        from meq import cli
+
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
+
     def test_usage_errors(self):
         code, _, err = invoke(["bogus"])
         assert code == 1 and "usage" in err

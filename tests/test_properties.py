@@ -33,7 +33,13 @@ from meq.steady import (
     steady_linsolve,
     steady_sparse,
 )
-from meq.superspace import LindbladModel, build_liouvillian
+from meq.superspace import (
+    LindbladModel,
+    build_liouvillian,
+    dissipator_super,
+    hamiltonian_super,
+    liouvillian_oracle,
+)
 
 dims_strategy = st.lists(st.integers(1, 4), min_size=1, max_size=3).filter(
     lambda dims: 2 <= math.prod(dims) <= 8
@@ -94,6 +100,19 @@ def test_partial_transpose_identities(case):
     assert np.array_equal(once.to_dense(), ptranspose_oracle(mat, layout.dims, axes))
     assert np.array_equal(partial_transpose(once, transposed).to_dense(), mat)
     assert np.array_equal(partial_transpose(op, layout.names).to_dense(), mat.T)
+
+
+@given(models())
+def test_assembly_matches_oracle_and_term_sum(model):
+    liouv = build_liouvillian(model)
+    tol = 1e-12 * max(1.0, liouv.norm_inf())
+    assert np.abs(liouv.to_dense() - liouvillian_oracle(model).to_dense()).max() < tol
+    terms = sum(
+        (dissipator_super(jump, rate) for rate, jump in model.dissipators),
+        hamiltonian_super(model.hamiltonian),
+    )
+    assert np.abs((liouv - terms).to_dense()).max() < tol
+    assert liouv.matrix.nnz == terms.matrix.nnz
 
 
 @given(models())

@@ -295,6 +295,22 @@ class TestUniqueness:
         report = check_uniqueness(build_liouvillian(model))
         assert not report.unique
 
+    # the gap tolerance scales with ||L||_inf; unscaled, c = 1e-8 made both
+    # eigenvector routes refuse the emitter and c = 1e8 reported it not unique
+    @pytest.mark.parametrize("c", [1e-8, 1e-3, 1e3, 1e8])
+    def test_gap_tolerance_scales_with_the_generator(self, c):
+        liouv = c * build_liouvillian(driven_emitter_model(6, np.random.default_rng(6)))
+        dense = steady_dense(liouv).rho.to_dense()
+        assert np.abs(steady_sparse(liouv).rho.to_dense() - dense).max() < 1e-10
+        for method in ("dense", "sparse"):
+            assert check_uniqueness(liouv, method).unique
+        degenerate = c * build_liouvillian(dephasing_model(3))
+        for route in (steady_dense, steady_sparse):
+            with pytest.raises(DegeneracyError):
+                route(degenerate)
+        for method in ("dense", "sparse"):
+            assert not check_uniqueness(degenerate, method).unique
+
 
 class TestRoutePolicy:
     """Each branch of the route policy, driven by problem size alone."""

@@ -230,6 +230,11 @@ class TestBuildLiouvillian:
         model = LindbladModel(Operator(layout, np.zeros((2, 2))))
         assert np.abs(liouvillian_oracle(model).to_dense()).max() == 0.0
 
+    def test_exact_cancellation_stores_no_entries(self):
+        # H = c 1 and J = 1 generate nothing: every summed entry cancels exactly
+        eye = identity_operator(SpaceLayout([("a", 2), ("b", 3)]))
+        assert build_liouvillian(LindbladModel(1.3 * eye, [(0.7, eye)])).matrix.nnz == 0
+
     @pytest.mark.parametrize("d,channels", [(2, 1), (3, 2), (4, 3)])
     def test_matches_oracle(self, d, channels):
         rng = np.random.default_rng(100 + d + channels)
