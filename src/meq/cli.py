@@ -256,6 +256,7 @@ class _Runner:
             "residual": result.residual,
             "trace_before_normalization": result.trace_before_normalization,
             "min_eigenvalue": result.min_eigenvalue,
+            "hermiticity_defect": result.hermiticity_defect,
         }
         if result.eigenvalue is not None:
             results["eigenvalue"] = result.eigenvalue
@@ -343,6 +344,7 @@ class _Runner:
             "times": list(trajectory.times),
             "trace": traces,
             "min_eigenvalues": list(trajectory.min_eigenvalues),
+            "diagnostics": trajectory.diagnostics,
         }
         if observables:
             results["observables"] = observables

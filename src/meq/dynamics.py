@@ -6,10 +6,13 @@ Propagation runs in real arithmetic: in the Hermitian operator basis T of
 rho(0) has real coordinates x(0) with vec(rho(0)) = T x(0), and
 rho(t) = T exp(R t) x(0).  Small problems exponentiate R once per distinct
 time gap (scaling and squaring) and apply it; larger ones compute the action
-exp(R t) x with ``scipy.sparse.linalg.expm_multiply`` (Al-Mohy and Higham,
-SIAM J. Sci. Comput. 33, 488 (2011)) and never form the exponential.
-Every state is checked to be a density matrix up to its smallest
-eigenvalue.
+exp(R t) x by the truncated Taylor steps of Al-Mohy and Higham (SIAM J. Sci.
+Comput. 33, 488 (2011), algorithm 3.2, the method of
+``scipy.sparse.linalg.expm_multiply``) and never form the exponential.  That
+route shifts R once per trajectory and estimates the norms of its powers
+once, because they scale linearly with the time step; each distinct gap then
+only picks its Taylor degree and step count.  Every state is checked to be a
+density matrix up to its smallest eigenvalue.
 """
 
 from __future__ import annotations
@@ -19,7 +22,13 @@ from typing import Sequence
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg as spla
+import scipy.sparse as sp
+# scipy's public expm_multiply redoes all of its planning on every call
+from scipy.sparse.linalg._expm_multiply import (
+    LazyOperatorNormInfo,
+    _expm_multiply_simple_core,
+    _fragment_3_1,
+)
 
 from .hilbert import LayoutMismatchError, Operator
 from .steady import _HERMITIAN_TOL, _POSITIVITY_TOL, _hermitian_basis, _real_generator
@@ -37,16 +46,54 @@ class Trajectory:
     """States sampled along an evolution, one per requested time, and their route.
 
     ``min_eigenvalues`` holds the smallest eigenvalue of each state.
+    ``diagnostics["gaps"]`` lists each distinct time gap in order of first
+    use with its propagator: ``expm_calls`` (1) on the dense route, the
+    Taylor degree ``taylor_degree`` and step count ``taylor_steps`` on the
+    sparse route.
     """
 
     times: tuple[float, ...]
     states: tuple[Operator, ...]
     min_eigenvalues: tuple[float, ...] = ()
     policy: RouteChoice | None = None
+    diagnostics: dict | None = None
 
     def __post_init__(self):
         if len(self.times) != len(self.states):
             raise ValueError("times and states have different lengths")
+
+
+class _TaylorPlan:
+    """exp(R t) x for one sparse generator R by Al-Mohy and Higham's algorithm 3.2.
+
+    ``scipy.sparse.linalg.expm_multiply(R t, x)`` shifts R t by its mean
+    diagonal, takes the 1-norm of the result and, above the paper's condition
+    (3.13), estimates ||(R t)^p||_1 for p <= 8, all on every call.  Each of
+    these scales linearly with t, so the plan shifts R and keeps its norms
+    once; each distinct t then only picks its Taylor degree m* and step count
+    s (kept in ``schedules``), and the steps are the public function's own.
+    """
+
+    def __init__(self, real: sp.csc_array):
+        n = real.shape[0]
+        self.shift = real.trace() / n
+        self.shifted = (real - self.shift * sp.eye_array(n, format="csc")).tocsr()
+        self.norm = float(abs(self.shifted).sum(axis=0).max())
+        self._norms = LazyOperatorNormInfo(self.shifted, A_1_norm=self.norm, ell=2)
+        self.schedules: dict[float, tuple[int, int]] = {}
+
+    def apply(self, x: np.ndarray, t: float) -> np.ndarray:
+        if t not in self.schedules:
+            if self.norm == 0.0:
+                self.schedules[t] = (0, 1)
+            else:
+                self._norms.set_scale(t)
+                self.schedules[t] = _fragment_3_1(self._norms, 1, 2.0**-53, ell=2)
+        m_star, s = self.schedules[t]
+        # the core applies the shift's factor exp(shift t / s) after each of
+        # the s steps; over a whole long gap exp(shift t) underflows to 0 while
+        # the steps on the shifted generator overflow
+        return _expm_multiply_simple_core(self.shifted, x, t, self.shift, m_star, s)
 
 
 def evolve(
@@ -73,10 +120,13 @@ def evolve_trajectory(
     """Propagate through an ascending list of times.
 
     ``method`` is "dense" (real ``expm`` once per distinct gap), "sparse"
-    (``expm_multiply`` once per gap), or None for the choice of
-    :func:`choose_route`.  Evolution proceeds incrementally from point to
-    point (the semigroup property makes this equivalent to evolving each
-    point from rho0, up to the propagator's tolerance).  ``rho0`` must be
+    (the Taylor steps of ``expm_multiply``, with one plan per trajectory and
+    one schedule per distinct gap), or None for the choice of
+    :func:`choose_route`.  The result's ``diagnostics`` record the propagator
+    of each distinct gap (see :class:`Trajectory`).  Evolution proceeds
+    incrementally from point to point (the semigroup property makes this
+    equivalent to evolving each point from rho0, up to the propagator's
+    tolerance).  ``rho0`` must be
     Hermitian, within 1e-10 of its largest element, with no eigenvalue below
     -1e-8, or ``ValueError`` is raised; a propagated state with an
     eigenvalue below -1e-8 raises :class:`PropagationError`.
@@ -107,6 +157,8 @@ def evolve_trajectory(
     if dense:
         check_dense_capacity(liouv.dim)
         generator = real.toarray()
+    else:
+        plan = _TaylorPlan(real)
     d = liouv.layout.total_dim
     coords = (_hermitian_basis(d)[1] @ rho.ravel(order="F")).real
     propagators: dict[float, np.ndarray] = {}
@@ -120,7 +172,7 @@ def evolve_trajectory(
                     propagators[gap] = scipy.linalg.expm(generator * gap)
                 coords = propagators[gap] @ coords
             else:
-                coords = spla.expm_multiply(real * gap, coords)
+                coords = plan.apply(coords, gap)
             rho = (basis @ coords).reshape((d, d), order="F")
             lowest = float(np.linalg.eigvalsh(rho).min())
             if lowest < -_POSITIVITY_TOL:
@@ -131,4 +183,11 @@ def evolve_trajectory(
         states.append(Operator(liouv.layout, rho))
         minima.append(lowest)
         previous = t
-    return Trajectory(tuple(times), tuple(states), tuple(minima), policy)
+    if dense:
+        gaps = [{"gap": gap, "expm_calls": 1} for gap in propagators]
+    else:
+        gaps = [
+            {"gap": gap, "taylor_degree": m_star, "taylor_steps": s}
+            for gap, (m_star, s) in plan.schedules.items()
+        ]
+    return Trajectory(tuple(times), tuple(states), tuple(minima), policy, {"gaps": gaps})

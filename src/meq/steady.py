@@ -122,6 +122,9 @@ class SteadyStateResult:
     ``trace_before_normalization`` is the raw trace of the solver output
     (close to 1 for the linear-solve route, arbitrary for eigenvector routes);
     ``min_eigenvalue`` is the smallest eigenvalue of the returned state;
+    ``hermiticity_defect`` is the largest element of the anti-Hermitian part
+    that normalization drops from the solver output (divided by its trace),
+    exactly 0 on the routes that solve in the real Hermitian basis;
     ``eigenvalue`` is the computed leading eigenvalue where the route
     provides one; ``policy`` is the route choice, where the LU route or a
     caller's route policy made one; ``diagnostics`` holds the deterministic
@@ -133,6 +136,7 @@ class SteadyStateResult:
     method: str
     trace_before_normalization: complex
     min_eigenvalue: float
+    hermiticity_defect: float
     eigenvalue: complex | None = None
     policy: RouteChoice | None = None
     diagnostics: dict | None = None
@@ -236,6 +240,7 @@ def _finalize(
             "the steady state is not unique"
         )
     rho = rho / trace_raw
+    hermiticity_defect = float(np.abs(rho - rho.conj().T).max()) / 2.0
     rho = (rho + rho.conj().T) / 2.0
     rho = rho / np.trace(rho).real
     residual = float(np.abs(liouv.apply(rho.ravel(order="F"))).max())
@@ -251,6 +256,7 @@ def _finalize(
         method=method,
         trace_before_normalization=trace_raw,
         min_eigenvalue=min_eigenvalue,
+        hermiticity_defect=hermiticity_defect,
         eigenvalue=eigenvalue,
     )
 
@@ -586,7 +592,7 @@ def spectrum(liouv: SuperOperator, k: int, method: str | None = None) -> Spectru
     # eigvals returns a real array when every eigenvalue of R is real
     values = values[_descending_order(values)[:k]].astype(complex)
     last = values[-1]
-    tol = _GAP_TOL * max(1.0, abs(last))
+    tol = _GAP_TOL * (liouv.norm_inf() or 1.0)
     if abs(last.imag) > tol and not (np.abs(values[:-1] - last.conjugate()) <= tol).any():
         values[-1] = complex(last.real, abs(last.imag))
     return SpectrumResult(eigenvalues=values, count_requested=k, policy=policy)

@@ -177,6 +177,8 @@ class TestSteadyCommand:
              {"route": "iterative", "reason": "steady: n=1296 >= 1024"}),
             (["cascade", "--na", "3", "--nb", "1", "--method", "solve"],
              {"route": "sparse", "reason": "linsolve: n=576 >= 400"}),
+            (["cascade", "--na", "2", "--nb", "1", "--times", "0.5,1,2"],
+             {"route": "sparse", "reason": "evolve: n=324 >= 150"}),
         ):
             first = invoke_record(argv)
             second = invoke_record(argv)
@@ -184,7 +186,16 @@ class TestSteadyCommand:
             second.pop("timings")
             assert json.dumps(first) == json.dumps(second)
             assert first["results"]["policy"] == policy
-            if policy["route"] == "iterative":
+            if "times" in first["results"]:
+                # one propagator entry per distinct gap
+                gaps = first["results"]["diagnostics"]["gaps"]
+                times = [0.0, *first["results"]["times"]]
+                distinct = list(dict.fromkeys(b - a for a, b in zip(times, times[1:]) if b > a))
+                assert [entry["gap"] for entry in gaps] == distinct
+                keys = {"dense": {"gap", "expm_calls"},
+                        "sparse": {"gap", "taylor_degree", "taylor_steps"}}[policy["route"]]
+                assert all(set(entry) == keys for entry in gaps)
+            elif policy["route"] == "iterative":
                 assert first["method"] == "iterative"
                 assert set(first["results"]["diagnostics"]) == {
                     "gmres_iterations", "check_iterations", "gmres_relative_residual",
@@ -195,6 +206,10 @@ class TestSteadyCommand:
                 assert first["results"]["diagnostics"]["lu_nnz"] > 0
             else:
                 assert "diagnostics" not in first["results"]
+            if "min_eigenvalue" in first["results"]:
+                # only the complex iterative route leaves an anti-Hermitian part
+                defect = first["results"]["hermiticity_defect"]
+                assert defect == 0.0 if first["method"] != "iterative" else defect < 1e-12
             if argv[0] == "steady":
                 rho = np.array(first["results"]["rho"]) @ [1.0, 1j]
                 expected = np.linalg.eigvalsh(rho).min()

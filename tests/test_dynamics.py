@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from helpers import random_density, random_model, single_space
 from meq.dynamics import PropagationError, Trajectory, evolve, evolve_trajectory
 from meq.hilbert import Operator, transition
-from meq.steady import steady_dense
+from meq.modelspec import CascadeParams, cascade_model
+from meq.steady import _hermitian_basis, _real_generator, steady_dense
 from meq.superspace import LindbladModel, build_liouvillian, choose_route
 
 
@@ -252,3 +254,64 @@ class TestRoutePolicy:
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError):
             evolve_trajectory(qubit_decay_liouvillian(), excited_state(), [1.0], method="rk4")
+
+
+class TestTaylorPlan:
+    """The sparse route plans once per trajectory and takes the same steps
+    as one public ``expm_multiply(R gap, x)`` per gap."""
+
+    @pytest.fixture(scope="class")
+    def cascade_576(self):
+        return build_liouvillian(cascade_model(CascadeParams(n_a=3, n_b=1)))
+
+    @pytest.mark.parametrize("times", [
+        [0.5, 1.0, 1.5, 2.0],  # one gap, repeated
+        [0.01, 0.02, 0.1, 0.6],  # ||R gap||_1 below condition (3.13): no norm estimates
+        [1.3, 200.0, 400.0],  # 1300 steps a gap; exp(shift gap) underflows
+    ])
+    def test_matches_public_expm_multiply_per_gap(self, cascade_576, times):
+        liouv = cascade_576
+        d = liouv.layout.total_dim
+        rho0 = Operator(liouv.layout, random_density(np.random.default_rng(68), d))
+        real, basis = _real_generator(liouv)
+        adjoint = _hermitian_basis(d)[1]
+        norm = spla.norm(real, 1)
+        trajectory = evolve_trajectory(liouv, rho0, times, method="sparse")
+        previous, x = 0.0, (adjoint @ rho0.to_dense().ravel(order="F")).real
+        for t, state in zip(times, trajectory.states):
+            gap = t - previous
+            expected = basis @ spla.expm_multiply(real * gap, x)
+            # the two scale R by the gap at different points; over many
+            # Taylor steps their rounding differs by up to about u ||R gap||_1
+            tol = max(1e-14, 2.0**-53 * norm * gap) * np.linalg.norm(x)
+            assert np.abs(state.to_dense().ravel(order="F") - expected).max() <= tol
+            x = (adjoint @ state.to_dense().ravel(order="F")).real
+            previous = t
+        gaps = np.diff([0.0, *times])
+        plan = trajectory.diagnostics["gaps"]
+        assert [entry["gap"] for entry in plan] == list(dict.fromkeys(gaps))
+        for entry in plan:
+            assert set(entry) == {"gap", "taylor_degree", "taylor_steps"}
+            assert entry["taylor_steps"] >= 1
+
+    def test_dense_route_records_one_expm_per_gap(self):
+        rng = np.random.default_rng(69)
+        model = random_model(rng, 3, 1)
+        liouv = build_liouvillian(model)
+        rho0 = Operator(model.layout, random_density(rng, 3))
+        trajectory = evolve_trajectory(liouv, rho0, [0.0, 0.5, 1.0, 2.0], method="dense")
+        assert trajectory.diagnostics == {
+            "gaps": [{"gap": 0.5, "expm_calls": 1}, {"gap": 1.0, "expm_calls": 1}]
+        }
+
+    def test_zero_generator(self):
+        # R = 0: no Taylor terms, the state stays put
+        layout = single_space(2, "q")
+        liouv = build_liouvillian(LindbladModel(Operator(layout, np.zeros((2, 2)))))
+        trajectory = evolve_trajectory(liouv, excited_state(), [1.0, 3.0], method="sparse")
+        for state in trajectory.states:
+            assert np.array_equal(state.to_dense(), excited_state().to_dense())
+        assert trajectory.diagnostics["gaps"] == [
+            {"gap": 1.0, "taylor_degree": 0, "taylor_steps": 1},
+            {"gap": 2.0, "taylor_degree": 0, "taylor_steps": 1},
+        ]

@@ -530,6 +530,17 @@ class TestPositivity:
             assert result.min_eigenvalue == expected
             assert result.min_eigenvalue > 0.0
 
+    def test_hermiticity_defect_is_the_discarded_part(self):
+        liouv = build_liouvillian(driven_qubit_model(1.0, 1.0))
+        # rho = T x with real x is Hermitian to the last bit
+        for method in ALL_METHODS:
+            assert method(liouv).hermiticity_defect == 0.0
+        assert steady_iterative_driven_qubit(liouv).hermiticity_defect < 1e-12
+        raw = np.array([[1.2, 0.2], [0.6, 0.8]], dtype=complex)  # trace 2
+        result = steady._finalize(liouv, None, raw.ravel(order="F"), "iterative", None)
+        assert result.hermiticity_defect == pytest.approx(0.1, abs=1e-15)
+        assert np.allclose(result.rho.to_dense(), [[0.6, 0.2], [0.2, 0.4]], atol=1e-15)
+
     @pytest.mark.parametrize("method", DRIVEN_QUBIT_METHODS)
     def test_non_positive_state_is_refused(self, method, monkeypatch):
         # rho_22 = -rho_11 / 2 in the raw solver output: eigenvalue -1 after normalization
@@ -649,6 +660,18 @@ class TestSparseSpectrumManyEigenvalues:
         # routes keep the +imag member, whichever one ARPACK converged to
         assert np.abs(sparse.eigenvalues - dense.eigenvalues).max() < 1e-10
         assert sparse.eigenvalues[19].imag > 0
+
+    # the pair test at the cut is relative to ||L||_inf; relative to
+    # max(1, |lambda_k|) it kept ARPACK's -imag member at c = 1e-10
+    @pytest.mark.parametrize("c", [1e-10, 1.0, 1e8])
+    def test_split_pair_under_scaling(self, c):
+        liouv = build_liouvillian(cascade_model(CascadeParams(n_a=3, n_b=1)))
+        reference = spectrum(liouv, 4, "dense").eigenvalues
+        assert reference[2] == pytest.approx(reference[3].conjugate(), abs=1e-10)
+        assert reference[2].imag > 1.0
+        for method in ("dense", "sparse"):
+            values = spectrum(c * liouv, 3, method).eigenvalues
+            assert np.abs(values / c - reference[:3]).max() < 1e-8
 
     def test_split_pair_keeps_positive_member(self, monkeypatch):
         # ARPACK returning the -imag member of the pair at the cut, as it did
