@@ -12,6 +12,13 @@ timings block.  Exit codes: 0 success, 1 usage problems, 2 model file errors
 (lexical/syntax/semantic), 3 numerical failures (non-convergence or
 degenerate steady states).
 
+Each command parses its document (the model file, or the rendered cascade
+document), then builds, solves and measures.  The timings block holds the
+seconds of each stage that ran, ``parse``, ``build``, ``solve`` and
+``measure``, summed over repeats such as the second solve of ``cascade
+--check-truncation``.  The cascade flags mirror the fields and defaults of
+:class:`meq.modelspec.CascadeParams`, with ``--na``/``--nb`` for ``n_a``/``n_b``.
+
 Set MEQ_THREADS to cap the BLAS/LAPACK thread pools; it must take effect
 before the numeric libraries load, which is why this module defers every
 heavy import until after the environment is prepared.
@@ -20,6 +27,7 @@ heavy import until after the environment is prepared.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -89,12 +97,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_steady_flags(p, with_method=True):
-        if with_method:
-            p.add_argument(
-                "--method", choices=("dense", "sparse", "solve", "iterative"), default=None,
-                help="steady-state route (default: by problem size)",
-            )
+    def add_steady_flags(p):
+        p.add_argument(
+            "--method", choices=("dense", "sparse", "solve", "iterative"), default=None,
+            help="steady-state route (default: by problem size)",
+        )
         p.add_argument("--row", type=int, default=1,
                        help="diagonal element whose equation the solve route replaces")
         p.add_argument("--gamma", type=float, default=1.0,
@@ -132,17 +139,16 @@ def build_parser() -> argparse.ArgumentParser:
     add_steady_flags(p_ptr)
 
     p_casc = sub.add_parser("cascade", help="built-in cascade benchmark")
-    for flag, default in (
-        ("--delta-a", 0.0), ("--delta-b", 0.0),
-        ("--g-a", 1.0), ("--g-b", 1.0),
-        ("--gamma-12", 1.0), ("--gamma-23", 1.0),
-        ("--gamma-a", 3.0), ("--gamma-b", 3.0),
-    ):
-        p_casc.add_argument(flag, type=float, default=default)
-    p_casc.add_argument("--omega-a", type=_parse_complex, default=20.0 + 0j)
-    p_casc.add_argument("--omega-b", type=_parse_complex, default=5.0 + 0j)
-    p_casc.add_argument("--na", type=int, default=4, help="Fock truncation of mode a")
-    p_casc.add_argument("--nb", type=int, default=2, help="Fock truncation of mode b")
+    # one flag per CascadeParams field; the Fock truncations keep short spellings
+    from .modelspec import CascadeParams
+
+    flag_types = {"float": float, "complex": _parse_complex, "int": int}
+    spellings = {"n_a": ("--na", "Fock truncation of mode a"),
+                 "n_b": ("--nb", "Fock truncation of mode b")}
+    for field in dataclasses.fields(CascadeParams):
+        flag, help_text = spellings.get(field.name, ("--" + field.name.replace("_", "-"), None))
+        p_casc.add_argument(flag, dest=field.name, type=flag_types[field.type],
+                            default=field.default, help=help_text)
     p_casc.add_argument("--emit-model", action="store_true",
                         help="print the canonical model document and exit")
     add_steady_flags(p_casc)
@@ -188,15 +194,11 @@ def _encode(value):
 class _Runner:
     """One CLI invocation; numeric modules are imported lazily at creation."""
 
-    def __init__(self, args, stdout, stderr):
-        import numpy as np
-
+    def __init__(self, args, stdout):
         from . import dynamics, hilbert, measures, modelspec, steady, superspace
 
         self.args = args
         self.stdout = stdout
-        self.stderr = stderr
-        self.np = np
         self.hilbert = hilbert
         self.superspace = superspace
         self.steady = steady
@@ -207,49 +209,77 @@ class _Runner:
 
     # -- plumbing ----------------------------------------------------------
 
-    def _load_document(self):
-        path = self.args.model
-        try:
-            with open(path, "rb") as handle:
-                raw = handle.read()
-        except OSError as exc:
-            raise _UsageError(f"cannot read model file {path!r}: {exc}") from exc
-        self.model_hash = hashlib.sha256(raw).hexdigest()
-        return self.modelspec.parse_model(raw.decode("utf-8"))
+    @contextlib.contextmanager
+    def _timed(self, stage):
+        """Add the time spent in the block to ``timings[stage]``."""
+        start = time.perf_counter()
+        yield
+        self.timings[stage] = self.timings.get(stage, 0.0) + time.perf_counter() - start
+
+    def document(self):
+        """The parsed model file, or the cascade document hashed as the text it
+        renders to, which ``--emit-model`` prints in place of a run (None)."""
+        args = self.args
+        with self._timed("parse"):
+            if args.command != "cascade":
+                try:
+                    with open(args.model, "rb") as handle:
+                        raw = handle.read()
+                except OSError as exc:
+                    raise _UsageError(f"cannot read model file {args.model!r}: {exc}") from exc
+                self.model_hash = hashlib.sha256(raw).hexdigest()
+                return self.modelspec.parse_model(raw.decode("utf-8"))
+            doc = self.modelspec.cascade_document(self._cascade_params())
+            text = self.modelspec.render_model(doc)
+            self.model_hash = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        if args.emit_model:
+            self.stdout.write(text)
+            return None
+        return doc
 
     def _build(self, doc):
-        start = time.perf_counter()
-        layout, env = self.modelspec.document_environment(doc)
-        model = self.modelspec.build_model(doc, (layout, env))
-        liouv = self.superspace.build_liouvillian(model)
-        self.timings["build"] = time.perf_counter() - start
-        return layout, env, model, liouv
+        with self._timed("build"):
+            layout, env = self.modelspec.document_environment(doc)
+            model = self.modelspec.build_model(doc, (layout, env))
+            liouv = self.superspace.build_liouvillian(model)
+        return env, model, liouv
 
-    def _steady(self, liouv, model):
-        """Run the requested or policy-chosen route; the result's policy says which."""
+    def _steady(self, doc):
+        """The document's bindings and the steady state on the requested or
+        policy-chosen route; the result's policy says which."""
         args = self.args
-        policy = self.superspace.choose_route(
-            "steady", liouv.dim, method=getattr(args, "method", None))
-        start = time.perf_counter()
-        if policy.route == "dense":
-            result = self.steady.steady_dense(liouv)
-        elif policy.route == "sparse":
-            result = self.steady.steady_sparse(liouv)
-        elif policy.route == "iterative":
-            result = self.steady.steady_iterative(liouv, model)
-        else:  # the LU route records its own dense/sparse choice
-            result = self.steady.steady_linsolve(liouv, l=args.row, gamma=args.gamma)
-        self.timings["solve"] = time.perf_counter() - start
-        return result if result.policy else dataclasses.replace(result, policy=policy)
+        env, model, liouv = self._build(doc)
+        policy = self.superspace.choose_route("steady", liouv.dim, method=args.method)
+        with self._timed("solve"):
+            if policy.route == "dense":
+                result = self.steady.steady_dense(liouv)
+            elif policy.route == "sparse":
+                result = self.steady.steady_sparse(liouv)
+            elif policy.route == "iterative":
+                result = self.steady.steady_iterative(liouv, model)
+            else:  # the LU route records its own dense/sparse choice
+                result = self.steady.steady_linsolve(liouv, l=args.row, gamma=args.gamma)
+        return env, result if result.policy else dataclasses.replace(result, policy=policy)
 
-    def _observable_map(self, doc, env, text):
-        pairs = []
-        for expr_text in _split_top_level(text):
-            op = self.modelspec.evaluate_observable(doc, expr_text, env=env)
-            pairs.append((expr_text, op))
-        return pairs
+    def _observables(self, doc, env, states):
+        """Each ``--observables`` expression, evaluated once, with its
+        expectation value in each of ``states``."""
+        values = {}
+        for text in _split_top_level(self.args.observables):
+            op = self.modelspec.evaluate_observable(doc, text, env=env)
+            values[text] = [self.measures.expectation(op, state) for state in states]
+        return values
 
-    def _steady_results(self, result):
+    def _steady_observables(self, doc, env, rho):
+        """The ``observables`` entry of a steady record, if there are any."""
+        with self._timed("measure"):
+            if not self.args.observables:
+                return {}
+            values = self._observables(doc, env, [rho])
+        return {"observables": {label: value for label, (value,) in values.items()}}
+
+    def _steady_record(self, result, **extra):
+        """The record of a steady state: its checks and diagnostics, then ``extra``."""
         results = {
             "dimension": result.rho.layout.total_dim,
             "superspace_dimension": result.rho.layout.total_dim ** 2,
@@ -262,7 +292,8 @@ class _Runner:
             results["eigenvalue"] = result.eigenvalue
         if result.diagnostics is not None:
             results["diagnostics"] = result.diagnostics
-        return results
+        results.update(extra)
+        return self._record(result.method, results, result.policy)
 
     def _record(self, method, results, policy):
         results["policy"] = policy._asdict()
@@ -276,28 +307,15 @@ class _Runner:
 
     # -- subcommands -------------------------------------------------------
 
-    def cmd_steady(self, doc=None):
-        doc = doc if doc is not None else self._load_document()
-        layout, env, model, liouv = self._build(doc)
-        result = self._steady(liouv, model)
-        results = self._steady_results(result)
-        results["rho"] = result.rho.to_dense()
-        start = time.perf_counter()
-        if self.args.observables:
-            values = {}
-            for label, op in self._observable_map(doc, env, self.args.observables):
-                values[label] = self.measures.expectation(op, result.rho)
-            results["observables"] = values
-        self.timings["measure"] = time.perf_counter() - start
-        return self._record(result.method, results, result.policy)
+    def cmd_steady(self, doc):
+        env, result = self._steady(doc)
+        observables = self._steady_observables(doc, env, result.rho)
+        return self._steady_record(result, rho=result.rho.to_dense(), **observables)
 
-    def cmd_spectrum(self, doc=None):
-        doc = doc if doc is not None else self._load_document()
-        _, _, _, liouv = self._build(doc)
-        k = self.args.count
-        start = time.perf_counter()
-        spec = self.steady.spectrum(liouv, k)
-        self.timings["solve"] = time.perf_counter() - start
+    def cmd_spectrum(self, doc):
+        _, _, liouv = self._build(doc)
+        with self._timed("solve"):
+            spec = self.steady.spectrum(liouv, self.args.count)
         results = {
             "count_requested": spec.count_requested,
             "eigenvalues": list(spec.eigenvalues),
@@ -306,41 +324,31 @@ class _Runner:
 
     def _initial_state(self, doc, layout, env):
         text = self.args.initial
-        if text == "ground":
-            d = layout.total_dim
-            mat = self.np.zeros((d, d), dtype=complex)
-            mat[0, 0] = 1.0
-            return self.hilbert.Operator(layout, mat), "ground"
+        if text == "ground":  # |1><1| on the whole space: the first basis state
+            first = self.hilbert.transition(layout.total_dim, 1, 1)
+            return self.hilbert.Operator(layout, first)
         if text == "maximally-mixed":
-            eye = self.hilbert.identity_operator(layout)
-            return eye / layout.total_dim, "maximally-mixed"
+            return self.hilbert.identity_operator(layout) / layout.total_dim
         op = self.modelspec.evaluate_observable(doc, text, env=env)
         trace = op.trace()
         if abs(trace) < 1e-12:
             raise _UsageError(f"initial state expression {text!r} has zero trace")
-        return op / trace, text
+        return op / trace
 
-    def cmd_evolve(self, doc=None):
-        doc = doc if doc is not None else self._load_document()
-        layout, env, model, liouv = self._build(doc)
+    def cmd_evolve(self, doc):
+        env, _, liouv = self._build(doc)
         times = [float(t) for t in self.args.times.split(",") if t.strip()]
         if not times:
             raise _UsageError("no times given")
-        rho0, initial_label = self._initial_state(doc, layout, env)
-        start = time.perf_counter()
-        trajectory = self.dynamics.evolve_trajectory(liouv, rho0, times)
-        self.timings["solve"] = time.perf_counter() - start
-        start = time.perf_counter()
-        observables = {}
-        if self.args.observables:
-            for label, op in self._observable_map(doc, env, self.args.observables):
-                observables[label] = [
-                    self.measures.expectation(op, state) for state in trajectory.states
-                ]
-        traces = [state.trace() for state in trajectory.states]
-        self.timings["measure"] = time.perf_counter() - start
+        rho0 = self._initial_state(doc, liouv.layout, env)
+        with self._timed("solve"):
+            trajectory = self.dynamics.evolve_trajectory(liouv, rho0, times)
+        with self._timed("measure"):
+            observables = (self._observables(doc, env, trajectory.states)
+                           if self.args.observables else {})
+            traces = [state.trace() for state in trajectory.states]
         results = {
-            "initial": initial_label,
+            "initial": self.args.initial,
             "times": list(trajectory.times),
             "trace": traces,
             "min_eigenvalues": list(trajectory.min_eigenvalues),
@@ -360,149 +368,97 @@ class _Runner:
         traced = [n for n in rho.layout.names if n not in keep]
         return self.hilbert.partial_trace(rho, traced) if traced else rho
 
-    def cmd_negativity(self, doc=None):
-        doc = doc if doc is not None else self._load_document()
-        layout, env, model, liouv = self._build(doc)
-        result = self._steady(liouv, model)
-        start = time.perf_counter()
+    def cmd_negativity(self, doc):
+        _, result = self._steady(doc)
         keep = self._names(self.args.keep or "")
-        rho = self._reduce_to(result.rho, keep) if keep else result.rho
-        value = self.measures.log_negativity(rho, self._names(self.args.transpose))
-        self.timings["measure"] = time.perf_counter() - start
-        results = self._steady_results(result)
-        results["transpose"] = self._names(self.args.transpose)
+        transpose = self._names(self.args.transpose)
+        with self._timed("measure"):
+            rho = self._reduce_to(result.rho, keep) if keep else result.rho
+            value = self.measures.log_negativity(rho, transpose)
+        extra = {"transpose": transpose}
         if keep:
-            results["keep"] = keep
-        results["log_negativity"] = value
-        return self._record(result.method, results, result.policy)
+            extra["keep"] = keep
+        return self._steady_record(result, **extra, log_negativity=value)
 
-    def cmd_ptrace(self, doc=None):
-        doc = doc if doc is not None else self._load_document()
-        layout, env, model, liouv = self._build(doc)
-        result = self._steady(liouv, model)
-        start = time.perf_counter()
+    def cmd_ptrace(self, doc):
+        _, result = self._steady(doc)
         keep = self._names(self.args.keep)
-        reduced = self._reduce_to(result.rho, keep)
-        self.timings["measure"] = time.perf_counter() - start
-        results = self._steady_results(result)
-        results["keep"] = keep
-        results["rho_reduced"] = reduced.to_dense()
-        return self._record(result.method, results, result.policy)
+        with self._timed("measure"):
+            reduced = self._reduce_to(result.rho, keep)
+        return self._steady_record(result, keep=keep, rho_reduced=reduced.to_dense())
 
     # -- cascade -----------------------------------------------------------
 
-    def _cascade_params(self, bump: int = 0):
+    def _cascade_params(self):
+        fields = dataclasses.fields(self.modelspec.CascadeParams)
+        return self.modelspec.CascadeParams(**{f.name: getattr(self.args, f.name) for f in fields})
+
+    def cmd_cascade(self, doc):
+        """Run the command the first mode flag given picks, or report the populations."""
         args = self.args
-        return self.modelspec.CascadeParams(
-            delta_a=args.delta_a, delta_b=args.delta_b,
-            g_a=args.g_a, g_b=args.g_b,
-            gamma_12=args.gamma_12, gamma_23=args.gamma_23,
-            gamma_a=args.gamma_a, gamma_b=args.gamma_b,
-            omega_a=args.omega_a, omega_b=args.omega_b,
-            n_a=args.na + bump, n_b=args.nb + bump,
-        )
+        for given, command in (
+            (args.count is not None, self.cmd_spectrum),
+            (args.negativity_all, self._cascade_negativities),
+            (args.times, self.cmd_evolve),
+            (args.transpose, self.cmd_negativity),
+            (args.keep, self.cmd_ptrace),
+        ):
+            if given:
+                return command(doc)
+        return self._cascade_report(doc)
 
     def _cascade_populations(self, doc, params):
-        """Populations and displaced-frame photon numbers of the steady state,
-        and the bindings of the document."""
-        layout, env, model, liouv = self._build(doc)
-        result = self._steady(liouv, model)
-        start = time.perf_counter()
-        observables = [
-            ("sigma_11", env["s11"]),
-            ("sigma_22", env["s22"]),
-            ("sigma_33", env["s33"]),
-            ("n_a", env["am"].dag() * env["am"]),
-            ("n_b", env["bm"].dag() * env["bm"]),
-        ]
-        report = self.measures.population_report(observables, result.rho)
-        displaced = None
-        if params.g_a != 0 and params.g_b != 0:
-            displaced = {
-                "mode_a": self.measures.displaced_mode_population(
-                    result.rho, env["am"], params.alpha),
-                "mode_b": self.measures.displaced_mode_population(
-                    result.rho, env["bm"], params.beta),
-            }
-        self.timings["measure"] = self.timings.get("measure", 0.0) \
-            + time.perf_counter() - start
-        return result, report, displaced, env
+        """The steady state, its bindings, the record entries of its populations and
+        (unless a coupling is 0) displaced photon numbers, and those numbers."""
+        env, result = self._steady(doc)
+        with self._timed("measure"):
+            observables = [
+                ("sigma_11", env["s11"]),
+                ("sigma_22", env["s22"]),
+                ("sigma_33", env["s33"]),
+                ("n_a", env["am"].dag() * env["am"]),
+                ("n_b", env["bm"].dag() * env["bm"]),
+            ]
+            report = self.measures.population_report(observables, result.rho)
+            entries = {"populations": dataclasses.asdict(report)}
+            if params.g_a != 0 and params.g_b != 0:
+                entries["displaced_populations"] = {
+                    "mode_a": self.measures.displaced_mode_population(
+                        result.rho, env["am"], params.alpha),
+                    "mode_b": self.measures.displaced_mode_population(
+                        result.rho, env["bm"], params.beta),
+                }
+        values = [*report.values, *entries.get("displaced_populations", {}).values()]
+        return result, env, entries, values
 
-    def cmd_cascade(self):
-        args = self.args
+    def _cascade_report(self, doc):
         params = self._cascade_params()
-        doc = self.modelspec.cascade_document(params)
-        text = self.modelspec.render_model(doc)
-        if args.emit_model:
-            self.stdout.write(text)
-            return None
-        self.model_hash = hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-        if args.count is not None:
-            return self.cmd_spectrum(doc)
-        if args.negativity_all:
-            return self._cascade_negativities(doc)
-        if args.times:
-            return self.cmd_evolve(doc)
-        if args.transpose:
-            return self.cmd_negativity(doc)
-        if args.keep:
-            return self.cmd_ptrace(doc)
-
-        result, report, displaced, env = self._cascade_populations(doc, params)
-        results = self._steady_results(result)
-        results["populations"] = {
-            "labels": list(report.labels),
-            "values": list(report.values),
-            "imaginary_residuals": list(report.imaginary_residuals),
-        }
-        if displaced is not None:
-            results["displaced_populations"] = displaced
-        if self.args.observables:
-            extra = {}
-            for label, op in self._observable_map(doc, env, self.args.observables):
-                extra[label] = self.measures.expectation(op, result.rho)
-            results["observables"] = extra
-        if args.check_truncation:
-            bumped = self._cascade_params(bump=1)
-            bumped_doc = self.modelspec.cascade_document(bumped)
-            _, bumped_report, bumped_displaced, _ = self._cascade_populations(
-                bumped_doc, bumped)
-            drift = max(
-                abs(a - b) for a, b in zip(report.values, bumped_report.values)
-            )
-            if displaced is not None and bumped_displaced is not None:
-                drift = max(
-                    drift,
-                    abs(displaced["mode_a"] - bumped_displaced["mode_a"]),
-                    abs(displaced["mode_b"] - bumped_displaced["mode_b"]),
-                )
-            results["truncation_check"] = {
+        result, env, extra, values = self._cascade_populations(doc, params)
+        extra.update(self._steady_observables(doc, env, result.rho))
+        if self.args.check_truncation:
+            bumped = dataclasses.replace(params, n_a=params.n_a + 1, n_b=params.n_b + 1)
+            with self._timed("parse"):
+                bumped_doc = self.modelspec.cascade_document(bumped)
+            bumped_values = self._cascade_populations(bumped_doc, bumped)[3]
+            extra["truncation_check"] = {
                 "n_a": bumped.n_a,
                 "n_b": bumped.n_b,
-                "max_drift": drift,
+                "max_drift": max(abs(a - b) for a, b in zip(values, bumped_values)),
             }
-        return self._record(result.method, results, result.policy)
-
-    # -- negativity benchmark ------------------------------------------------
+        return self._steady_record(result, **extra)
 
     def _cascade_negativities(self, doc):
-        layout, env, model, liouv = self._build(doc)
-        result = self._steady(liouv, model)
-        start = time.perf_counter()
-        rho = result.rho
+        _, result = self._steady(doc)
         partial_trace = self.hilbert.partial_trace
         log_negativity = self.measures.log_negativity
-        values = {
-            "cascade_vs_modes": log_negativity(rho, ["xi"]),
-            "mode_a_vs_mode_b": log_negativity(partial_trace(rho, ["xi"]), ["a"]),
-            "cascade_vs_mode_a": log_negativity(partial_trace(rho, ["b"]), ["xi"]),
-            "cascade_vs_mode_b": log_negativity(partial_trace(rho, ["a"]), ["xi"]),
-        }
-        self.timings["measure"] = time.perf_counter() - start
-        results = self._steady_results(result)
-        results["log_negativities"] = values
-        return self._record(result.method, results, result.policy)
+        with self._timed("measure"):
+            values = {
+                "cascade_vs_modes": log_negativity(result.rho, ["xi"]),
+                "mode_a_vs_mode_b": log_negativity(partial_trace(result.rho, ["xi"]), ["a"]),
+                "cascade_vs_mode_a": log_negativity(partial_trace(result.rho, ["b"]), ["xi"]),
+                "cascade_vs_mode_b": log_negativity(partial_trace(result.rho, ["a"]), ["xi"]),
+            }
+        return self._steady_record(result, log_negativities=values)
 
 
 def run(argv=None, stdout=None, stderr=None) -> int:
@@ -525,9 +481,10 @@ def run(argv=None, stdout=None, stderr=None) -> int:
     from .steady import CapacityError, ConvergenceError, DegeneracyError
 
     try:
-        runner = _Runner(args, stdout, stderr)
-        record = getattr(runner, f"cmd_{args.command}")()
-        if record is not None:
+        runner = _Runner(args, stdout)
+        doc = runner.document()
+        if doc is not None:
+            record = getattr(runner, f"cmd_{args.command}")(doc)
             stdout.write(json.dumps(record, indent=2) + "\n")
         return 0
     except ModelError as exc:

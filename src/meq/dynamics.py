@@ -31,7 +31,13 @@ from scipy.sparse.linalg._expm_multiply import (
 )
 
 from .hilbert import LayoutMismatchError, Operator
-from .steady import _HERMITIAN_TOL, _POSITIVITY_TOL, _hermitian_basis, _real_generator
+from .steady import (
+    _HERMITIAN_TOL,
+    _POSITIVITY_TOL,
+    _hermitian_basis,
+    _real_generator,
+    _seeded_global_random_state,
+)
 from .superspace import RouteChoice, SuperOperator, check_dense_capacity, choose_route
 
 __all__ = ["PropagationError", "Trajectory", "evolve", "evolve_trajectory"]
@@ -70,25 +76,29 @@ class _TaylorPlan:
     diagonal, takes the 1-norm of the result and, above the paper's condition
     (3.13), estimates ||(R t)^p||_1 for p <= 8, all on every call.  Each of
     these scales linearly with t, so the plan shifts R and keeps its norms
-    once; each distinct t then only picks its Taylor degree m* and step count
-    s (kept in ``schedules``), and the steps are the public function's own.
+    once; each distinct time gap in ``gaps`` then only picks its Taylor
+    degree m* and step count s (kept in ``schedules``, in the order given),
+    and the steps are the public function's own.  The norm estimates are
+    ``onenormest``'s, so all schedules are picked up front under one seeded
+    global random state.
     """
 
-    def __init__(self, real: sp.csc_array):
+    def __init__(self, real: sp.csc_array, gaps):
         n = real.shape[0]
         self.shift = real.trace() / n
         self.shifted = (real - self.shift * sp.eye_array(n, format="csc")).tocsr()
         self.norm = float(abs(self.shifted).sum(axis=0).max())
-        self._norms = LazyOperatorNormInfo(self.shifted, A_1_norm=self.norm, ell=2)
+        norms = LazyOperatorNormInfo(self.shifted, A_1_norm=self.norm, ell=2)
         self.schedules: dict[float, tuple[int, int]] = {}
+        with _seeded_global_random_state():
+            for t in gaps:
+                if self.norm == 0.0:
+                    self.schedules[t] = (0, 1)
+                else:
+                    norms.set_scale(t)
+                    self.schedules[t] = _fragment_3_1(norms, 1, 2.0**-53, ell=2)
 
     def apply(self, x: np.ndarray, t: float) -> np.ndarray:
-        if t not in self.schedules:
-            if self.norm == 0.0:
-                self.schedules[t] = (0, 1)
-            else:
-                self._norms.set_scale(t)
-                self.schedules[t] = _fragment_3_1(self._norms, 1, 2.0**-53, ell=2)
         m_star, s = self.schedules[t]
         # the core applies the shift's factor exp(shift t / s) after each of
         # the s steps; over a whole long gap exp(shift t) underflows to 0 while
@@ -158,7 +168,8 @@ def evolve_trajectory(
         check_dense_capacity(liouv.dim)
         generator = real.toarray()
     else:
-        plan = _TaylorPlan(real)
+        intervals = [b - a for a, b in zip([0.0, *times], times) if b > a]
+        plan = _TaylorPlan(real, dict.fromkeys(intervals))  # distinct, in order of use
     d = liouv.layout.total_dim
     coords = (_hermitian_basis(d)[1] @ rho.ravel(order="F")).real
     propagators: dict[float, np.ndarray] = {}

@@ -210,21 +210,21 @@ def _tokenize(text: str) -> list[list[_Token]]:
                 i += 1
             continue
         start_col = col
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
+        if ch.isdecimal() or (ch == "." and i + 1 < n and text[i + 1].isdecimal()):
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             if j < n and text[j] == ".":
                 j += 1
-                while j < n and text[j].isdigit():
+                while j < n and text[j].isdecimal():
                     j += 1
             if j < n and text[j] in "eE":
                 k = j + 1
                 if k < n and text[k] in "+-":
                     k += 1
-                if k < n and text[k].isdigit():
+                if k < n and text[k].isdecimal():
                     j = k
-                    while j < n and text[j].isdigit():
+                    while j < n and text[j].isdecimal():
                         j += 1
                 else:
                     raise ModelLexicalError(
@@ -286,9 +286,6 @@ class _TokenStream:
                 f"unexpected {found!r}", tok.line, tok.column, expected
             )
         return self.advance()
-
-    def at_end(self) -> bool:
-        return self.peek().kind == "EOL"
 
 
 def _parse_expr(ts: _TokenStream) -> Expr:

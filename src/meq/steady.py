@@ -38,6 +38,7 @@ with an eigenvalue below -1e-8 is refused.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import warnings
 from dataclasses import dataclass, replace
@@ -73,7 +74,8 @@ __all__ = [
     "check_uniqueness",
 ]
 
-# Real parts closer than this are treated as ties when sorting eigenvalues.
+# Real parts closer than this times ||L||_inf are treated as ties when sorting
+# eigenvalues.
 _TIE_TOL = 1e-12
 # Eigenvalues within this times ||L||_inf of zero (or of each other) count as a
 # degenerate kernel; ||L||_inf sets the scale of the spectrum.
@@ -85,6 +87,8 @@ _COND_LIMIT = 1e14
 _HERMITIAN_TOL = 1e-10
 # Returned states may have eigenvalues down to minus this (their trace is 1).
 _POSITIVITY_TOL = 1e-8
+# Seed of numpy's global random state while scipy's onenormest draws from it.
+_ONENORMEST_SEED = 0
 # GMRES of the iterative route: Krylov dimension between restarts, restart
 # cycles, and the tolerance on the true residual ||b - A x|| / ||b||.  The
 # cascade needs 15-40 iterations, a 60-level damped mode about 70; restarting
@@ -160,14 +164,31 @@ class GapReport:
     unique: bool
 
 
-def _descending_order(values: np.ndarray) -> np.ndarray:
+def _descending_order(values: np.ndarray, scale: float) -> np.ndarray:
     """Indices sorting by descending real part; ties (real parts within
-    _TIE_TOL of their neighbour) are broken by descending imaginary part,
-    then input order."""
+    _TIE_TOL * scale of their neighbour) are broken by descending imaginary
+    part, then input order."""
     order = np.argsort(-values.real, kind="stable")
-    ties = np.diff(values.real[order]) < -_TIE_TOL
+    ties = np.diff(values.real[order]) < -_TIE_TOL * scale
     group = np.concatenate(([0], np.cumsum(ties)))
     return order[np.lexsort((-values.imag[order], group))]
+
+
+@contextlib.contextmanager
+def _seeded_global_random_state():
+    """Run the block on numpy's global random state seeded with
+    _ONENORMEST_SEED, then give the caller's state back.
+
+    ``scipy.sparse.linalg.onenormest`` draws its start vectors from the
+    global state, so without this its estimates would depend on what else
+    drew from it, and every estimate would advance the caller's stream.
+    """
+    saved = np.random.get_state()
+    np.random.seed(_ONENORMEST_SEED)
+    try:
+        yield
+    finally:
+        np.random.set_state(saved)
 
 
 @functools.lru_cache(maxsize=4)
@@ -273,11 +294,12 @@ def steady_dense(liouv: SuperOperator) -> SteadyStateResult:
     check_dense_capacity(n)
     real, basis = _real_generator(liouv)
     values, vectors = np.linalg.eig(real.toarray())
-    order = _descending_order(values)
+    scale = liouv.norm_inf() or 1.0
+    order = _descending_order(values, scale)
     lam0 = complex(values[order[0]])
     if n > 1:
         lam1 = complex(values[order[1]])
-        tol = _GAP_TOL * (liouv.norm_inf() or 1.0)
+        tol = _GAP_TOL * scale
         if lam0.real - lam1.real < tol:
             raise DegeneracyError(
                 f"leading eigenvalues {lam0:.3e} and {lam1:.3e} are degenerate "
@@ -411,7 +433,8 @@ def steady_linsolve(liouv: SuperOperator, l: int = 1, gamma: float = 1.0) -> Ste
             dtype=replaced.dtype,
         )
         anorm = float(abs(replaced).sum(axis=0).max())
-        rcond = 1.0 / (anorm * spla.onenormest(inverse))
+        with _seeded_global_random_state():
+            rcond = 1.0 / (anorm * spla.onenormest(inverse))
         solve = lu.solve
         diagnostics = {"lu_nnz": lu.L.nnz + lu.U.nnz}
     else:
@@ -562,14 +585,15 @@ def steady_iterative(liouv: SuperOperator, model: LindbladModel) -> SteadyStateR
 def spectrum(liouv: SuperOperator, k: int, method: str | None = None) -> SpectrumResult:
     """The k eigenvalues of largest real part, sorted descending.
 
-    Ties in the real part are broken by descending imaginary part, then by
-    input order.  Both routes work on the real generator R, whose spectrum
-    is L's and closed under conjugation, so when the k-th value's partner is
-    not among the first k the pair is split at the cut, and its +imag member
-    is returned (ARPACK may have converged to either).  The sparse route uses
-    an Arnoldi largest-real-part iteration; the dense route diagonalizes
-    fully and truncates.  Without ``method`` :func:`choose_route` picks;
-    ARPACK needs k < n - 1.
+    Ties in the real part (within 1e-12 times ||L||_inf, so that the order
+    does not change when L is scaled) are broken by descending imaginary
+    part, then by input order.  Both routes work on the real generator R,
+    whose spectrum is L's and closed under conjugation, so when the k-th
+    value's partner is not among the first k the pair is split at the cut,
+    and its +imag member is returned (ARPACK may have converged to either).
+    The sparse route uses an Arnoldi largest-real-part iteration; the dense
+    route diagonalizes fully and truncates.  Without ``method``
+    :func:`choose_route` picks; ARPACK needs k < n - 1.
     """
     n = liouv.dim
     if not 1 <= k <= n:
@@ -590,9 +614,10 @@ def spectrum(liouv: SuperOperator, k: int, method: str | None = None) -> Spectru
             ) from exc
 
     # eigvals returns a real array when every eigenvalue of R is real
-    values = values[_descending_order(values)[:k]].astype(complex)
+    scale = liouv.norm_inf() or 1.0
+    values = values[_descending_order(values, scale)[:k]].astype(complex)
     last = values[-1]
-    tol = _GAP_TOL * (liouv.norm_inf() or 1.0)
+    tol = _GAP_TOL * scale
     if abs(last.imag) > tol and not (np.abs(values[:-1] - last.conjugate()) <= tol).any():
         values[-1] = complex(last.real, abs(last.imag))
     return SpectrumResult(eigenvalues=values, count_requested=k, policy=policy)

@@ -9,7 +9,7 @@ import pytest
 
 import meq
 from meq.cli import run
-from meq.modelspec import parse_model
+from meq.modelspec import CascadeParams, cascade_document, parse_model, render_model
 
 QUBIT_DECAY = """\
 spaces:
@@ -98,6 +98,17 @@ class TestExitCodes:
         code, _, err = invoke(["steady", path])
         assert code == 2
         assert "error: model" in err and "line 4" in err
+
+    @pytest.mark.parametrize("source,message", [
+        ("2²", "malformed number"),
+        ("²", "unexpected character"),
+    ])
+    def test_non_decimal_digit_is_model_error(self, tmp_path, source, message):
+        path = tmp_path / "digits.model"
+        path.write_text(f"spaces:\n  q 2\nhamiltonian:\n  {source}\n", encoding="utf-8")
+        code, out, err = invoke(["steady", str(path)])
+        assert code == 2 and out == ""
+        assert "error: model" in err and message in err and "line 4" in err
 
     def test_numerical_errors(self, model_file):
         path = model_file(DEGENERATE)
@@ -353,7 +364,35 @@ class TestReductionCommands:
         assert code == 1
 
 
+# every cascade parameter flag, its CascadeParams field and its default
+CASCADE_FLAGS = [
+    ("--delta-a", "delta_a", 0.0), ("--delta-b", "delta_b", 0.0),
+    ("--g-a", "g_a", 1.0), ("--g-b", "g_b", 1.0),
+    ("--gamma-12", "gamma_12", 1.0), ("--gamma-23", "gamma_23", 1.0),
+    ("--gamma-a", "gamma_a", 3.0), ("--gamma-b", "gamma_b", 3.0),
+    ("--omega-a", "omega_a", 20.0), ("--omega-b", "omega_b", 5.0),
+    ("--na", "n_a", 4), ("--nb", "n_b", 2),
+]
+
+
+def emitted_model(*flags):
+    code, out, err = invoke(["cascade", "--emit-model", *flags])
+    assert code == 0, err
+    return out
+
+
 class TestCascadeCommand:
+    def test_parameter_flags_and_defaults(self):
+        defaults = {field: value for _, field, value in CASCADE_FLAGS}
+        assert emitted_model() == render_model(cascade_document(CascadeParams(**defaults)))
+        for flag, field, value in CASCADE_FLAGS:
+            changed = CascadeParams(**dict(defaults, **{field: value + 1}))
+            assert emitted_model(flag, str(value + 1)) == render_model(cascade_document(changed))
+
+    def test_complex_drive_flag(self):
+        expected = CascadeParams(omega_a=3 + 2j)
+        assert emitted_model("--omega-a", "(3,2)") == render_model(cascade_document(expected))
+
     def test_emit_model_parses(self):
         code, out, err = invoke(["cascade", "--emit-model"])
         assert code == 0
@@ -442,6 +481,7 @@ class TestCascadeCommand:
         check = record["results"]["truncation_check"]
         assert check["n_a"] == 2 and check["n_b"] == 2
         assert check["max_drift"] >= 0.0
+        assert set(record["timings"]) == {"parse", "build", "solve", "measure"}
 
     def test_evolve_mode(self):
         record = invoke_record(

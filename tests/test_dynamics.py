@@ -294,6 +294,25 @@ class TestTaylorPlan:
             assert set(entry) == {"gap", "taylor_degree", "taylor_steps"}
             assert entry["taylor_steps"] >= 1
 
+    def test_norm_estimates_leave_global_random_state(self, cascade_576):
+        # gap 5 is above condition (3.13), so the plan estimates ||A^p||_1 with
+        # onenormest, which draws from numpy's global random state
+        liouv = cascade_576
+        d = liouv.layout.total_dim
+        rho0 = Operator(liouv.layout, random_density(np.random.default_rng(70), d))
+        plans = []
+        for prior_draws in (0, 7):
+            np.random.seed(prior_draws)
+            np.random.random(prior_draws)
+            state = np.random.get_state()
+            trajectory = evolve_trajectory(liouv, rho0, [0.5, 1.0, 6.0], method="sparse")
+            after = np.random.random(3)
+            np.random.set_state(state)
+            assert np.array_equal(after, np.random.random(3))
+            plans.append(trajectory.diagnostics["gaps"])
+        assert [entry["gap"] for entry in plans[0]] == [0.5, 5.0]
+        assert plans[0] == plans[1]
+
     def test_dense_route_records_one_expm_per_gap(self):
         rng = np.random.default_rng(69)
         model = random_model(rng, 3, 1)

@@ -108,6 +108,16 @@ class TestErrors:
             parse_model("spaces:\n  q 2\nhamiltonian:\n  2q3\n")
         assert info.value.line == 4
 
+    # str.isdigit accepts superscripts, which float() then refused with a bare ValueError
+    @pytest.mark.parametrize("source,message", [
+        ("2²", "malformed number '2²'"),
+        ("²", "unexpected character '²'"),
+    ])
+    def test_lexical_non_decimal_digit(self, source, message):
+        with pytest.raises(ModelLexicalError, match=message) as info:
+            parse_model(f"spaces:\n  q 2\nhamiltonian:\n  {source}\n")
+        assert (info.value.line, info.value.column) == (4, 3)
+
     def test_syntax_unbalanced_paren(self):
         source = "spaces:\n  q 2\ndefine:\n  s12 = trans(q,1,2)\nhamiltonian:\n  2*(s12 + s12'\n"
         with pytest.raises(ModelSyntaxError) as info:
