@@ -84,6 +84,7 @@ _EXPORTS = {
     "render_model": "modelspec",
     "CascadeParams": "modelspec",
     "cascade_model": "modelspec",
+    "cascade_text": "modelspec",
     "cascade_document": "modelspec",
 }
 

@@ -12,12 +12,14 @@ timings block.  Exit codes: 0 success, 1 usage problems, 2 model file errors
 (lexical/syntax/semantic), 3 numerical failures (non-convergence or
 degenerate steady states).
 
-Each command parses its document (the model file, or the rendered cascade
-document), then builds, solves and measures.  The timings block holds the
-seconds of each stage that ran, ``parse``, ``build``, ``solve`` and
-``measure``, summed over repeats such as the second solve of ``cascade
---check-truncation``.  The cascade flags mirror the fields and defaults of
-:class:`meq.modelspec.CascadeParams`, with ``--na``/``--nb`` for ``n_a``/``n_b``.
+Each command hashes and parses its model text (the model file, or the
+cascade's :func:`meq.modelspec.cascade_text`), then builds, solves and
+measures.  The timings block holds the seconds of each stage that ran,
+``parse``, ``build``, ``solve`` and ``measure``, summed over repeats such as
+the second solve of ``cascade --check-truncation``.  The cascade flags mirror
+the fields and defaults of :class:`meq.modelspec.CascadeParams`, with
+``--na``/``--nb`` for ``n_a``/``n_b``; a flag the chosen cascade mode would
+not use is a usage error.
 
 Set MEQ_THREADS to cap the BLAS/LAPACK thread pools; it must take effect
 before the numeric libraries load, which is why this module defers every
@@ -162,8 +164,51 @@ def build_parser() -> argparse.ArgumentParser:
     p_casc.add_argument("--transpose", default=None)
     p_casc.add_argument("--keep", default=None)
     p_casc.add_argument("--times", default=None)
-    p_casc.add_argument("--initial", default="ground")
+    p_casc.add_argument("--initial", default=None)
     return parser
+
+
+# meq cascade's mode flags (dests) in the order in which the first one given
+# picks the mode, and the optional flags each mode reads besides its own
+_CASCADE_MODES = ("count", "negativity_all", "times", "transpose", "keep")
+_CASCADE_READS = {
+    None: ("observables", "check_truncation"),  # the population report
+    "times": ("observables", "initial"),
+    "transpose": ("keep",),
+}
+
+
+def _flag(dest):
+    return "-k" if dest == "count" else "--" + dest.replace("_", "-")
+
+
+def _given(args, dest):
+    """Whether a cascade flag was given, as the mode choice reads it."""
+    value = getattr(args, dest)
+    return value is not None if dest in ("count", "observables", "initial") else bool(value)
+
+
+def _cascade_mode(args):
+    """The dest of the mode flag that picks what ``meq cascade`` runs, or None
+    for the population report."""
+    return next((dest for dest in _CASCADE_MODES if _given(args, dest)), None)
+
+
+def _check_flags(args):
+    """Usage errors the argument parser cannot see: an ``--observables`` list
+    with no expression, and a ``meq cascade`` flag its mode would ignore.
+    An unset cascade ``--initial`` becomes ``ground``, as for ``evolve``."""
+    if getattr(args, "observables", None) is not None and not _split_top_level(args.observables):
+        raise _UsageError("--observables lists no expression")
+    if args.command != "cascade":
+        return
+    mode = _cascade_mode(args)
+    for dest in (*_CASCADE_MODES, "observables", "initial", "check_truncation"):
+        if dest != mode and dest not in _CASCADE_READS.get(mode, ()) and _given(args, dest):
+            spelling = _flag(mode) if mode else "without a mode flag"
+            raise _UsageError(f"cascade {spelling} does not use {_flag(dest)}")
+    if args.initial is None:
+        args.initial = "ground"
 
 
 @functools.lru_cache(maxsize=1)
@@ -217,25 +262,24 @@ class _Runner:
         self.timings[stage] = self.timings.get(stage, 0.0) + time.perf_counter() - start
 
     def document(self):
-        """The parsed model file, or the cascade document hashed as the text it
-        renders to, which ``--emit-model`` prints in place of a run (None)."""
+        """The model file's or the cascade's text: hashed, printed in place of
+        a run for ``--emit-model`` (None), and otherwise parsed."""
         args = self.args
         with self._timed("parse"):
-            if args.command != "cascade":
+            if args.command == "cascade":
+                raw = self.modelspec.cascade_text(self._cascade_params()).encode("utf-8")
+            else:
                 try:
                     with open(args.model, "rb") as handle:
                         raw = handle.read()
                 except OSError as exc:
                     raise _UsageError(f"cannot read model file {args.model!r}: {exc}") from exc
-                self.model_hash = hashlib.sha256(raw).hexdigest()
-                return self.modelspec.parse_model(raw.decode("utf-8"))
-            doc = self.modelspec.cascade_document(self._cascade_params())
-            text = self.modelspec.render_model(doc)
-            self.model_hash = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        if args.emit_model:
-            self.stdout.write(text)
-            return None
-        return doc
+            self.model_hash = hashlib.sha256(raw).hexdigest()
+            text = raw.decode("utf-8")
+            if getattr(args, "emit_model", False):
+                self.stdout.write(text)
+                return None
+            return self.modelspec.parse_model(text)
 
     def _build(self, doc):
         with self._timed("build"):
@@ -395,17 +439,14 @@ class _Runner:
 
     def cmd_cascade(self, doc):
         """Run the command the first mode flag given picks, or report the populations."""
-        args = self.args
-        for given, command in (
-            (args.count is not None, self.cmd_spectrum),
-            (args.negativity_all, self._cascade_negativities),
-            (args.times, self.cmd_evolve),
-            (args.transpose, self.cmd_negativity),
-            (args.keep, self.cmd_ptrace),
-        ):
-            if given:
-                return command(doc)
-        return self._cascade_report(doc)
+        return {
+            "count": self.cmd_spectrum,
+            "negativity_all": self._cascade_negativities,
+            "times": self.cmd_evolve,
+            "transpose": self.cmd_negativity,
+            "keep": self.cmd_ptrace,
+            None: self._cascade_report,
+        }[_cascade_mode(self.args)](doc)
 
     def _cascade_populations(self, doc, params):
         """The steady state, its bindings, the record entries of its populations and
@@ -472,6 +513,7 @@ def run(argv=None, stdout=None, stderr=None) -> int:
     _apply_thread_cap()
     try:
         args = _parser().parse_args(argv)
+        _check_flags(args)
     except _UsageError as exc:
         print(f"meq: error: usage: {exc}", file=stderr)
         return 1

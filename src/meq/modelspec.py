@@ -20,13 +20,20 @@ Adjoint binds tightest, then products, then sums.  Primitives evaluate to
 operators embedded in the full composite space; levels j, k are 1-based while
 ``a(space)`` acts on 0-based photon numbers.  Where an operator is required
 (Hamiltonian, jumps, observables) a scalar value c is read as c times the
-identity.
+identity.  A literal that overflows to infinity is a lexical error.
+
+The built-in cascade benchmark is written in this format: its source is the
+model text :func:`cascade_text`, and :func:`cascade_document` parses it.
+:func:`cascade_model` builds the same operators by hand, as the check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Union
+import cmath
+import math
+import re
+from dataclasses import dataclass, field, fields
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -60,6 +67,7 @@ __all__ = [
     "CascadeParams",
     "cascade_layout",
     "cascade_model",
+    "cascade_text",
     "cascade_document",
 ]
 
@@ -133,13 +141,6 @@ class Adjoint:
 Expr = Union[Literal, Name, PrimitiveCall, BinaryOp, Adjoint]
 
 
-def _make_adjoint(node: Expr, pos=_NOPOS) -> Expr:
-    # double adjoint normalizes away
-    if isinstance(node, Adjoint):
-        return node.operand
-    return Adjoint(node, pos)
-
-
 @dataclass(frozen=True)
 class ModelDocument:
     """Parsed model: spaces, ordered bindings, Hamiltonian, dissipators."""
@@ -157,8 +158,7 @@ _PRIMITIVES = {"ident": "s", "a": "s", "proj": "si", "trans": "sii"}
 # ---------------------------------------------------------------------------
 # lexer
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -166,99 +166,59 @@ class _Token:
     value: complex = 0j
 
 
-_SYMBOLS = {
-    "+": "PLUS",
-    "-": "MINUS",
-    "*": "STAR",
-    "'": "PRIME",
-    "(": "LPAREN",
-    ")": "RPAREN",
-    ",": "COMMA",
-    "=": "EQUALS",
-    ":": "COLON",
-}
+# One token after a blank run: a number, a name, a symbol (its own kind) or a
+# line end.  A number is a decimal mantissa, an optional exponent and an
+# optional imaginary ``i``; a name character or a dot right after it makes it
+# malformed.  A line ends at its comment, so its EOL token sits where the
+# comment starts.  ``\d`` and ``\w`` are the Unicode digits and word characters
+# of ``str.isdecimal`` and ``str.isalnum``.
+_TOKEN = re.compile(
+    r"""[ \t\r]*(?:
+      (?P<NUMBER>(?P<literal>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+|(?P<bad_e>[eE]))?i?)[\w.]?)
+    | (?P<IDENT>[^\W\d]\w*)
+    | (?P<SYMBOL>[-+*'(),=:])
+    | (?P<EOL>(?:\#[^\n]*)?(?:\n|\Z))
+    | (?P<BAD>.)
+    )""",
+    re.VERBOSE,
+)
 
 
 def _tokenize(text: str) -> list[list[_Token]]:
     """Split the source into lines of tokens (blank lines dropped)."""
     lines: list[list[_Token]] = []
     current: list[_Token] = []
-    line_no, col = 1, 1
-    i, n = 0, len(text)
-
-    def end_line():
-        nonlocal current
-        if current:
-            current.append(_Token("EOL", "", line_no, col))
-            lines.append(current)
-            current = []
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            end_line()
-            line_no += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if ch.isdecimal() or (ch == "." and i + 1 < n and text[i + 1].isdecimal()):
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            if j < n and text[j] == ".":
-                j += 1
-                while j < n and text[j].isdecimal():
-                    j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdecimal():
-                    j = k
-                    while j < n and text[j].isdecimal():
-                        j += 1
-                else:
-                    raise ModelLexicalError(
-                        f"malformed exponent in number {text[i:j + 1]!r}", line_no, start_col
-                    )
-            imaginary = j < n and text[j] == "i"
-            if imaginary:
-                j += 1
-            if j < n and (text[j].isalnum() or text[j] == "_" or text[j] == "."):
-                raise ModelLexicalError(
-                    f"malformed number {text[i:j + 1]!r}", line_no, start_col
-                )
-            magnitude = float(text[i : j - 1] if imaginary else text[i:j])
+    line_no, line_start = 1, 0
+    for match in _TOKEN.finditer(text):  # every position starts a match, so they abut
+        kind = match.lastgroup
+        start, end = match.span(kind)
+        token, col = text[start:end], start - line_start + 1
+        if kind == "EOL":
+            if current:
+                lines.append(current + [_Token("EOL", "", line_no, col)])
+                current = []
+            if not token.endswith("\n"):
+                return lines
+            line_no, line_start = line_no + 1, match.end()
+        elif kind == "NUMBER":
+            literal = match["literal"]
+            if match["bad_e"]:
+                raise ModelLexicalError("malformed exponent in number "
+                                        f"{text[start:match.end('bad_e')]!r}", line_no, col)
+            if token != literal:
+                raise ModelLexicalError(f"malformed number {token!r}", line_no, col)
+            imaginary = literal.endswith("i")
+            magnitude = float(literal[:-1] if imaginary else literal)
+            if not math.isfinite(magnitude):
+                raise ModelLexicalError(f"number out of range {literal!r}", line_no, col)
             value = magnitude * 1j if imaginary else complex(magnitude)
-            current.append(_Token("NUMBER", text[i:j], line_no, start_col, value))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            current.append(_Token("IDENT", text[i:j], line_no, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in _SYMBOLS:
-            current.append(_Token(_SYMBOLS[ch], ch, line_no, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ModelLexicalError(f"unexpected character {ch!r}", line_no, start_col)
-    end_line()
-    return lines
+            current.append(_Token("NUMBER", literal, line_no, col, value))
+        elif kind == "IDENT" and (token[0].isalpha() or token[0] == "_"):
+            current.append(_Token("IDENT", token, line_no, col))
+        elif kind == "SYMBOL":
+            current.append(_Token(token, token, line_no, col))
+        else:  # a name may not start with a non-letter word character such as '²'
+            raise ModelLexicalError(f"unexpected character {token[0]!r}", line_no, col)
 
 
 # ---------------------------------------------------------------------------
@@ -290,17 +250,16 @@ class _TokenStream:
 
 def _parse_expr(ts: _TokenStream) -> Expr:
     node = _parse_term(ts)
-    while ts.peek().kind in ("PLUS", "MINUS"):
+    while ts.peek().kind in ("+", "-"):
         op_tok = ts.advance()
         right = _parse_term(ts)
-        node = BinaryOp("+" if op_tok.kind == "PLUS" else "-", node, right,
-                        (op_tok.line, op_tok.column))
+        node = BinaryOp(op_tok.kind, node, right, (op_tok.line, op_tok.column))
     return node
 
 
 def _parse_term(ts: _TokenStream) -> Expr:
     node = _parse_factor(ts)
-    while ts.peek().kind == "STAR":
+    while ts.peek().kind == "*":
         op_tok = ts.advance()
         right = _parse_factor(ts)
         node = BinaryOp("*", node, right, (op_tok.line, op_tok.column))
@@ -309,16 +268,16 @@ def _parse_term(ts: _TokenStream) -> Expr:
 
 def _parse_factor(ts: _TokenStream) -> Expr:
     node = _parse_atom(ts)
-    while ts.peek().kind == "PRIME":
-        tok = ts.advance()
-        node = _make_adjoint(node, (tok.line, tok.column))
+    while ts.peek().kind == "'":
+        tok = ts.advance()  # a double adjoint normalizes away
+        node = node.operand if isinstance(node, Adjoint) else Adjoint(node, (tok.line, tok.column))
     return node
 
 
 def _try_pair_component(ts: _TokenStream) -> float | None:
     sign = 1.0
-    if ts.peek().kind in ("PLUS", "MINUS"):
-        if ts.peek().kind == "MINUS":
+    if ts.peek().kind in ("+", "-"):
+        if ts.peek().kind == "-":
             sign = -1.0
         ts.advance()
     tok = ts.peek()
@@ -335,15 +294,15 @@ def _parse_atom(ts: _TokenStream) -> Expr:
         return Literal(tok.value, (tok.line, tok.column))
     if tok.kind == "IDENT":
         ts.advance()
-        if ts.peek().kind == "LPAREN":
+        if ts.peek().kind == "(":
             return _parse_call(ts, tok)
         return Name(tok.text, (tok.line, tok.column))
-    if tok.kind == "LPAREN":
+    if tok.kind == "(":
         lp = ts.advance()
         # "(re, im)" complex literal, components as optionally signed reals
         mark = ts.pos
         real_part = _try_pair_component(ts)
-        if real_part is not None and ts.peek().kind == "COMMA":
+        if real_part is not None and ts.peek().kind == ",":
             ts.advance()
             imag_part = _try_pair_component(ts)
             if imag_part is None:
@@ -352,12 +311,12 @@ def _parse_atom(ts: _TokenStream) -> Expr:
                     f"unexpected {bad.text or 'end of line'!r} in complex pair",
                     bad.line, bad.column, ("real number",),
                 )
-            ts.expect("RPAREN", ("')'",))
+            ts.expect(")", ("')'",))
             return Literal(complex(real_part, imag_part), (lp.line, lp.column))
         ts.pos = mark
         node = _parse_expr(ts)
         closing = ts.peek()
-        if closing.kind != "RPAREN":
+        if closing.kind != ")":
             raise ModelSyntaxError(
                 "unbalanced parenthesis", closing.line, closing.column, ("')'",)
             )
@@ -371,7 +330,7 @@ def _parse_atom(ts: _TokenStream) -> Expr:
 
 
 def _parse_call(ts: _TokenStream, func_tok: _Token) -> PrimitiveCall:
-    ts.expect("LPAREN", ("'('",))
+    ts.expect("(", ("'('",))
     args: list[Union[str, int]] = []
     while True:
         tok = ts.peek()
@@ -392,10 +351,10 @@ def _parse_call(ts: _TokenStream, func_tok: _Token) -> PrimitiveCall:
                 f"unexpected {found!r} in argument list", tok.line, tok.column,
                 ("space name", "integer"),
             )
-        if ts.peek().kind == "COMMA":
+        if ts.peek().kind == ",":
             ts.advance()
             continue
-        ts.expect("RPAREN", ("','", "')'"))
+        ts.expect(")", ("','", "')'"))
         return PrimitiveCall(func_tok.text, tuple(args), (func_tok.line, func_tok.column))
 
 
@@ -432,7 +391,7 @@ def parse_model(text: str) -> ModelDocument:
 
     for tokens in lines:
         head = tokens[0]
-        if head.kind == "IDENT" and tokens[1].kind == "COLON":
+        if head.kind == "IDENT" and tokens[1].kind == ":":
             if head.text not in _SECTIONS:
                 raise ModelSyntaxError(
                     f"unknown section {head.text!r}", head.line, head.column,
@@ -475,7 +434,7 @@ def parse_model(text: str) -> ModelDocument:
             space_pos[name_tok.text] = (name_tok.line, name_tok.column)
         elif section == "define":
             name_tok = ts.expect("IDENT", ("binding name",))
-            ts.expect("EQUALS", ("'='",))
+            ts.expect("=", ("'='",))
             expr = _parse_line_expr(tokens, ts.pos)
             if name_tok.text in binding_pos:
                 raise ModelSemanticError(
@@ -492,7 +451,7 @@ def parse_model(text: str) -> ModelDocument:
             hamiltonian = _parse_line_expr(tokens)
         else:  # dissipators
             rate_tok = ts.expect("NUMBER", ("rate",))
-            ts.expect("COMMA", ("','",))
+            ts.expect(",", ("','",))
             expr = _parse_line_expr(tokens, ts.pos)
             if rate_tok.value.imag != 0 or rate_tok.value.real <= 0:
                 raise ModelSemanticError(
@@ -639,10 +598,7 @@ def build_model(
     h_value = _evaluate(doc.hamiltonian, layout, env)
     h_op = _as_operator(h_value, layout)
     if not h_op.is_hermitian(tol=1e-12):
-        pos = getattr(doc.hamiltonian, "pos", _NOPOS)
-        raise ModelSemanticError(
-            "hamiltonian expression is not Hermitian", pos[0], pos[1]
-        )
+        raise ModelSemanticError("hamiltonian expression is not Hermitian", *doc.hamiltonian.pos)
     dissipators = [
         (rate, _as_operator(_evaluate(expr, layout, env), layout))
         for rate, expr in doc.dissipators
@@ -766,6 +722,9 @@ class CascadeParams:
                 raise ValueError(f"{label} must be > 0")
         if self.n_a < 0 or self.n_b < 0:
             raise ValueError("Fock truncations must be >= 0")
+        for spec in fields(self):
+            if spec.type != "int" and not cmath.isfinite(getattr(self, spec.name)):
+                raise ValueError(f"{spec.name} must be finite")
 
     @property
     def alpha(self) -> complex:
@@ -814,46 +773,44 @@ def cascade_model(params: CascadeParams = CascadeParams()) -> LindbladModel:
     return LindbladModel(hamiltonian, dissipators)
 
 
-def cascade_document(params: CascadeParams = CascadeParams()) -> ModelDocument:
-    """The canonical text-form counterpart of :func:`cascade_model`."""
-    lit = lambda v: Literal(complex(v))
-    name = lambda s: Name(s)
-    mul = lambda a, b: BinaryOp("*", a, b)
-    add = lambda a, b: BinaryOp("+", a, b)
-    sub = lambda a, b: BinaryOp("-", a, b)
-    adj = lambda a: _make_adjoint(a)
+_CASCADE_TEXT = """\
+spaces:
+  xi 3
+  a {dim_a}
+  b {dim_b}
+define:
+  s11 = trans(xi,1,1)
+  s22 = trans(xi,2,2)
+  s33 = trans(xi,3,3)
+  s12 = trans(xi,1,2)
+  s23 = trans(xi,2,3)
+  am = a(a)
+  bm = a(b)
+  Hdelta = {delta_b}*s33 - {delta_a}*s11
+  Hcoupling = {g_a}*(am'*s12 + am*s12') + {g_b}*(bm'*s23 + bm*s23')
+  Hrabi = {omega_a_conj}*s12 + {omega_a}*s12' + {omega_b_conj}*s23 + {omega_b}*s23'
+hamiltonian:
+  Hdelta + Hcoupling + Hrabi
+dissipators:
+  {gamma_a} , am
+  {gamma_b} , bm
+  {gamma_12} , s12
+  {gamma_23} , s23
+"""
 
-    bindings = [
-        ("s11", PrimitiveCall("trans", ("xi", 1, 1))),
-        ("s22", PrimitiveCall("trans", ("xi", 2, 2))),
-        ("s33", PrimitiveCall("trans", ("xi", 3, 3))),
-        ("s12", PrimitiveCall("trans", ("xi", 1, 2))),
-        ("s23", PrimitiveCall("trans", ("xi", 2, 3))),
-        ("am", PrimitiveCall("a", ("a",))),
-        ("bm", PrimitiveCall("a", ("b",))),
-        ("Hdelta", sub(mul(lit(params.delta_b), name("s33")),
-                       mul(lit(params.delta_a), name("s11")))),
-        ("Hcoupling", add(
-            mul(lit(params.g_a), add(mul(adj(name("am")), name("s12")),
-                                     mul(name("am"), adj(name("s12"))))),
-            mul(lit(params.g_b), add(mul(adj(name("bm")), name("s23")),
-                                     mul(name("bm"), adj(name("s23"))))))),
-        ("Hrabi", add(add(add(
-            mul(lit(np.conj(params.omega_a)), name("s12")),
-            mul(lit(params.omega_a), adj(name("s12")))),
-            mul(lit(np.conj(params.omega_b)), name("s23"))),
-            mul(lit(params.omega_b), adj(name("s23"))))),
-    ]
-    hamiltonian = add(add(name("Hdelta"), name("Hcoupling")), name("Hrabi"))
-    dissipators = (
-        (params.gamma_a, name("am")),
-        (params.gamma_b, name("bm")),
-        (params.gamma_12, name("s12")),
-        (params.gamma_23, name("s23")),
+
+def cascade_text(params: CascadeParams = CascadeParams()) -> str:
+    """The canonical model text of :func:`cascade_model`, the source of the
+    cascade's document; it is its own :func:`render_model` rendering."""
+    literals = {spec.name: complex(getattr(params, spec.name)) for spec in fields(params)}
+    return _CASCADE_TEXT.format(
+        dim_a=params.n_a + 1, dim_b=params.n_b + 1,
+        omega_a_conj=_fmt_scalar(literals["omega_a"].conjugate()),
+        omega_b_conj=_fmt_scalar(literals["omega_b"].conjugate()),
+        **{name: _fmt_scalar(value) for name, value in literals.items()},
     )
-    return ModelDocument(
-        spaces=(("xi", 3), ("a", params.n_a + 1), ("b", params.n_b + 1)),
-        bindings=tuple(bindings),
-        hamiltonian=hamiltonian,
-        dissipators=dissipators,
-    )
+
+
+def cascade_document(params: CascadeParams = CascadeParams()) -> ModelDocument:
+    """The parsed :func:`cascade_text`, the text-form counterpart of :func:`cascade_model`."""
+    return parse_model(cascade_text(params))

@@ -110,6 +110,28 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "error: model" in err and message in err and "line 4" in err
 
+    # an overflowing literal used to pass the lexer as inf, with a numpy
+    # RuntimeWarning and a late usage or Hermiticity error
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("body,position", [
+        ("0\ndissipators:\n  1e400 , trans(q,1,2)", "line 6, column 3"),
+        ("1e400*trans(q,1,2) + 1e400*trans(q,2,1)", "line 4, column 3"),
+    ])
+    def test_overflowing_literal_is_model_error(self, model_file, body, position):
+        path = model_file(f"spaces:\n  q 2\nhamiltonian:\n  {body}\n")
+        code, out, err = invoke(["steady", path])
+        assert (code, out) == (2, "")
+        assert err == f"meq: error: model: {position}: number out of range '1e400'\n"
+
+    @pytest.mark.parametrize("command", [
+        ["steady", "{path}"], ["evolve", "{path}", "--times", "0,1"], ["cascade", *SMALL_CASCADE],
+    ])
+    @pytest.mark.parametrize("observables", [",", "", " , "])
+    def test_observables_without_expression_is_usage_error(self, model_file, command, observables):
+        path = model_file(QUBIT_DECAY)
+        argv = [arg.format(path=path) for arg in command] + ["--observables", observables]
+        assert invoke(argv) == (1, "", "meq: error: usage: --observables lists no expression\n")
+
     def test_numerical_errors(self, model_file):
         path = model_file(DEGENERATE)
         for method in ("solve", "iterative"):
@@ -488,6 +510,80 @@ class TestCascadeCommand:
             ["cascade", *SMALL_CASCADE, "--times", "0", "--observables", "s11"]
         )
         assert record["results"]["observables"]["s11"][0][0] == pytest.approx(1.0)
+        assert record["results"]["initial"] == "ground"
+
+    @pytest.mark.parametrize("flags,message", [
+        (["-k", "3", "--observables", "s11"], "cascade -k does not use --observables"),
+        (["--negativity-all", "--observables", "s11"],
+         "cascade --negativity-all does not use --observables"),
+        (["--transpose", "xi", "--observables", "s11"], "cascade --transpose does not use --observables"),
+        (["--keep", "xi", "--observables", "s11"], "cascade --keep does not use --observables"),
+        (["-k", "3", "--check-truncation"], "cascade -k does not use --check-truncation"),
+        (["--negativity-all", "--check-truncation"],
+         "cascade --negativity-all does not use --check-truncation"),
+        (["--times", "1", "--check-truncation"], "cascade --times does not use --check-truncation"),
+        (["--transpose", "xi", "--check-truncation"],
+         "cascade --transpose does not use --check-truncation"),
+        (["--keep", "xi", "--check-truncation"], "cascade --keep does not use --check-truncation"),
+        (["--initial", "maximally-mixed"], "cascade without a mode flag does not use --initial"),
+        (["-k", "3", "--initial", "ground"], "cascade -k does not use --initial"),
+        (["-k", "3", "--times", "1"], "cascade -k does not use --times"),
+        (["--times", "1", "--keep", "xi"], "cascade --times does not use --keep"),
+    ])
+    def test_flags_the_mode_ignores_are_usage_errors(self, flags, message):
+        assert invoke(["cascade", *SMALL_CASCADE, *flags]) == (1, "", f"meq: error: usage: {message}\n")
+
+    def test_flags_the_mode_reads_are_accepted(self):
+        record = invoke_record(["cascade", *SMALL_CASCADE, "--method", "sparse", "-k", "3"])
+        assert len(record["results"]["eigenvalues"]) == 3
+        record = invoke_record(["cascade", *SMALL_CASCADE, "--transpose", "a", "--keep", "a,b"])
+        assert record["results"]["keep"] == ["a", "b"]
+        record = invoke_record(["cascade", *SMALL_CASCADE, "--times", "0",
+                                "--initial", "maximally-mixed", "--observables", "s11"])
+        assert record["results"]["initial"] == "maximally-mixed"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("flags,field", [
+        (["--g-a", "inf"], "g_a"), (["--delta-b=-inf"], "delta_b"), (["--gamma-a", "nan"], "gamma_a"),
+        (["--omega-a", "(1e400,0)"], "omega_a"), (["--omega-b", "nanj"], "omega_b"),
+    ])
+    @pytest.mark.parametrize("mode", [[], ["--emit-model"]])
+    def test_non_finite_parameter_is_usage_error(self, flags, field, mode):
+        expected = (1, "", f"meq: error: usage: {field} must be finite\n")
+        assert invoke(["cascade", *SMALL_CASCADE, *flags, *mode]) == expected
+
+
+# the cascade modes next to the command that runs their emitted model file
+FILE_COUNTERPARTS = [
+    ([], ["steady"]),
+    (["--method", "dense"], ["steady", "--method", "dense"]),
+    (["--method", "solve", "--observables", "s11,am'*am"],
+     ["steady", "--method", "solve", "--observables", "s11,am'*am"]),
+    (["-k", "4"], ["spectrum", "-k", "4"]),
+    (["--times", "0.5,1", "--observables", "s22"], ["evolve", "--times", "0.5,1", "--observables", "s22"]),
+    (["--transpose", "xi", "--keep", "xi,a", "--method", "sparse"],
+     ["negativity", "--transpose", "xi", "--keep", "xi,a", "--method", "sparse"]),
+    (["--keep", "b"], ["ptrace", "--keep", "b"]),
+    (["--negativity-all", "--method", "solve"], ["steady", "--method", "solve"]),
+]
+
+
+class TestCascadeIsItsModelText:
+    """``meq cascade`` runs the document that ``--emit-model`` prints."""
+
+    @pytest.mark.parametrize("cascade,command", FILE_COUNTERPARTS)
+    def test_records_match_the_emitted_file(self, model_file, cascade, command):
+        size = ["--na", "2", "--nb", "1", "--omega-a", "(3,-1)", "--delta-a", "-0.5"]
+        path = model_file(emitted_model(*size))
+        built_in = invoke_record(["cascade", *size, *cascade])
+        from_file = invoke_record([command[0], path, *command[1:]])
+        assert built_in["model_hash"] == from_file["model_hash"]
+        assert built_in["method"] == from_file["method"]
+        # the cascade's own entries (populations, negativities) have no file counterpart
+        shared = built_in["results"].keys() & from_file["results"].keys()
+        assert shared >= {"policy"} and shared != {"policy"}
+        assert {key: built_in["results"][key] for key in shared} == {
+            key: from_file["results"][key] for key in shared}
 
 
 class TestCascadeBenchmarkRecords:

@@ -1,6 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from meq import modelspec
 from meq.hilbert import SpaceLayout, annihilation, embed, transition
 from meq.modelspec import (
     Adjoint,
@@ -16,6 +21,7 @@ from meq.modelspec import (
     cascade_document,
     cascade_layout,
     cascade_model,
+    cascade_text,
     document_environment,
     evaluate_observable,
     parse_model,
@@ -94,6 +100,71 @@ class TestGrammar:
         doc = parse_model(QUBIT_DECAY)
         assert doc.spaces == (("q", 2),)
         assert doc.dissipators[0][0] == 1.0
+
+
+def tokens(source):
+    """The lexer's lines of (kind, text, line, column, value) tuples; every
+    symbol's kind reads SYMBOL."""
+    return [[(t.kind if t.kind in ("NUMBER", "IDENT", "EOL") else "SYMBOL",
+              t.text, t.line, t.column, t.value) for t in line]
+            for line in modelspec._tokenize(source)]
+
+
+class TestLexer:
+    # every row holds for the character loop the token grammar replaced
+    @pytest.mark.parametrize("source,expected", [
+        ("\u0663", [[("NUMBER", "\u0663", 1, 1, 3), ("EOL", "", 1, 2, 0)]]),  # Arabic-Indic 3
+        ("\u0663.\u0665e\u0662", [[("NUMBER", "\u0663.\u0665e\u0662", 1, 1, 350), ("EOL", "", 1, 6, 0)]]),
+        ("x\u00b2", [[("IDENT", "x\u00b2", 1, 1, 0), ("EOL", "", 1, 3, 0)]]),
+        ("2.", [[("NUMBER", "2.", 1, 1, 2), ("EOL", "", 1, 3, 0)]]),
+        (".5i", [[("NUMBER", ".5i", 1, 1, 0.5j), ("EOL", "", 1, 4, 0)]]),
+        ("1E-2", [[("NUMBER", "1E-2", 1, 1, 0.01), ("EOL", "", 1, 5, 0)]]),
+        ("1e-400", [[("NUMBER", "1e-400", 1, 1, 0), ("EOL", "", 1, 7, 0)]]),
+        ("_y=(1,-2)", [[("IDENT", "_y", 1, 1, 0), ("SYMBOL", "=", 1, 3, 0),
+                        ("SYMBOL", "(", 1, 4, 0), ("NUMBER", "1", 1, 5, 1),
+                        ("SYMBOL", ",", 1, 6, 0), ("SYMBOL", "-", 1, 7, 0),
+                        ("NUMBER", "2", 1, 8, 2), ("SYMBOL", ")", 1, 9, 0),
+                        ("EOL", "", 1, 10, 0)]]),
+        ("a\r\n\tb'", [[("IDENT", "a", 1, 1, 0), ("EOL", "", 1, 3, 0)],
+                       [("IDENT", "b", 2, 2, 0), ("SYMBOL", "'", 2, 3, 0), ("EOL", "", 2, 4, 0)]]),
+        # a line's end sits where its comment starts
+        ("x = 1  # note\n", [[("IDENT", "x", 1, 1, 0), ("SYMBOL", "=", 1, 3, 0),
+                              ("NUMBER", "1", 1, 5, 1), ("EOL", "", 1, 8, 0)]]),
+        ("\n \t\r\n  # only a comment\ny:#", [[("IDENT", "y", 4, 1, 0), ("SYMBOL", ":", 4, 2, 0),
+                                               ("EOL", "", 4, 3, 0)]]),
+        ("", []),
+    ])
+    def test_tokens(self, source, expected):
+        assert tokens(source) == expected
+
+    @pytest.mark.parametrize("source,message,column", [
+        ("\u00b2", "unexpected character '\u00b2'", 1),
+        ("\u00bd", "unexpected character '\u00bd'", 1),
+        ("\u216b", "unexpected character '\u216b'", 1),  # Roman numeral twelve
+        ("x \u00b2y", "unexpected character '\u00b2'", 3),
+        ("\u00a7", "unexpected character '\u00a7'", 1),
+        ("\f", "unexpected character '\\x0c'", 1),
+        (" .", "unexpected character '.'", 2),
+        ("1e", "malformed exponent in number '1e'", 1),
+        ("  1e+", "malformed exponent in number '1e'", 3),
+        ("1ei", "malformed exponent in number '1e'", 1),
+        ("1e5.", "malformed number '1e5.'", 1),
+        ("2.5.3", "malformed number '2.5.'", 1),
+        ("2x", "malformed number '2x'", 1),
+        ("2i_", "malformed number '2i_'", 1),
+        ("2\u00b2", "malformed number '2\u00b2'", 1),
+        ("x\t3e", "malformed exponent in number '3e'", 3),
+    ])
+    def test_errors(self, source, message, column):
+        with pytest.raises(ModelLexicalError) as info:
+            tokens(f"y\n{source}")
+        assert str(info.value) == f"line 2, column {column}: {message}"
+
+    @pytest.mark.parametrize("source", ["1e400", "1e400i", pytest.param("9" * 400, id="nines")])
+    def test_overflowing_literal_is_out_of_range(self, source):
+        with pytest.raises(ModelLexicalError) as info:
+            tokens(f"y\n(1, {source})")
+        assert str(info.value) == f"line 2, column 5: number out of range {source!r}"
 
 
 class TestErrors:
@@ -269,6 +340,19 @@ class TestCascade:
             assert rate_b == rate_d
             assert np.abs(jump_b.to_dense() - jump_d.to_dense()).max() < 1e-14
 
+    @pytest.mark.parametrize("params", [
+        CascadeParams(delta_a=-1.5, delta_b=0.25, g_a=-2.0, g_b=1e16, n_a=2, n_b=1),
+        CascadeParams(omega_a=3 - 2j, omega_b=-0.5j, gamma_12=1e-9, gamma_b=7.5, n_a=1, n_b=3),
+    ], ids=["signed", "complex"])
+    def test_text_matches_programmatic_builder(self, params):
+        """The gate: cascade text through parser and evaluator against the hand-built operators."""
+        built = build_model(parse_model(cascade_text(params)))
+        direct = cascade_model(params)
+        assert np.array_equal(built.hamiltonian.to_dense(), direct.hamiltonian.to_dense())
+        assert [rate for rate, _ in built.dissipators] == [rate for rate, _ in direct.dissipators]
+        for (_, jump_b), (_, jump_d) in zip(built.dissipators, direct.dissipators, strict=True):
+            assert np.array_equal(jump_b.to_dense(), jump_d.to_dense())
+
     def test_decoupled_cascade_decays_to_ground(self):
         params = CascadeParams(
             delta_a=0.4, delta_b=-0.3, omega_a=0.0, omega_b=0.0,
@@ -289,6 +373,29 @@ class TestCascade:
             np.abs(built.hamiltonian.to_dense() - direct.hamiltonian.to_dense()).max()
             < 1e-14
         )
+
+    @given(st.builds(
+        CascadeParams,
+        **{name: st.floats(allow_nan=False, allow_infinity=False)
+           for name in ("delta_a", "delta_b", "g_a", "g_b")},
+        **{name: st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+           for name in ("gamma_12", "gamma_23", "gamma_a", "gamma_b")},
+        omega_a=st.complex_numbers(allow_nan=False, allow_infinity=False),
+        omega_b=st.complex_numbers(allow_nan=False, allow_infinity=False),
+        n_a=st.integers(0, 3), n_b=st.integers(0, 3),
+    ))
+    def test_text_is_canonical(self, params):
+        text = cascade_text(params)
+        assert render_model(parse_model(text)) == text
+        assert cascade_document(params) == parse_model(text)
+
+    @pytest.mark.parametrize("field,value", [
+        ("delta_a", math.inf), ("g_b", -math.inf), ("gamma_23", math.inf),
+        ("gamma_a", math.nan), ("omega_a", complex(math.inf, 0)), ("omega_b", complex(0, math.nan)),
+    ])
+    def test_non_finite_param_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            CascadeParams(**{field: value})
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
