@@ -6,7 +6,7 @@ partial transposes, and logarithmic negativities.  Submodules:
 
 - ``hilbert``: composite-space layouts, index maps, embeddings, partial
   trace and transpose
-- ``superspace``: sandwich superoperators, Liouvillian assembly (plus an
+- ``superspace``: superoperators, Liouvillian assembly (plus an
   independent elementwise oracle), the route policy
 - ``steady``: dense/sparse eigenvector, row-replacement and preconditioned
   GMRES steady states, spectra, uniqueness checks
@@ -51,9 +51,6 @@ _EXPORTS = {
     "partial_transpose": "hilbert",
     "SuperOperator": "superspace",
     "LindbladModel": "superspace",
-    "super_sandwich": "superspace",
-    "hamiltonian_super": "superspace",
-    "dissipator_super": "superspace",
     "build_liouvillian": "superspace",
     "liouvillian_oracle": "superspace",
     "CapacityError": "superspace",

@@ -67,11 +67,16 @@ def _apply_thread_cap():
 
 
 def _parse_complex(text: str) -> complex:
+    """A complex flag value: ``3+2i``, ``2i``, ``3+2j`` or ``(3,2)``."""
     text = text.strip()
-    if text.startswith("(") and text.endswith(")") and "," in text:
-        re_part, im_part = text[1:-1].split(",", 1)
-        return complex(float(re_part), float(im_part))
-    return complex(text.replace("i", "j"))
+    try:
+        if text.startswith("(") and text.endswith(")") and "," in text:
+            re_part, im_part = text[1:-1].split(",", 1)
+            return complex(float(re_part), float(im_part))
+        # only a trailing i is the imaginary unit: inf and nan keep theirs
+        return complex(text[:-1] + "j" if text.endswith("i") else text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid complex number: {text!r}") from None
 
 
 def _split_top_level(text: str) -> list[str]:
@@ -104,10 +109,12 @@ def build_parser() -> argparse.ArgumentParser:
             "--method", choices=("dense", "sparse", "solve", "iterative"), default=None,
             help="steady-state route (default: by problem size)",
         )
-        p.add_argument("--row", type=int, default=1,
-                       help="diagonal element whose equation the solve route replaces")
-        p.add_argument("--gamma", type=float, default=1.0,
-                       help="scale of the normalization row in the solve route")
+        p.add_argument("--row", type=int, default=None,
+                       help="diagonal element whose equation the solve route replaces "
+                       "(default 1; needs --method solve)")
+        p.add_argument("--gamma", type=float, default=None,
+                       help="scale of the normalization row in the solve route "
+                       "(default 1.0; needs --method solve)")
 
     p_steady = sub.add_parser("steady", help="steady state and expectation values")
     p_steady.add_argument("model")
@@ -169,12 +176,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # meq cascade's mode flags (dests) in the order in which the first one given
-# picks the mode, and the optional flags each mode reads besides its own
+# picks the mode, and the optional flags each mode reads besides its own;
+# every mode that solves for a steady state reads the LU route's row and gamma
 _CASCADE_MODES = ("count", "negativity_all", "times", "transpose", "keep")
+_LU_FLAGS = ("row", "gamma")
 _CASCADE_READS = {
-    None: ("observables", "check_truncation"),  # the population report
+    None: ("observables", "check_truncation", *_LU_FLAGS),  # the population report
+    "negativity_all": _LU_FLAGS,
     "times": ("observables", "initial"),
-    "transpose": ("keep",),
+    "transpose": ("keep", *_LU_FLAGS),
+    "keep": _LU_FLAGS,
 }
 
 
@@ -185,7 +196,9 @@ def _flag(dest):
 def _given(args, dest):
     """Whether a cascade flag was given, as the mode choice reads it."""
     value = getattr(args, dest)
-    return value is not None if dest in ("count", "observables", "initial") else bool(value)
+    if dest in ("count", "observables", "initial", *_LU_FLAGS):
+        return value is not None
+    return bool(value)
 
 
 def _cascade_mode(args):
@@ -196,19 +209,27 @@ def _cascade_mode(args):
 
 def _check_flags(args):
     """Usage errors the argument parser cannot see: an ``--observables`` list
-    with no expression, and a ``meq cascade`` flag its mode would ignore.
-    An unset cascade ``--initial`` becomes ``ground``, as for ``evolve``."""
+    with no expression, a ``meq cascade`` flag its mode would ignore, and
+    ``--row`` or ``--gamma`` without ``--method solve``.  Unset values get
+    their defaults: a cascade ``--initial`` becomes ``ground``, as for
+    ``evolve``, and ``--row`` and ``--gamma`` become 1 and 1.0."""
     if getattr(args, "observables", None) is not None and not _split_top_level(args.observables):
         raise _UsageError("--observables lists no expression")
-    if args.command != "cascade":
+    if args.command == "cascade":
+        mode = _cascade_mode(args)
+        for dest in (*_CASCADE_MODES, "observables", "initial", "check_truncation", *_LU_FLAGS):
+            if dest != mode and dest not in _CASCADE_READS.get(mode, ()) and _given(args, dest):
+                spelling = _flag(mode) if mode else "without a mode flag"
+                raise _UsageError(f"cascade {spelling} does not use {_flag(dest)}")
+        if args.initial is None:
+            args.initial = "ground"
+    if not hasattr(args, "row"):  # the command solves for no steady state
         return
-    mode = _cascade_mode(args)
-    for dest in (*_CASCADE_MODES, "observables", "initial", "check_truncation"):
-        if dest != mode and dest not in _CASCADE_READS.get(mode, ()) and _given(args, dest):
-            spelling = _flag(mode) if mode else "without a mode flag"
-            raise _UsageError(f"cascade {spelling} does not use {_flag(dest)}")
-    if args.initial is None:
-        args.initial = "ground"
+    for dest in _LU_FLAGS:
+        if getattr(args, dest) is not None and args.method != "solve":
+            raise _UsageError(f"{_flag(dest)} needs --method solve")
+    args.row = 1 if args.row is None else args.row
+    args.gamma = 1.0 if args.gamma is None else args.gamma
 
 
 @functools.lru_cache(maxsize=1)

@@ -136,7 +136,7 @@ def evolve_trajectory(
     of each distinct gap (see :class:`Trajectory`).  Evolution proceeds
     incrementally from point to point (the semigroup property makes this
     equivalent to evolving each point from rho0, up to the propagator's
-    tolerance).  ``rho0`` must be
+    tolerance).  The times must be finite.  ``rho0`` must be
     Hermitian, within 1e-10 of its largest element, with no eigenvalue below
     -1e-8, or ``ValueError`` is raised; a propagated state with an
     eigenvalue below -1e-8 raises :class:`PropagationError`.
@@ -144,6 +144,8 @@ def evolve_trajectory(
     times = [float(t) for t in times]
     if not times:
         raise ValueError("need at least one time")
+    if not np.isfinite(times).all():
+        raise ValueError("times must be finite")
     if times[0] < 0:
         raise ValueError("times must be >= 0")
     if any(b < a for a, b in zip(times, times[1:])):

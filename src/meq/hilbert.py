@@ -102,16 +102,6 @@ class SpaceLayout:
     def dim_of(self, name: str) -> int:
         return self.subsystems[self.axis(name)][1]
 
-    def drop(self, names: Iterable[str]) -> "SpaceLayout":
-        """Layout with the given subsystems removed, preserving order."""
-        gone = set(names)
-        for name in gone:
-            self.axis(name)
-        kept = [(n, d) for n, d in self.subsystems if n not in gone]
-        if not kept:
-            raise ValueError("cannot drop every subsystem")
-        return SpaceLayout(kept)
-
     def __repr__(self) -> str:
         inner = ", ".join(f"{n}:{d}" for n, d in self.subsystems)
         return f"SpaceLayout({inner})"
@@ -237,10 +227,6 @@ class Operator:
     def matrix(self) -> np.ndarray:
         """The underlying dense matrix."""
         return self._matrix
-
-    @property
-    def dim(self) -> int:
-        return self.layout.total_dim
 
     def to_dense(self) -> np.ndarray:
         return self._matrix.copy()

@@ -392,13 +392,16 @@ def steady_linsolve(liouv: SuperOperator, l: int = 1, gamma: float = 1.0) -> Ste
     a real LU factorization (dense LAPACK or SuperLU, as :func:`choose_route`
     decides by size), so the trace of the solution is 1 by construction.
     A condition estimate above 1e14 signals a degenerate steady state, for
-    which the replaced system is singular.
+    which the replaced system is singular.  ``l`` must lie in [1, d] and
+    ``gamma`` must be finite and > 0, or ``ValueError`` is raised.
     """
     layout = liouv.layout
     d = layout.total_dim
     if not 1 <= l <= d:
         raise ValueError(f"row selector l={l} out of range [1, {d}]")
     gamma = float(gamma)
+    if not np.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma}")
     if gamma <= 0:
         raise ValueError(f"gamma must be > 0, got {gamma}")
     n = d * d

@@ -39,9 +39,6 @@ __all__ = [
     "choose_route",
     "SuperOperator",
     "LindbladModel",
-    "super_sandwich",
-    "hamiltonian_super",
-    "dissipator_super",
     "build_liouvillian",
     "liouvillian_oracle",
 ]
@@ -268,64 +265,23 @@ def _kron_entries(pairs, d: int, index: type):
     return values, (rows, cols)
 
 
-def _kron_sum(layout: SpaceLayout, pairs) -> SuperOperator:
-    """The superoperator sum_k kron(P_k, Q_k) of dense d x d factor pairs.
-
-    The entries of all products are converted to CSR once, which sums the
-    duplicates; entries that cancel exactly are dropped.
-    """
-    d = layout.total_dim
-    n = d * d
-    index = np.int32 if n < 2 ** 31 else np.int64
-    matrix = sp.csr_array(_kron_entries(pairs, d, index), shape=(n, n))
-    matrix.eliminate_zeros()
-    # its arrays are views of the longer entry list: copy them to size
-    return SuperOperator(layout, matrix.copy())
-
-
-def super_sandwich(a: Operator, b: Operator) -> SuperOperator:
-    """Superoperator representing X -> A X B, i.e. kron(B^T, A)."""
-    if a.layout != b.layout:
-        raise LayoutMismatchError("sandwich operands live on different layouts")
-    return _kron_sum(a.layout, [(b.matrix.T, a.matrix)])
-
-
-def hamiltonian_super(h: Operator) -> SuperOperator:
-    """Superoperator for the coherent part rho -> -i [H, rho].
-
-    Equals -i kron(I, H) + i kron(H^T, I): left-multiplication minus
-    right-multiplication in the sandwich representation.
-    """
-    if not h.is_hermitian(tol=1e-10):
-        raise ValueError("hamiltonian is not Hermitian (defect above 1e-10)")
-    eye = np.eye(h.layout.total_dim)
-    return _kron_sum(h.layout, [(eye, -1j * h.matrix), (1j * h.matrix.T, eye)])
-
-
-def dissipator_super(jump: Operator, rate: float) -> SuperOperator:
-    """Superoperator for rho -> Gamma (2 J rho J^dag - J^dag J rho - rho J^dag J)."""
-    rate = float(rate)
-    if rate <= 0:
-        raise ValueError(f"dissipation rate must be > 0, got {rate}")
-    eye = np.eye(jump.layout.total_dim)
-    j = jump.matrix
-    jdag_j = j.conj().T @ j
-    pairs = [(2.0 * rate * j.conj(), j), (eye, -rate * jdag_j), (-rate * jdag_j.T, eye)]
-    return _kron_sum(jump.layout, pairs)
-
-
 def build_liouvillian(model: LindbladModel) -> SuperOperator:
     """Assemble the full Lindblad generator of a model in superspace.
 
     L = kron(I, K) + kron(conj(K), I) + sum_j 2 Gamma_j kron(conj(J_j), J_j)
     with K = -i H_eff: the no-jump part rho -> K rho + rho K^dag plus the
-    jumps, assembled by one CSR conversion.
+    jumps.  Entries that cancel exactly in the one CSR conversion are dropped.
     """
-    eye = np.eye(model.layout.total_dim)
+    d = model.layout.total_dim
+    eye = np.eye(d)
     k = -1j * _effective_hamiltonian(model)
     pairs = [(eye, k), (k.conj(), eye)]
     pairs += [(2.0 * rate * jump.matrix.conj(), jump.matrix) for rate, jump in model.dissipators]
-    return _kron_sum(model.layout, pairs)
+    index = np.int32 if d * d < 2 ** 31 else np.int64
+    matrix = sp.csr_array(_kron_entries(pairs, d, index), shape=(d * d, d * d))
+    matrix.eliminate_zeros()
+    # its arrays are views of the longer entry list: copy them to size
+    return SuperOperator(model.layout, matrix.copy())
 
 
 def liouvillian_oracle(model: LindbladModel) -> SuperOperator:

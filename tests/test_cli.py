@@ -193,6 +193,31 @@ class TestSteadyCommand:
             for val_a, val_b in zip(row_a, row_b):
                 assert val_a == pytest.approx(val_b, abs=1e-9)
 
+    @pytest.mark.parametrize("command", [
+        ["steady"], ["negativity", "--transpose", "q"], ["ptrace", "--keep", "q"],
+    ])
+    @pytest.mark.parametrize("flags,message", [
+        (["--row", "2"], "--row needs --method solve"),
+        (["--row", "1"], "--row needs --method solve"),
+        (["--gamma", "2"], "--gamma needs --method solve"),
+        (["--method", "sparse", "--gamma", "1.0"], "--gamma needs --method solve"),
+        (["--method", "dense", "--row", "2"], "--row needs --method solve"),
+    ])
+    def test_row_and_gamma_need_the_solve_route(self, model_file, command, flags, message):
+        argv = [command[0], model_file(DRIVEN_QUBIT), *command[1:], *flags]
+        assert invoke(argv) == (1, "", f"meq: error: usage: {message}\n")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("gamma,message", [
+        ("inf", "gamma must be finite, got inf"),
+        ("nan", "gamma must be finite, got nan"),
+        ("-inf", "gamma must be finite, got -inf"),
+        ("0", "gamma must be > 0, got 0.0"),
+    ])
+    def test_gamma_must_be_finite_and_positive(self, model_file, gamma, message):
+        argv = ["steady", model_file(DRIVEN_QUBIT), "--method", "solve", f"--gamma={gamma}"]
+        assert invoke(argv) == (1, "", f"meq: error: usage: {message}\n")
+
     def test_byte_identical_records(self, model_file):
         path = model_file(DRIVEN_QUBIT)
         for argv, policy in (
@@ -344,6 +369,14 @@ class TestEvolveCommand:
         assert code == 1 and out == ""
         assert "error: usage" in err and message in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("times", ["nan", "1,nan", "inf", "0.5,inf"])
+    def test_non_finite_times_are_usage_errors(self, model_file, times):
+        expected = (1, "", "meq: error: usage: times must be finite\n")
+        assert invoke(["evolve", model_file(QUBIT_DECAY), "--times", times]) == expected
+        # superspace 576: the sparse route, which met inf with an OverflowError
+        assert invoke(["cascade", "--na", "3", "--nb", "1", "--times", times]) == expected
+
     def test_negative_propagated_state_exits_numerical(self, model_file, monkeypatch):
         from meq import dynamics
 
@@ -412,8 +445,16 @@ class TestCascadeCommand:
             assert emitted_model(flag, str(value + 1)) == render_model(cascade_document(changed))
 
     def test_complex_drive_flag(self):
-        expected = CascadeParams(omega_a=3 + 2j)
-        assert emitted_model("--omega-a", "(3,2)") == render_model(cascade_document(expected))
+        expected = render_model(cascade_document(CascadeParams(omega_a=3 + 2j)))
+        for value in ("(3,2)", "3+2i", "3+2j", " 3+2i "):
+            assert emitted_model("--omega-a", value) == expected
+        expected = render_model(cascade_document(CascadeParams(omega_b=2j)))
+        assert emitted_model("--omega-b", "2i") == expected
+
+    @pytest.mark.parametrize("value", ["bogus", "(1,x)", "3+2k", "i2"])
+    def test_malformed_complex_flag_names_a_complex_number(self, value):
+        expected = f"meq: error: usage: argument --omega-a: invalid complex number: {value!r}\n"
+        assert invoke(["cascade", *SMALL_CASCADE, "--omega-a", value]) == (1, "", expected)
 
     def test_emit_model_parses(self):
         code, out, err = invoke(["cascade", "--emit-model"])
@@ -529,6 +570,17 @@ class TestCascadeCommand:
         (["-k", "3", "--initial", "ground"], "cascade -k does not use --initial"),
         (["-k", "3", "--times", "1"], "cascade -k does not use --times"),
         (["--times", "1", "--keep", "xi"], "cascade --times does not use --keep"),
+        (["-k", "3", "--method", "solve", "--row", "2"], "cascade -k does not use --row"),
+        (["-k", "3", "--method", "solve", "--gamma", "2"], "cascade -k does not use --gamma"),
+        (["--times", "1", "--method", "solve", "--row", "1"], "cascade --times does not use --row"),
+        (["--times", "1", "--method", "solve", "--gamma", "2"],
+         "cascade --times does not use --gamma"),
+        (["-k", "3", "--row", "2"], "cascade -k does not use --row"),
+        (["--row", "2"], "--row needs --method solve"),
+        (["--negativity-all", "--gamma", "2"], "--gamma needs --method solve"),
+        (["--transpose", "xi", "--method", "iterative", "--row", "2"],
+         "--row needs --method solve"),
+        (["--keep", "xi", "--gamma", "2"], "--gamma needs --method solve"),
     ])
     def test_flags_the_mode_ignores_are_usage_errors(self, flags, message):
         assert invoke(["cascade", *SMALL_CASCADE, *flags]) == (1, "", f"meq: error: usage: {message}\n")
@@ -541,11 +593,18 @@ class TestCascadeCommand:
         record = invoke_record(["cascade", *SMALL_CASCADE, "--times", "0",
                                 "--initial", "maximally-mixed", "--observables", "s11"])
         assert record["results"]["initial"] == "maximally-mixed"
+        # every mode that solves for a steady state takes the LU route's row and gamma
+        for flags in ([], ["--negativity-all"], ["--transpose", "xi"], ["--keep", "xi"]):
+            record = invoke_record(["cascade", *SMALL_CASCADE, *flags, "--method", "solve",
+                                    "--row", "2", "--gamma", "10"])
+            assert record["method"] == "linsolve"
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("flags,field", [
         (["--g-a", "inf"], "g_a"), (["--delta-b=-inf"], "delta_b"), (["--gamma-a", "nan"], "gamma_a"),
         (["--omega-a", "(1e400,0)"], "omega_a"), (["--omega-b", "nanj"], "omega_b"),
+        (["--omega-a", "inf"], "omega_a"), (["--omega-b=-inf"], "omega_b"),
+        (["--omega-a", "nan"], "omega_a"), (["--omega-b", "infi"], "omega_b"),
     ])
     @pytest.mark.parametrize("mode", [[], ["--emit-model"]])
     def test_non_finite_parameter_is_usage_error(self, flags, field, mode):

@@ -129,6 +129,12 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             evolve_trajectory(liouv, excited_state(), [])
 
+    @pytest.mark.parametrize("method", ["dense", "sparse"])
+    @pytest.mark.parametrize("times", [[np.nan], [1.0, np.nan], [np.inf], [0.5, np.inf]])
+    def test_rejects_non_finite_times(self, method, times):
+        with pytest.raises(ValueError, match="times must be finite"):
+            evolve_trajectory(qubit_decay_liouvillian(), excited_state(), times, method)
+
     def test_trajectory_type_checks_lengths(self):
         with pytest.raises(ValueError):
             Trajectory(times=(0.0, 1.0), states=(excited_state(),))

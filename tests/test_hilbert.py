@@ -48,7 +48,6 @@ class TestSpaceLayout:
         assert LAYOUT_353.dim_of("b") == 3
         with pytest.raises(KeyError):
             LAYOUT_353.axis("nope")
-        assert LAYOUT_353.drop(["xi"]).names == ("a", "b")
 
 
 class TestIndexMaps:

@@ -36,8 +36,6 @@ from meq.steady import (
 from meq.superspace import (
     LindbladModel,
     build_liouvillian,
-    dissipator_super,
-    hamiltonian_super,
     liouvillian_oracle,
 )
 
@@ -103,16 +101,11 @@ def test_partial_transpose_identities(case):
 
 
 @given(models())
-def test_assembly_matches_oracle_and_term_sum(model):
+def test_assembly_matches_oracle_and_stores_no_zeros(model):
     liouv = build_liouvillian(model)
     tol = 1e-12 * max(1.0, liouv.norm_inf())
     assert np.abs(liouv.to_dense() - liouvillian_oracle(model).to_dense()).max() < tol
-    terms = sum(
-        (dissipator_super(jump, rate) for rate, jump in model.dissipators),
-        hamiltonian_super(model.hamiltonian),
-    )
-    assert np.abs((liouv - terms).to_dense()).max() < tol
-    assert liouv.matrix.nnz == terms.matrix.nnz
+    assert np.all(liouv.matrix.data != 0)
 
 
 @given(models())

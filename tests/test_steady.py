@@ -146,6 +146,13 @@ class TestInvariants:
         with pytest.raises(ValueError):
             steady_linsolve(liouv, gamma=-1.0)
 
+    @pytest.mark.parametrize("d", [2, 20])  # dense LAPACK and SuperLU
+    @pytest.mark.parametrize("gamma", [np.inf, -np.inf, np.nan])
+    def test_linsolve_rejects_non_finite_gamma(self, d, gamma):
+        liouv = build_liouvillian(driven_emitter_model(d, np.random.default_rng(d)))
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            steady_linsolve(liouv, gamma=gamma)
+
 
 class TestDegeneracy:
     def test_dense_detects_degenerate_kernel(self):
@@ -280,6 +287,59 @@ class TestSparseStorage:
         assert sorted(np.round(np.abs(values.imag), 2)) == pytest.approx(
             [0.0, 0.0, 20.62, 20.62, 20.62], abs=0.01
         )
+
+
+class TestArpackFailures:
+    """The ARPACK failure paths, reached by a stand-in for ``scipy.sparse.linalg.eigs``."""
+
+    @staticmethod
+    def liouvillian():
+        return build_liouvillian(driven_emitter_model(3, np.random.default_rng(3)))  # n = 9
+
+    def test_sparse_retries_at_the_next_shift(self, monkeypatch):
+        liouv = self.liouvillian()
+        reference = steady_sparse(liouv)
+        real_eigs, shifts = spla.eigs, []
+
+        def singular_once(matrix, **kwargs):
+            shifts.append(kwargs["sigma"])
+            if len(shifts) == 1:
+                raise RuntimeError("Factor is exactly singular")
+            return real_eigs(matrix, **kwargs)
+
+        monkeypatch.setattr(steady.spla, "eigs", singular_once)
+        result = steady_sparse(liouv)
+        scale = liouv.norm_inf()
+        assert shifts == [1e-10 * scale, 1e-7 * scale]
+        assert np.abs(result.rho.to_dense() - reference.rho.to_dense()).max() < 1e-10
+
+    def test_sparse_gives_up_after_three_shifts(self, monkeypatch):
+        liouv = self.liouvillian()
+        shifts = []
+
+        def always_singular(matrix, **kwargs):
+            shifts.append(kwargs["sigma"])
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(steady.spla, "eigs", always_singular)
+        with pytest.raises(ConvergenceError, match="could not factorize the shifted generator: "
+                           "Factor is exactly singular"):
+            steady_sparse(liouv)
+        scale = liouv.norm_inf()
+        assert shifts == [1e-10 * scale, 1e-7 * scale, 1e-4 * scale]
+
+    @pytest.mark.parametrize("solve,message", [
+        (steady_sparse, "shift-inverted Arnoldi did not converge"),
+        (lambda liouv: spectrum(liouv, 3, method="sparse"),
+         "Arnoldi largest-real-part iteration did not converge"),
+    ])
+    def test_no_convergence_is_a_convergence_error(self, monkeypatch, solve, message):
+        def never_converges(matrix, **kwargs):
+            raise spla.ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
+
+        monkeypatch.setattr(steady.spla, "eigs", never_converges)
+        with pytest.raises(ConvergenceError, match=message):
+            solve(self.liouvillian())
 
 
 class TestUniqueness:

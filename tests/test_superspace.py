@@ -18,122 +18,64 @@ from meq.superspace import (
     SuperOperator,
     build_liouvillian,
     choose_route,
-    dissipator_super,
-    hamiltonian_super,
     liouvillian_oracle,
-    super_sandwich,
 )
 
 
-def as_operator(mat, layout=None):
-    layout = layout if layout is not None else single_space(mat.shape[0])
-    return Operator(layout, mat)
+def coherent(h):
+    """The Liouvillian of a Hamiltonian-only model: rho -> -i [H, rho]."""
+    return build_liouvillian(LindbladModel(h))
 
 
-def identity_sandwich(d):
-    eye = identity_operator(single_space(d))
-    return super_sandwich(eye, eye)
+def dissipator(jump, rate):
+    """The Liouvillian of one jump and no Hamiltonian:
+    rho -> Gamma (2 J rho J^dag - J^dag J rho - rho J^dag J)."""
+    zero = Operator(jump.layout, np.zeros_like(jump.matrix))
+    return build_liouvillian(LindbladModel(zero, [(rate, jump)]))
 
 
 class TestVectorize:
-    """Column stacking as SuperOperator.apply sees it: component n+(m-1)d is X_nm."""
+    """Column stacking as the Liouvillian sees it: component n+(m-1)d is X_nm."""
 
     def test_column_stacking(self):
-        # sigma_x X swaps the rows of X = [[1, 3], [2, 4]], stacked as [1, 2, 3, 4]
-        flip = as_operator(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        eye = identity_operator(flip.layout)
-        out = super_sandwich(flip, eye).apply(np.array([1.0, 2.0, 3.0, 4.0]))
-        assert np.array_equal(out, [2, 1, 4, 3])
-
-    def test_identity(self):
-        assert np.array_equal(identity_sandwich(2).apply(np.eye(2).ravel(order="F")), [1, 0, 0, 1])
+        # -i [H, X] with H = diag(0, 1) scales X_21 by -i and X_12 by +i:
+        # X = [[1, 3], [2, 4]] is stacked as [1, 2, 3, 4]
+        liouv = coherent(Operator(single_space(2), np.diag([0.0, 1.0])))
+        out = liouv.apply(np.array([1.0, 2.0, 3.0, 4.0]))
+        assert np.array_equal(out, [0, -2j, 3j, 0])
 
     def test_superindex_convention(self):
-        # E_nk X E_lm = X_kl E_nm: column k+(l-1)d maps to component n+(m-1)d
-        d = 3
-        for n, m, k, l in itertools.product(range(1, d + 1), repeat=4):
-            left = as_operator(transition(d, n, k))
-            right = Operator(left.layout, transition(d, l, m))
-            unit = np.zeros(d * d)
-            unit[(k - 1) + (l - 1) * d] = 1.0
-            expected = np.zeros(d * d)
-            expected[(n - 1) + (m - 1) * d] = 1.0
-            assert np.array_equal(super_sandwich(left, right).apply(unit), expected)
-
-    def test_devectorize_examples(self):
-        out = identity_sandwich(2).apply(np.array([1.0, 2.0, 3.0, 4.0]))
-        assert np.array_equal(out.reshape((2, 2), order="F"), [[1, 3], [2, 4]])
-        zero = identity_sandwich(2).apply(np.zeros(4))
-        assert np.array_equal(zero.reshape((2, 2), order="F"), np.zeros((2, 2)))
-
-    def test_roundtrip_exact(self):
-        rng = np.random.default_rng(1)
-        sandwich = identity_sandwich(4)
-        for _ in range(100):
-            mat = random_matrix(rng, 4)
-            back = sandwich.apply(mat.ravel(order="F")).reshape((4, 4), order="F")
-            assert np.array_equal(back, mat)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            identity_sandwich(2).apply(np.zeros(5))
-
-
-class TestSandwich:
-    def test_identity_sandwich(self):
-        eye = identity_operator(single_space(3))
-        assert np.array_equal(super_sandwich(eye, eye).to_dense(), np.eye(9))
-
-    def test_triple_product_oracle(self):
-        rng = np.random.default_rng(2)
-        layout = single_space(2)
-        a = Operator(layout, random_matrix(rng, 2))
-        b = Operator(layout, random_matrix(rng, 2))
-        x = random_matrix(rng, 2)
-        sandwich = super_sandwich(a, b)
-        out = sandwich.apply(x.ravel(order="F")).reshape((2, 2), order="F")
-        expected = a.to_dense() @ x @ b.to_dense()
-        assert np.allclose(out, expected, atol=1e-12)
-
-    def test_left_right_specialization(self):
-        rng = np.random.default_rng(3)
-        layout = single_space(3)
-        h = Operator(layout, random_hermitian(rng, 3))
-        eye = identity_operator(layout)
-        x = random_matrix(rng, 3)
-        left = super_sandwich(h, eye).apply(x.ravel(order="F"))
-        right = super_sandwich(eye, h).apply(x.ravel(order="F"))
-        assert np.allclose(left.reshape(3, 3, order="F"), h.to_dense() @ x, atol=1e-12)
-        assert np.allclose(right.reshape(3, 3, order="F"), x @ h.to_dense(), atol=1e-12)
-
-    def test_sandwich_identity_property(self):
-        rng = np.random.default_rng(4)
+        # column k+(l-1)d of L is the right side of the master equation at
+        # X = E_kl, computed by matrix products and stacked by columns
+        rng = np.random.default_rng(12)
         for d in (2, 3, 6):
-            layout = single_space(d)
-            a = Operator(layout, random_matrix(rng, d))
-            b = Operator(layout, random_matrix(rng, d))
-            x = random_matrix(rng, d)
-            out = super_sandwich(a, b).apply(x.ravel(order="F"))
-            expected = a.to_dense() @ x @ b.to_dense()
-            assert np.abs(out.reshape(d, d, order="F") - expected).max() < 1e-12
-
-    def test_layout_mismatch(self):
-        a = identity_operator(single_space(2))
-        b = identity_operator(SpaceLayout([("other", 2)]))
-        with pytest.raises(LayoutMismatchError):
-            super_sandwich(a, b)
+            model = random_model(rng, d, 2)
+            liouv = build_liouvillian(model)
+            dense, tol = liouv.to_dense(), 1e-12 * max(1.0, liouv.norm_inf())
+            h = model.hamiltonian.matrix
+            for k, l in itertools.product(range(1, d + 1), repeat=2):
+                x = transition(d, k, l)
+                rhs = -1j * (h @ x - x @ h)
+                for rate, jump in model.dissipators:
+                    j = jump.matrix
+                    jdj = j.conj().T @ j
+                    rhs += rate * (2.0 * j @ x @ j.conj().T - jdj @ x - x @ jdj)
+                column = dense[:, (k - 1) + (l - 1) * d]
+                assert np.abs(column - rhs.ravel(order="F")).max() < tol
 
 
 class TestHamiltonianSuper:
+    """The coherent part of the Liouvillian, built from Hamiltonian-only models."""
+
     def test_identity_gives_zero(self):
         eye = identity_operator(single_space(3))
-        assert np.abs(hamiltonian_super(eye).to_dense()).max() < 1e-14
+        assert np.abs(coherent(eye).to_dense()).max() < 1e-14
 
     def test_commuting_diagonal_pair(self):
         layout = single_space(3)
         h = Operator(layout, np.diag([0.0, 1.0, 2.5]))
         x = np.diag([0.5, 0.25, 0.25])
-        out = hamiltonian_super(h).apply(x.ravel(order="F"))
+        out = coherent(h).apply(x.ravel(order="F"))
         assert np.abs(out).max() < 1e-14
 
     def test_qubit_coherence_rotation(self):
@@ -141,33 +83,39 @@ class TestHamiltonianSuper:
         omega = 1.7
         h = Operator(layout, np.diag([0.0, omega]))
         x = transition(2, 1, 2)
-        out = hamiltonian_super(h).apply(x.ravel(order="F"))
+        out = coherent(h).apply(x.ravel(order="F"))
         assert np.allclose(out.reshape(2, 2, order="F"), 1j * omega * x, atol=1e-12)
 
     def test_rejects_non_hermitian(self):
         layout = single_space(2)
-        with pytest.raises(ValueError):
-            hamiltonian_super(Operator(layout, np.array([[0.0, 1.0], [0.0, 0.0]])))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            coherent(Operator(layout, np.array([[0.0, 1.0], [0.0, 0.0]])))
+        # the defect is measured against 1e-12 times the largest element
+        with pytest.raises(ValueError, match="not Hermitian"):
+            coherent(Operator(layout, np.array([[0.0, 1.0], [1.0 + 1e-11, 0.0]])))
+        assert coherent(Operator(layout, np.array([[0.0, 1.0], [1.0 + 1e-13, 0.0]]))).dim == 4
 
     def test_hermiticity_preservation(self):
         rng = np.random.default_rng(5)
         layout = single_space(3)
         h = Operator(layout, random_hermitian(rng, 3))
         rho = random_density(rng, 3)
-        out = hamiltonian_super(h).apply(rho.ravel(order="F")).reshape(3, 3, order="F")
+        out = coherent(h).apply(rho.ravel(order="F")).reshape(3, 3, order="F")
         assert np.abs(out - out.conj().T).max() < 1e-12
 
 
 class TestDissipatorSuper:
+    """The jump part of the Liouvillian, built from one-jump models with H = 0."""
+
     def test_identity_jump_gives_zero(self):
         eye = identity_operator(single_space(3))
-        assert np.abs(dissipator_super(eye, 1.0).to_dense()).max() < 1e-14
+        assert np.abs(dissipator(eye, 1.0).to_dense()).max() < 1e-14
 
     def test_qubit_decay_action(self):
         layout = single_space(2)
         jump = Operator(layout, transition(2, 1, 2))
         rho = transition(2, 2, 2)
-        out = dissipator_super(jump, 1.0).apply(rho.ravel(order="F"))
+        out = dissipator(jump, 1.0).apply(rho.ravel(order="F"))
         expected = 2.0 * transition(2, 1, 1) - 2.0 * transition(2, 2, 2)
         assert np.allclose(out.reshape(2, 2, order="F"), expected, atol=1e-13)
 
@@ -175,7 +123,7 @@ class TestDissipatorSuper:
         rng = np.random.default_rng(6)
         layout = single_space(3)
         jump = Operator(layout, random_matrix(rng, 3))
-        superop = dissipator_super(jump, 0.7)
+        superop = dissipator(jump, 0.7)
         trace_row = np.eye(3).ravel(order="F") @ superop.to_dense()
         assert np.abs(trace_row).max() < 1e-12
         for _ in range(100):
@@ -185,10 +133,9 @@ class TestDissipatorSuper:
 
     def test_rejects_nonpositive_rate(self):
         jump = identity_operator(single_space(2))
-        with pytest.raises(ValueError):
-            dissipator_super(jump, 0.0)
-        with pytest.raises(ValueError):
-            dissipator_super(jump, -1.0)
+        for rate in (0.0, -1.0):
+            with pytest.raises(ValueError, match="rate must be > 0"):
+                dissipator(jump, rate)
 
 
 class TestLindbladModel:
@@ -275,19 +222,15 @@ class TestBuildLiouvillian:
         j1 = Operator(layout, random_matrix(rng, 3))
         j2 = Operator(layout, random_matrix(rng, 3))
         combined = build_liouvillian(LindbladModel(h, [(0.5, j1), (1.5, j2)]))
-        manual = (
-            hamiltonian_super(h)
-            + dissipator_super(j1, 0.5)
-            + dissipator_super(j2, 1.5)
-        )
-        assert np.abs(combined.to_dense() - manual.to_dense()).max() < 1e-13
+        reference = liouvillian_oracle(LindbladModel(h, [(0.5, j1), (1.5, j2)]))
+        assert np.abs(combined.to_dense() - reference.to_dense()).max() < 1e-13
 
 
 class TestSuperOperatorStorage:
     def test_threshold(self):
         # storage is CSR on both sides of any size; the size only picks routes
-        small = hamiltonian_super(identity_operator(single_space(64)))  # d^2 = 4096
-        large = hamiltonian_super(identity_operator(single_space(65)))
+        small = coherent(identity_operator(single_space(64)))  # d^2 = 4096
+        large = coherent(identity_operator(single_space(65)))
         for superop in (small, large):
             assert isinstance(superop.matrix, sp.csr_array)
             assert superop.matrix.nnz == 0  # [I, rho] = 0 stores no entries
@@ -336,7 +279,7 @@ class TestSuperOperatorStorage:
     def test_conversion_exact(self):
         rng = np.random.default_rng(11)
         layout = single_space(3)
-        superop = dissipator_super(Operator(layout, random_matrix(rng, 3)), 1.0)
+        superop = dissipator(Operator(layout, random_matrix(rng, 3)), 1.0)
         dense = superop.to_dense()
         rebuilt = SuperOperator(layout, dense)
         assert isinstance(rebuilt.matrix, sp.csr_array)
@@ -349,7 +292,7 @@ class TestSuperOperatorStorage:
     def test_dense_capacity_guard(self):
         # superspace 77841: a dense copy would need 97 GB
         layout = SpaceLayout([("a", 279)])
-        superop = hamiltonian_super(identity_operator(layout))
+        superop = coherent(identity_operator(layout))
         with pytest.raises(CapacityError, match="exceeds the dense capacity 10000"):
             superop.to_dense()
         # every dense route builds its array through to_dense
@@ -366,6 +309,6 @@ class TestSuperOperatorStorage:
 
     def test_apply_checks_layout(self):
         # a column-stacked operator of another dimension is refused
-        liouv = hamiltonian_super(identity_operator(single_space(2)))
+        liouv = coherent(identity_operator(single_space(2)))
         with pytest.raises(ValueError):
             liouv.apply(np.eye(3).ravel(order="F"))
