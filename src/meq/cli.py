@@ -18,8 +18,8 @@ measures.  The timings block holds the seconds of each stage that ran,
 ``parse``, ``build``, ``solve`` and ``measure``, summed over repeats such as
 the second solve of ``cascade --check-truncation``.  The cascade flags mirror
 the fields and defaults of :class:`meq.modelspec.CascadeParams`, with
-``--na``/``--nb`` for ``n_a``/``n_b``; a flag the chosen cascade mode would
-not use is a usage error.
+``--na``/``--nb`` for ``n_a``/``n_b``; a cascade mode takes the flags of the
+command or report it runs, and any other flag is a usage error.
 
 Set MEQ_THREADS to cap the BLAS/LAPACK thread pools; it must take effect
 before the numeric libraries load, which is why this module defers every
@@ -96,6 +96,50 @@ def _split_top_level(text: str) -> list[str]:
     return [p for p in parts if p]
 
 
+# every command flag: dest -> (spelling, add_argument keywords), in meq cascade's order
+_FLAGS = {
+    "count": ("-k", dict(type=int, help="how many eigenvalues (largest real part)")),
+    "negativity_all": ("--negativity-all", dict(
+        action="store_true", help="the four benchmark logarithmic negativities")),
+    "transpose": ("--transpose", dict(help="subsystems to partially transpose")),
+    "times": ("--times", dict(help="comma-separated times")),
+    "keep": ("--keep", dict(help="subsystems to keep (negativity: reduce to them first)")),
+    "observables": ("--observables", dict(help="comma-separated operator expressions")),
+    "initial": ("--initial", dict(help="'ground' (default), 'maximally-mixed', or a "
+                                  "density-matrix expression")),
+    "check_truncation": ("--check-truncation", dict(
+        action="store_true", help="rerun with one more photon per mode, report drift")),
+    "method": ("--method", dict(choices=("dense", "sparse", "solve", "iterative"),
+                                help="steady-state route (default: by problem size)")),
+    "row": ("--row", dict(type=int, help="diagonal element whose equation the solve "
+                          "route replaces (default 1; needs --method solve)")),
+    "gamma": ("--gamma", dict(type=float, help="scale of the normalization row in the "
+                              "solve route (default 1.0; needs --method solve)")),
+}
+_STEADY = ("method", "row", "gamma")  # the flags of a command that solves for a steady state
+
+# the model commands: name -> (help, the flag it requires, the flags it may take)
+_COMMANDS = {
+    "steady": ("steady state and expectation values", None, (*_STEADY, "observables")),
+    "spectrum": ("leading Liouvillian eigenvalues", "count", ()),
+    "evolve": ("propagate a state through a time list", "times", ("initial", "observables")),
+    "negativity": ("logarithmic negativity of the steady state", "transpose", ("keep", *_STEADY)),
+    "ptrace": ("reduced steady-state density matrix", "keep", _STEADY),
+}
+
+# meq cascade's modes by the flag that picks each, first given first (None, the population
+# report, runs without one): the command a mode runs, whose flags it takes, or a report of
+# the cascade's own and the flags it takes.  Every mode takes --method.
+_CASCADE_MODES = {
+    "count": "spectrum",
+    "negativity_all": ("_cascade_negativities", "row", "gamma"),
+    "times": "evolve",
+    "transpose": "negativity",
+    "keep": "ptrace",
+    None: ("_cascade_report", "observables", "check_truncation", "row", "gamma"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="meq",
@@ -104,48 +148,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_steady_flags(p):
-        p.add_argument(
-            "--method", choices=("dense", "sparse", "solve", "iterative"), default=None,
-            help="steady-state route (default: by problem size)",
-        )
-        p.add_argument("--row", type=int, default=None,
-                       help="diagonal element whose equation the solve route replaces "
-                       "(default 1; needs --method solve)")
-        p.add_argument("--gamma", type=float, default=None,
-                       help="scale of the normalization row in the solve route "
-                       "(default 1.0; needs --method solve)")
+    def add_flags(p, dests, required=None):
+        for dest in dests:
+            spelling, keywords = _FLAGS[dest]
+            p.add_argument(spelling, dest=dest, required=dest == required, **keywords)
 
-    p_steady = sub.add_parser("steady", help="steady state and expectation values")
-    p_steady.add_argument("model")
-    add_steady_flags(p_steady)
-    p_steady.add_argument("--observables", default=None,
-                          help="comma-separated operator expressions")
-
-    p_spec = sub.add_parser("spectrum", help="leading Liouvillian eigenvalues")
-    p_spec.add_argument("model")
-    p_spec.add_argument("-k", dest="count", type=int, required=True,
-                        help="how many eigenvalues (largest real part)")
-
-    p_evolve = sub.add_parser("evolve", help="propagate a state through a time list")
-    p_evolve.add_argument("model")
-    p_evolve.add_argument("--initial", default="ground",
-                          help="'ground', 'maximally-mixed', or a density-matrix expression")
-    p_evolve.add_argument("--times", required=True, help="comma-separated times")
-    p_evolve.add_argument("--observables", default=None)
-
-    p_neg = sub.add_parser("negativity", help="logarithmic negativity of the steady state")
-    p_neg.add_argument("model")
-    p_neg.add_argument("--transpose", required=True,
-                       help="subsystems to partially transpose")
-    p_neg.add_argument("--keep", default=None,
-                       help="first reduce to these subsystems")
-    add_steady_flags(p_neg)
-
-    p_ptr = sub.add_parser("ptrace", help="reduced steady-state density matrix")
-    p_ptr.add_argument("model")
-    p_ptr.add_argument("--keep", required=True)
-    add_steady_flags(p_ptr)
+    for name, (help_text, required, optional) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("model")
+        add_flags(p, (required, *optional) if required else optional, required)
 
     p_casc = sub.add_parser("cascade", help="built-in cascade benchmark")
     # one flag per CascadeParams field; the Fock truncations keep short spellings
@@ -160,74 +171,46 @@ def build_parser() -> argparse.ArgumentParser:
                             default=field.default, help=help_text)
     p_casc.add_argument("--emit-model", action="store_true",
                         help="print the canonical model document and exit")
-    add_steady_flags(p_casc)
-    p_casc.add_argument("--observables", default=None)
-    p_casc.add_argument("-k", dest="count", type=int, default=None,
-                        help="report the top-k spectrum instead")
-    p_casc.add_argument("--negativity-all", action="store_true",
-                        help="the four benchmark logarithmic negativities")
-    p_casc.add_argument("--check-truncation", action="store_true",
-                        help="rerun with one more photon per mode, report drift")
-    p_casc.add_argument("--transpose", default=None)
-    p_casc.add_argument("--keep", default=None)
-    p_casc.add_argument("--times", default=None)
-    p_casc.add_argument("--initial", default=None)
+    add_flags(p_casc, _FLAGS)
     return parser
 
 
-# meq cascade's mode flags (dests) in the order in which the first one given
-# picks the mode, and the optional flags each mode reads besides its own;
-# every mode that solves for a steady state reads the LU route's row and gamma
-_CASCADE_MODES = ("count", "negativity_all", "times", "transpose", "keep")
-_LU_FLAGS = ("row", "gamma")
-_CASCADE_READS = {
-    None: ("observables", "check_truncation", *_LU_FLAGS),  # the population report
-    "negativity_all": _LU_FLAGS,
-    "times": ("observables", "initial"),
-    "transpose": ("keep", *_LU_FLAGS),
-    "keep": _LU_FLAGS,
-}
-
-
-def _flag(dest):
-    return "-k" if dest == "count" else "--" + dest.replace("_", "-")
-
-
 def _given(args, dest):
-    """Whether a cascade flag was given, as the mode choice reads it."""
-    value = getattr(args, dest)
-    if dest in ("count", "observables", "initial", *_LU_FLAGS):
-        return value is not None
-    return bool(value)
+    """Whether a flag was given: an unset one is None or False, but -k 0 and --times "" count."""
+    return getattr(args, dest) is not None and getattr(args, dest) is not False
 
 
 def _cascade_mode(args):
-    """The dest of the mode flag that picks what ``meq cascade`` runs, or None
-    for the population report."""
-    return next((dest for dest in _CASCADE_MODES if _given(args, dest)), None)
+    """The flag that picks what ``meq cascade`` runs (None for the population
+    report), the runner method that runs it, and the other flags it takes."""
+    flag = next((dest for dest in _CASCADE_MODES if dest and _given(args, dest)), None)
+    mode = _CASCADE_MODES[flag]
+    if isinstance(mode, str):
+        mode = (f"cmd_{mode}", *_COMMANDS[mode][2])
+    return flag, mode[0], mode[1:]
 
 
 def _check_flags(args):
-    """Usage errors the argument parser cannot see: an ``--observables`` list
-    with no expression, a ``meq cascade`` flag its mode would ignore, and
-    ``--row`` or ``--gamma`` without ``--method solve``.  Unset values get
-    their defaults: a cascade ``--initial`` becomes ``ground``, as for
-    ``evolve``, and ``--row`` and ``--gamma`` become 1 and 1.0."""
+    """Usage errors the argument parser cannot see: an ``--observables`` list with no
+    expression, a ``meq cascade`` flag its mode would ignore, and ``--row`` or ``--gamma``
+    without ``--method solve``.  Unset ``--initial``, ``--row`` and ``--gamma`` become
+    ``ground``, 1 and 1.0."""
     if getattr(args, "observables", None) is not None and not _split_top_level(args.observables):
         raise _UsageError("--observables lists no expression")
     if args.command == "cascade":
-        mode = _cascade_mode(args)
-        for dest in (*_CASCADE_MODES, "observables", "initial", "check_truncation", *_LU_FLAGS):
-            if dest != mode and dest not in _CASCADE_READS.get(mode, ()) and _given(args, dest):
-                spelling = _flag(mode) if mode else "without a mode flag"
-                raise _UsageError(f"cascade {spelling} does not use {_flag(dest)}")
-        if args.initial is None:
-            args.initial = "ground"
+        flag, _, takes = _cascade_mode(args)
+        # another mode flag is reported first, then the rest in declaration order
+        for dest in (*filter(None, _CASCADE_MODES), *_FLAGS):
+            if dest not in (flag, "method", *takes) and _given(args, dest):
+                spelling = _FLAGS[flag][0] if flag else "without a mode flag"
+                raise _UsageError(f"cascade {spelling} does not use {_FLAGS[dest][0]}")
+    if hasattr(args, "initial") and args.initial is None:
+        args.initial = "ground"
     if not hasattr(args, "row"):  # the command solves for no steady state
         return
-    for dest in _LU_FLAGS:
-        if getattr(args, dest) is not None and args.method != "solve":
-            raise _UsageError(f"{_flag(dest)} needs --method solve")
+    for dest in ("row", "gamma"):
+        if _given(args, dest) and args.method != "solve":
+            raise _UsageError(f"{_FLAGS[dest][0]} needs --method solve")
     args.row = 1 if args.row is None else args.row
     args.gamma = 1.0 if args.gamma is None else args.gamma
 
@@ -423,9 +406,6 @@ class _Runner:
             results["observables"] = observables
         return self._record(trajectory.policy.route, results, trajectory.policy)
 
-    def _names(self, text):
-        return [name.strip() for name in text.split(",") if name.strip()]
-
     def _reduce_to(self, rho, keep):
         """Partial trace over every subsystem not in ``keep``; unknown names fail early."""
         for name in keep:
@@ -435,8 +415,8 @@ class _Runner:
 
     def cmd_negativity(self, doc):
         _, result = self._steady(doc)
-        keep = self._names(self.args.keep or "")
-        transpose = self._names(self.args.transpose)
+        keep = _split_top_level(self.args.keep or "")
+        transpose = _split_top_level(self.args.transpose)
         with self._timed("measure"):
             rho = self._reduce_to(result.rho, keep) if keep else result.rho
             value = self.measures.log_negativity(rho, transpose)
@@ -447,7 +427,7 @@ class _Runner:
 
     def cmd_ptrace(self, doc):
         _, result = self._steady(doc)
-        keep = self._names(self.args.keep)
+        keep = _split_top_level(self.args.keep)
         with self._timed("measure"):
             reduced = self._reduce_to(result.rho, keep)
         return self._steady_record(result, keep=keep, rho_reduced=reduced.to_dense())
@@ -459,15 +439,8 @@ class _Runner:
         return self.modelspec.CascadeParams(**{f.name: getattr(self.args, f.name) for f in fields})
 
     def cmd_cascade(self, doc):
-        """Run the command the first mode flag given picks, or report the populations."""
-        return {
-            "count": self.cmd_spectrum,
-            "negativity_all": self._cascade_negativities,
-            "times": self.cmd_evolve,
-            "transpose": self.cmd_negativity,
-            "keep": self.cmd_ptrace,
-            None: self._cascade_report,
-        }[_cascade_mode(self.args)](doc)
+        """Run what the first mode flag given picks, or report the populations."""
+        return getattr(self, _cascade_mode(self.args)[1])(doc)
 
     def _cascade_populations(self, doc, params):
         """The steady state, its bindings, the record entries of its populations and
@@ -556,11 +529,10 @@ def run(argv=None, stdout=None, stderr=None) -> int:
     except (DegeneracyError, ConvergenceError, CapacityError, PropagationError) as exc:
         print(f"meq: error: numerical: {exc}", file=stderr)
         return 3
-    except _UsageError as exc:
-        print(f"meq: error: usage: {exc}", file=stderr)
-        return 1
-    except (ValueError, KeyError) as exc:
-        print(f"meq: error: usage: {exc}", file=stderr)
+    except (_UsageError, ValueError, KeyError) as exc:
+        # str() of a KeyError quotes its message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"meq: error: usage: {message}", file=stderr)
         return 1
 
 

@@ -192,8 +192,8 @@ class LindbladModel:
 
     All operators must share one layout; the Hamiltonian must be Hermitian
     (defect below 1e-12 relative to its largest element) and every rate
-    strictly positive.  The dissipator list may be empty (purely coherent
-    evolution).
+    finite and strictly positive.  The dissipator list may be empty (purely
+    coherent evolution).
     """
 
     __slots__ = ("hamiltonian", "dissipators")
@@ -208,6 +208,8 @@ class LindbladModel:
             raise ValueError("hamiltonian is not Hermitian (defect above 1e-12)")
         layout = hamiltonian.layout
         for rate, jump in dissipators:
+            if not np.isfinite(rate):
+                raise ValueError(f"dissipation rate must be finite, got {rate}")
             if rate <= 0:
                 raise ValueError(f"dissipation rate must be > 0, got {rate}")
             if jump.layout != layout:

@@ -369,6 +369,14 @@ class TestEvolveCommand:
         assert code == 1 and out == ""
         assert "error: usage" in err and message in err
 
+    @pytest.mark.parametrize("initial,times,message", [
+        ("ground", ",", "no times given"),
+        ("trans(q,1,2)", "0,1", "initial state expression 'trans(q,1,2)' has zero trace"),
+    ])
+    def test_unusable_times_or_initial_state(self, model_file, initial, times, message):
+        argv = ["evolve", model_file(DRIVEN_QUBIT), "--initial", initial, "--times", times]
+        assert invoke(argv) == (1, "", f"meq: error: usage: {message}\n")
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("times", ["nan", "1,nan", "inf", "0.5,inf"])
     def test_non_finite_times_are_usage_errors(self, model_file, times):
@@ -417,6 +425,12 @@ class TestReductionCommands:
         path = model_file(TWO_QUBIT_DECAY)
         code, _, err = invoke(["ptrace", path, "--keep", "zz"])
         assert code == 1
+
+    @pytest.mark.parametrize("command", [["ptrace", "--keep"], ["negativity", "--transpose"]])
+    def test_unknown_subsystem_message_is_unquoted(self, model_file, command):
+        path = model_file(TWO_QUBIT_DECAY)
+        expected = "meq: error: usage: unknown subsystem 'zz'; layout has ('p', 'q')\n"
+        assert invoke([command[0], path, command[1], "zz"]) == (1, "", expected)
 
 
 # every cascade parameter flag, its CascadeParams field and its default
@@ -598,6 +612,18 @@ class TestCascadeCommand:
             record = invoke_record(["cascade", *SMALL_CASCADE, *flags, "--method", "solve",
                                     "--row", "2", "--gamma", "10"])
             assert record["method"] == "linsolve"
+
+    # an empty value still picks the mode, which then fails like the command it runs
+    @pytest.mark.parametrize("flag,command", [
+        ("--times", ["evolve", "--times", ""]),
+        ("--transpose", ["negativity", "--transpose", ""]),
+        ("--keep", ["ptrace", "--keep", ""]),
+    ])
+    def test_empty_mode_flag_fails_like_its_command(self, model_file, flag, command):
+        path = model_file(emitted_model(*SMALL_CASCADE))
+        expected = invoke([command[0], path, *command[1:]])
+        assert expected[0] == 1 and expected[1] == ""
+        assert invoke(["cascade", *SMALL_CASCADE, flag, ""]) == expected
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("flags,field", [

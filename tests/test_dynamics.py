@@ -6,7 +6,7 @@ import scipy.sparse.linalg as spla
 
 from helpers import random_density, random_model, single_space
 from meq.dynamics import PropagationError, Trajectory, evolve, evolve_trajectory
-from meq.hilbert import Operator, transition
+from meq.hilbert import LayoutMismatchError, Operator, transition
 from meq.modelspec import CascadeParams, cascade_model
 from meq.steady import _hermitian_basis, _real_generator, steady_dense
 from meq.superspace import LindbladModel, build_liouvillian, choose_route
@@ -216,6 +216,11 @@ class TestStateChecks:
         # rounding-sized negative eigenvalues pass
         rho0 = Operator(layout, np.diag([1.0 + 1e-9, -1e-9]))
         evolve_trajectory(qubit_decay_liouvillian(), rho0, [1.0], method=method)
+
+    def test_rejects_state_on_another_layout(self):
+        rho0 = Operator(single_space(2, "p"), np.diag([1.0, 0.0]))
+        with pytest.raises(LayoutMismatchError, match="state and generator live on different"):
+            evolve_trajectory(qubit_decay_liouvillian(), rho0, [1.0])
 
     @pytest.mark.parametrize("method", ["dense", "sparse"])
     def test_min_eigenvalues_recorded(self, method):

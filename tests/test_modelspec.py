@@ -12,6 +12,7 @@ from meq.modelspec import (
     BinaryOp,
     CascadeParams,
     Literal,
+    ModelError,
     ModelLexicalError,
     ModelSemanticError,
     ModelSyntaxError,
@@ -247,6 +248,69 @@ class TestErrors:
         doc = parse_model("spaces:\n  q 2\nhamiltonian:\n  trans(q,1,2)\n")
         with pytest.raises(ModelSemanticError):
             build_model(doc)
+
+
+SPACE_M = "spaces:\n  m 3\n"
+HAMILTONIAN_0 = "hamiltonian:\n  0\n"
+
+
+def binding(expr):
+    """A document whose fourth line binds ``x = expr``."""
+    return f"{SPACE_M}define:\n  x = {expr}\n{HAMILTONIAN_0}"
+
+
+# positioned errors of the document format: (document, or a document and an
+# observable, error class, line, column, message)
+FORMAT_ERRORS = {
+    "duplicate section": (SPACE_M + "spaces:\n", ModelSyntaxError, 3, 1,
+                          "duplicate section 'spaces'"),
+    "text after a section header": ("spaces: m\n", ModelSyntaxError, 1, 9,
+                                    "unexpected 'm' after section header (expected end of line)"),
+    "line before any header": ("m 3\n", ModelSyntaxError, 1, 1, "expected a section header "
+                               "(expected spaces: or define: or hamiltonian: or dissipators:)"),
+    "space dimension 0": ("spaces:\n  m 0\n", ModelSemanticError, 2, 5,
+                          "space dimension must be a positive integer, got '0'"),
+    "space dimension 2.5": ("spaces:\n  m 2.5\n", ModelSemanticError, 2, 5,
+                            "space dimension must be a positive integer, got '2.5'"),
+    "duplicate space": (SPACE_M + "  m 2\n", ModelSemanticError, 3, 3, "duplicate space 'm'"),
+    "redefinition": (f"{SPACE_M}define:\n  x = 1\n  x = 2\n{HAMILTONIAN_0}",
+                     ModelSemanticError, 5, 3, "redefinition of 'x'"),
+    "second hamiltonian line": (SPACE_M + HAMILTONIAN_0 + "  1\n", ModelSyntaxError, 5, 3,
+                                "hamiltonian section takes a single expression"),
+    "bad complex pair": (binding("(1,a)"), ModelSyntaxError, 4, 10,
+                         "unexpected 'a' in complex pair (expected real number)"),
+    "non-integer index": (binding("proj(m,1.5)"), ModelSemanticError, 4, 14,
+                          "primitive index must be an integer, got '1.5'"),
+    "bad argument": (binding("proj(m,+)"), ModelSyntaxError, 4, 14,
+                     "unexpected '+' in argument list (expected space name or integer)"),
+    "token after an expression": (binding("1 2"), ModelSyntaxError, 4, 9,
+                                  "unexpected '2' after expression (expected end of line)"),
+    "unknown primitive": (binding("foo(m)"), ModelSemanticError, 4, 7, "unknown primitive 'foo'"),
+    "arity": (binding("trans(m,1)"), ModelSemanticError, 4, 7,
+              "primitive 'trans' takes 3 argument(s), got 2"),
+    "space argument": (binding("a(3)"), ModelSemanticError, 4, 7,
+                       "first argument of 'a' must be a space name"),
+    "level argument": (binding("proj(m,m)"), ModelSemanticError, 4, 7,
+                       "level index of 'proj' must be an integer"),
+    "non-name binding": (f"{SPACE_M}define:\n  3 = 1\n{HAMILTONIAN_0}", ModelSyntaxError, 4, 3,
+                         "unexpected '3' (expected binding name)"),
+    "two-line observable": ((SPACE_M + HAMILTONIAN_0, "proj(m,1)\nproj(m,2)"), ModelSyntaxError,
+                            1, 1, "observable must be a single expression"),
+}
+
+
+class TestFormatErrors:
+    @pytest.mark.parametrize("source,cls,line,column,message",
+                             list(FORMAT_ERRORS.values()), ids=list(FORMAT_ERRORS))
+    def test_positioned_error(self, source, cls, line, column, message):
+        document, observable = source if isinstance(source, tuple) else (source, None)
+        with pytest.raises(ModelError) as info:
+            doc = parse_model(document)
+            if observable is not None:
+                evaluate_observable(doc, observable)
+        assert type(info.value) is cls
+        assert (info.value.line, info.value.column) == (line, column)
+        assert str(info.value) == f"line {line}, column {column}: {message}"
 
 
 class TestEvaluation:

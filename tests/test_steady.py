@@ -12,6 +12,7 @@ from meq.modelspec import CascadeParams, cascade_model
 from meq.steady import (
     ConvergenceError,
     DegeneracyError,
+    GapReport,
     check_uniqueness,
     spectrum,
     steady_dense,
@@ -354,6 +355,11 @@ class TestUniqueness:
         assert report.unique
         assert abs(report.lambda0) < 1e-10
         assert report.lambda1.real == pytest.approx(-1.0631, abs=5e-3)
+
+    def test_one_level_model_has_no_second_eigenvalue(self):
+        layout = single_space(1, "q")
+        model = LindbladModel(Operator(layout, np.zeros((1, 1))))
+        assert check_uniqueness(build_liouvillian(model)) == GapReport(0j, None, True)
 
     def test_hamiltonian_only_never_unique(self):
         rng = np.random.default_rng(53)

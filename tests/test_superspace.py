@@ -151,6 +151,13 @@ class TestLindbladModel:
         with pytest.raises(LayoutMismatchError):
             LindbladModel(eye, [(1.0, other)])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_rate(self, rate):
+        eye = identity_operator(single_space(2))
+        with pytest.raises(ValueError, match=f"^dissipation rate must be finite, got {rate}$"):
+            LindbladModel(eye, [(rate, eye)])
+
     def test_empty_dissipators_allowed(self):
         model = LindbladModel(identity_operator(single_space(2)))
         assert model.dissipators == ()
