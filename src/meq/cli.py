@@ -98,6 +98,8 @@ def _split_top_level(text: str) -> list[str]:
 
 # every command flag: dest -> (spelling, add_argument keywords), in meq cascade's order
 _FLAGS = {
+    "emit_model": ("--emit-model", dict(
+        action="store_true", help="print the canonical model document and exit")),
     "count": ("-k", dict(type=int, help="how many eigenvalues (largest real part)")),
     "negativity_all": ("--negativity-all", dict(
         action="store_true", help="the four benchmark logarithmic negativities")),
@@ -128,15 +130,17 @@ _COMMANDS = {
 }
 
 # meq cascade's modes by the flag that picks each, first given first (None, the population
-# report, runs without one): the command a mode runs, whose flags it takes, or a report of
-# the cascade's own and the flags it takes.  Every mode takes --method.
+# report, runs without one): the command a mode runs, whose flags and --method it takes, or
+# a report of the cascade's own and the flags it takes.  --emit-model prints the model text
+# in place of a run (see _Runner.document) and takes only the parameter flags.
 _CASCADE_MODES = {
+    "emit_model": (None,),
     "count": "spectrum",
-    "negativity_all": ("_cascade_negativities", "row", "gamma"),
+    "negativity_all": ("_cascade_negativities", *_STEADY),
     "times": "evolve",
     "transpose": "negativity",
     "keep": "ptrace",
-    None: ("_cascade_report", "observables", "check_truncation", "row", "gamma"),
+    None: ("_cascade_report", "observables", "check_truncation", *_STEADY),
 }
 
 
@@ -169,8 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
         flag, help_text = spellings.get(field.name, ("--" + field.name.replace("_", "-"), None))
         p_casc.add_argument(flag, dest=field.name, type=flag_types[field.type],
                             default=field.default, help=help_text)
-    p_casc.add_argument("--emit-model", action="store_true",
-                        help="print the canonical model document and exit")
     add_flags(p_casc, _FLAGS)
     return parser
 
@@ -186,22 +188,23 @@ def _cascade_mode(args):
     flag = next((dest for dest in _CASCADE_MODES if dest and _given(args, dest)), None)
     mode = _CASCADE_MODES[flag]
     if isinstance(mode, str):
-        mode = (f"cmd_{mode}", *_COMMANDS[mode][2])
+        mode = (f"cmd_{mode}", "method", *_COMMANDS[mode][2])
     return flag, mode[0], mode[1:]
 
 
 def _check_flags(args):
-    """Usage errors the argument parser cannot see: an ``--observables`` list with no
-    expression, a ``meq cascade`` flag its mode would ignore, and ``--row`` or ``--gamma``
-    without ``--method solve``.  Unset ``--initial``, ``--row`` and ``--gamma`` become
-    ``ground``, 1 and 1.0."""
-    if getattr(args, "observables", None) is not None and not _split_top_level(args.observables):
-        raise _UsageError("--observables lists no expression")
+    """Usage errors the argument parser cannot see: an ``--observables`` or ``--keep``
+    list that names nothing, a ``meq cascade`` flag its mode would ignore, and ``--row`` or
+    ``--gamma`` without ``--method solve``.  Unset ``--initial``, ``--row`` and ``--gamma``
+    become ``ground``, 1 and 1.0."""
+    for dest, item in (("observables", "expression"), ("keep", "subsystem")):
+        if getattr(args, dest, None) is not None and not _split_top_level(getattr(args, dest)):
+            raise _UsageError(f"{_FLAGS[dest][0]} lists no {item}")
     if args.command == "cascade":
         flag, _, takes = _cascade_mode(args)
         # another mode flag is reported first, then the rest in declaration order
         for dest in (*filter(None, _CASCADE_MODES), *_FLAGS):
-            if dest not in (flag, "method", *takes) and _given(args, dest):
+            if dest not in (flag, *takes) and _given(args, dest):
                 spelling = _FLAGS[flag][0] if flag else "without a mode flag"
                 raise _UsageError(f"cascade {spelling} does not use {_FLAGS[dest][0]}")
     if hasattr(args, "initial") and args.initial is None:

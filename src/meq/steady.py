@@ -23,8 +23,11 @@ factorization time; real ARPACK takes about half the time of complex.
 The iterative route factors nothing of size d^2.  It splits the generator
 into the no-jump part S(rho) = -i (H_eff rho - rho H_eff^dag), with
 H_eff = H - i sum Gamma J^dag J, and the jumps.  S is a Sylvester operator,
-inverted in O(d^3) from one complex Schur form of H_eff (Bartels-Stewart),
-and it preconditions GMRES on L + s vec(I) vec(I)^T.  It needs the model,
+inverted in O(d^3) per application from one eigendecomposition of H_eff
+(four d x d products and a division), or, when its eigenvectors are too
+ill-conditioned, from one complex Schur form (Bartels-Stewart, a triangular
+``ztrsyl`` solve), and it preconditions GMRES on L + u vec(I)^T.  The
+eigendecomposition also says where to put u.  The route needs the model,
 because H_eff cannot be recovered from the assembled L; it stays complex,
 because the preconditioner is complex either way and dominates the cost.
 
@@ -102,6 +105,13 @@ _GMRES_RTOL = 1e-12
 # S - sigma with sigma this times ||L||_inf.
 _SYLVESTER_GAP = 1e-8
 _SYLVESTER_SHIFT = 0.1
+# Above this kappa_1(V) = ||V||_1 ||V^-1||_1 of the eigenvectors V of H_eff, S is
+# inverted through the Schur form instead of the eigendecomposition.  Near the
+# exceptional point of a decaying, driven qubit GMRES with the eigendecomposition
+# form took 1+2 iterations up to kappa_1 = 1e2, 4+6 at 1e3 and 5+7 at 1e4 and 1e5
+# (the Schur form 1+2 throughout), and stagnated from 1e7; the cascade reaches
+# 148 at n = 99225 and 565 at n = 321489.
+_EIG_COND_LIMIT = 1e4
 # Iterative states (trace 1) from two augmentation vectors that differ by
 # more than this in any element are two different steady states.
 _STATE_GAP_TOL = 1e-6
@@ -464,23 +474,56 @@ def steady_linsolve(liouv: SuperOperator, l: int = 1, gamma: float = 1.0) -> Ste
 
 
 def _no_jump_inverse(model: LindbladModel, norm: float):
-    """The inverse of the no-jump part of the generator, and the shift it needed.
+    """The inverse of the no-jump part of the generator, how it was formed,
+    and the level that carries the first solve's augmentation weight.
 
     S(X) = -i (H_eff X - X H_eff^dag) with H_eff = H - i sum Gamma J^dag J.
-    With the complex Schur form H_eff = Q U Q^dag, computed once, S(X) = Y
-    becomes U Z - Z U^dag = i Q^dag Y Q for Z = Q^dag X Q, one ``ztrsyl``
-    (Bartels-Stewart) solve per application.  The eigenvalues of S are
-    -i (lambda_j - conj(lambda_k)); the smallest in modulus is
-    2 min |Im lambda_j|, so an undamped no-jump state (a real eigenvalue of
-    H_eff) makes S singular.  Then H_eff is shifted by -i sigma / 2, which
-    inverts S - sigma instead, with sigma relative to ||L||_inf.
+    With H_eff = V diag(lambda) V^-1, computed once, X = V Z V^dag turns
+    S(X) = Y into D * Z = V^-1 Y V^-dag elementwise, with
+    D_jk = -i (lambda_j - conj(lambda_k)): four d x d products and one
+    division per application, the eigendecomposition form of the Sylvester
+    solve (Golub and Van Loan, Matrix Computations, 7.6.3).  The smallest
+    |D_jk| is 2 min |Im lambda_j|, so an undamped no-jump state (a real
+    eigenvalue of H_eff) makes S singular.  Then lambda is shifted by
+    -i sigma / 2, which inverts S - sigma instead, with sigma relative to
+    ||L||_inf.
+
+    The rounding of the eigendecomposition form grows with
+    kappa_1(V) = ||V||_1 ||V^-1||_1, which diverges at an exceptional point
+    of H_eff.  Above _EIG_COND_LIMIT the inverse comes from the complex
+    Schur form H_eff = Q U Q^dag instead: U Z - Z U^dag = i Q^dag Y Q for
+    Z = Q^dag X Q, one ``ztrsyl`` (Bartels-Stewart) solve per application.
+
+    The level is the largest entry of the eigenvector of the least-damped
+    eigenvalue (largest Im lambda): where the no-jump evolution leaves
+    weight longest.  Returns the inverse, the shift, ``"eig"`` or
+    ``"schur"``, and the 0-based level.
     """
     d = model.layout.total_dim
-    upper, unitary = scipy.linalg.schur(_effective_hamiltonian(model), output="complex")
+    h_eff = _effective_hamiltonian(model)
+    values, vectors = np.linalg.eig(h_eff)
+    level = int(np.abs(vectors[:, np.argmax(values.imag)]).argmax())
     shift = 0.0
-    if 2.0 * np.abs(upper.diagonal().imag).min() < _SYLVESTER_GAP * norm:
+    if 2.0 * np.abs(values.imag).min() < _SYLVESTER_GAP * norm:
         shift = _SYLVESTER_SHIFT * norm
-        upper[np.diag_indices(d)] -= 0.5j * shift
+        values = values - 0.5j * shift
+    try:
+        inverse = np.linalg.inv(vectors)
+        kappa = np.abs(vectors).sum(axis=0).max() * np.abs(inverse).sum(axis=0).max()
+    except np.linalg.LinAlgError:  # V is exactly singular: H_eff is defective
+        kappa = np.inf
+    if kappa <= _EIG_COND_LIMIT:
+        vectors_adjoint, inverse_adjoint = vectors.conj().T, inverse.conj().T
+        denominator = -1j * (values[:, None] - values.conj()[None, :])
+
+        def apply(vec: np.ndarray) -> np.ndarray:
+            z = inverse @ vec.reshape((d, d), order="F") @ inverse_adjoint / denominator
+            return (vectors @ z @ vectors_adjoint).ravel(order="F")
+
+        return apply, shift, "eig", level
+
+    upper, unitary = scipy.linalg.schur(h_eff, output="complex")
+    upper[np.diag_indices(d)] -= 0.5j * shift
     adjoint = unitary.conj().T
 
     def apply(vec: np.ndarray) -> np.ndarray:
@@ -490,17 +533,17 @@ def _no_jump_inverse(model: LindbladModel, norm: float):
         )
         return (unitary @ solution @ adjoint).ravel(order="F") / scale
 
-    return apply, shift
+    return apply, shift, "schur", level
 
 
 def _augmented_gmres(liouv: SuperOperator, precondition, weights: np.ndarray, norm: float):
     """Solve (L + u vec(I)^T) x = u with u = (||L||_inf / d) vec(diag(weights)).
 
     vec(I)^T L = 0, so the trace of the equation gives tr(x) = 1 and then
-    L x = 0: x is the steady state with trace 1, whatever the positive
-    weights.  Scaling u with ||L||_inf keeps the system, and so the
-    iteration, the same under L -> cL.  Returns x, the iteration count and
-    the true relative residual.
+    L x = 0: x is the steady state with trace 1, whatever the nonnegative
+    weights with a positive sum; they change only the iteration.  Scaling u
+    with ||L||_inf keeps the system, and so the iteration, the same under
+    L -> cL.  Returns x, the iteration count and the true relative residual.
     """
     d = liouv.layout.total_dim
     n = d * d
@@ -543,22 +586,34 @@ def steady_iterative(liouv: SuperOperator, model: LindbladModel) -> SteadyStateR
     must have ``liouv``'s layout.  The preconditioner changes the iteration
     count, never the answer: GMRES solves the system built from ``liouv``.
 
+    The first solve puts weight 1 on one level, the one
+    :func:`_no_jump_inverse` picks: where the least-damped no-jump state
+    lives, so the augmentation sits where the steady state does.  On the
+    cascade that halves the iterations of uniform weights, and on a long
+    damped mode it cuts them 4-10 times.  Its u is shorter than vec(I)'s,
+    so GMRES's relative tolerance bounds ||L x|| more tightly.
+
     A degenerate kernel makes the system singular but still consistent, and
-    GMRES may return any member of the steady manifold.  So a second solve
-    uses other weights in u; two states that differ by more than 1e-6 raise
-    :class:`DegeneracyError`.  GMRES stagnation, or ||L x||_inf of either
-    solution (trace 1) above 1e-10 times ||L||_inf, raises
-    :class:`ConvergenceError`.  ``diagnostics`` records both iteration
+    GMRES may return any member of the steady manifold.  So a check solve
+    uses the weights 1, 2, ..., d; two states that differ by more than 1e-6
+    raise :class:`DegeneracyError`.  (A check weight picked from the same
+    eigenvector can miss a degeneracy: on two decoupled driven, damped
+    qubits it gave the first solve's state.)  GMRES stagnation, or
+    ||L x||_inf of either solution (trace 1) above 1e-10 times ||L||_inf,
+    raises :class:`ConvergenceError`.  ``diagnostics`` records both iteration
     counts, the true relative residual of the first solve, the Sylvester
-    shift (0 when none was needed) and the largest element difference
-    between the two solutions.
+    shift (0 when none was needed), the form of the preconditioner
+    (``"eig"`` or ``"schur"``), the 0-based level of the first solve's
+    weight and the largest element difference between the two solutions.
     """
     if model.layout != liouv.layout:
         raise LayoutMismatchError("model and generator live on different layouts")
     d = liouv.layout.total_dim
     norm = liouv.norm_inf() or 1.0
-    precondition, shift = _no_jump_inverse(model, norm)
-    first, iterations, relative = _augmented_gmres(liouv, precondition, np.ones(d), norm)
+    precondition, shift, form, level = _no_jump_inverse(model, norm)
+    weights = np.zeros(d)
+    weights[level] = 1.0
+    first, iterations, relative = _augmented_gmres(liouv, precondition, weights, norm)
     check, check_iterations, _ = _augmented_gmres(
         liouv, precondition, np.arange(1.0, d + 1.0), norm
     )
@@ -580,6 +635,8 @@ def steady_iterative(liouv: SuperOperator, model: LindbladModel) -> SteadyStateR
         "check_iterations": check_iterations,
         "gmres_relative_residual": relative,
         "sylvester_shift": shift,
+        "preconditioner": form,
+        "augmented_level": level,
         "state_difference": difference,
     }
     return replace(result, diagnostics=diagnostics)

@@ -160,28 +160,12 @@ class SuperOperator:
         """Matrix infinity norm (max absolute row sum)."""
         return float(np.abs(self._matrix).sum(axis=1).max()) if self.dim else 0.0
 
-    def _binary(self, other: "SuperOperator", combine):
-        if not isinstance(other, SuperOperator):
-            return NotImplemented
-        if self.layout != other.layout:
-            raise LayoutMismatchError("superoperators live on different layouts")
-        return SuperOperator(self.layout, combine(self._matrix, other._matrix))
-
-    def __add__(self, other):
-        return self._binary(other, lambda a, b: a + b)
-
-    def __sub__(self, other):
-        return self._binary(other, lambda a, b: a - b)
-
     def __mul__(self, other):
         if np.isscalar(other):
             return SuperOperator(self.layout, self._matrix * complex(other))
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return SuperOperator(self.layout, -self._matrix)
 
     def __repr__(self) -> str:
         return f"SuperOperator({self.layout!r}, dim={self.dim}, nnz={self._matrix.nnz})"

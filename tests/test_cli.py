@@ -257,7 +257,7 @@ class TestSteadyCommand:
                 assert first["method"] == "iterative"
                 assert set(first["results"]["diagnostics"]) == {
                     "gmres_iterations", "check_iterations", "gmres_relative_residual",
-                    "sylvester_shift", "state_difference",
+                    "sylvester_shift", "preconditioner", "augmented_level", "state_difference",
                 }
             elif first["method"] == "linsolve" and policy["route"] == "sparse":
                 assert set(first["results"]["diagnostics"]) == {"lu_nnz"}
@@ -595,6 +595,12 @@ class TestCascadeCommand:
         (["--transpose", "xi", "--method", "iterative", "--row", "2"],
          "--row needs --method solve"),
         (["--keep", "xi", "--gamma", "2"], "--gamma needs --method solve"),
+        (["--emit-model", "-k", "3"], "cascade --emit-model does not use -k"),
+        (["-k", "3", "--emit-model"], "cascade --emit-model does not use -k"),
+        (["--emit-model", "--times", ""], "cascade --emit-model does not use --times"),
+        (["--emit-model", "--method", "dense"], "cascade --emit-model does not use --method"),
+        (["--emit-model", "--observables", "s11"],
+         "cascade --emit-model does not use --observables"),
     ])
     def test_flags_the_mode_ignores_are_usage_errors(self, flags, message):
         assert invoke(["cascade", *SMALL_CASCADE, *flags]) == (1, "", f"meq: error: usage: {message}\n")
@@ -624,6 +630,15 @@ class TestCascadeCommand:
         expected = invoke([command[0], path, *command[1:]])
         assert expected[0] == 1 and expected[1] == ""
         assert invoke(["cascade", *SMALL_CASCADE, flag, ""]) == expected
+
+    @pytest.mark.parametrize("keep", ["", ",", " , "])
+    def test_empty_keep_is_usage_error(self, model_file, keep):
+        path = model_file(emitted_model(*SMALL_CASCADE))
+        expected = (1, "", "meq: error: usage: --keep lists no subsystem\n")
+        for argv in (["negativity", path, "--transpose", "xi", "--keep", keep],
+                     ["ptrace", path, "--keep", keep],
+                     ["cascade", *SMALL_CASCADE, "--transpose", "xi", "--keep", keep]):
+            assert invoke(argv) == expected
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("flags,field", [

@@ -686,10 +686,73 @@ class TestIterative:
         assert result.residual < 1e-10
         diagnostics = result.diagnostics
         assert diagnostics["sylvester_shift"] == 0.0
+        assert diagnostics["preconditioner"] == "eig"
         assert 0 < diagnostics["gmres_iterations"] <= 40
         assert diagnostics["gmres_relative_residual"] <= steady._GMRES_RTOL
         assert diagnostics["state_difference"] < 1e-10
         assert steady_iterative(cascade_liouvillian, model).diagnostics == diagnostics
+
+    @pytest.mark.parametrize("omega,form", [(0.5, "schur"), (0.51, "eig"), (1.0, "eig")])
+    def test_exceptional_point_takes_the_schur_form(self, omega, form):
+        # H_eff of the qubit driven at omega = rate / 2 is a Jordan block: kappa_1(V) = 8.5e7
+        model = driven_qubit_model(omega, 1.0)
+        liouv = build_liouvillian(model)
+        result = steady_iterative(liouv, model)
+        assert result.diagnostics["preconditioner"] == form
+        reference = steady_linsolve(liouv).rho.to_dense()
+        assert np.abs(result.rho.to_dense() - reference).max() < 1e-12
+
+    def test_eig_form_stagnates_at_the_exceptional_point(self, monkeypatch):
+        monkeypatch.setattr(steady, "_EIG_COND_LIMIT", np.inf)
+        model = driven_qubit_model(0.5, 1.0)
+        with pytest.raises(ConvergenceError, match="stagnated"):
+            steady_iterative(build_liouvillian(model), model)
+
+    def test_singular_eigenvectors_take_the_schur_form(self, monkeypatch):
+        def singular(_):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(steady.np.linalg, "inv", singular)
+        model = driven_qubit_model(1.0, 1.0)
+        result = steady_iterative(build_liouvillian(model), model)
+        assert result.diagnostics["preconditioner"] == "schur"
+
+    def test_preconditioner_forms_agree_on_corpus(self, monkeypatch):
+        states = {}
+        for limit, form in ((np.inf, "eig"), (0.0, "schur")):
+            monkeypatch.setattr(steady, "_EIG_COND_LIMIT", limit)
+            states[form] = []
+            for model in random_corpus():
+                result = steady_iterative(build_liouvillian(model), model)
+                assert result.diagnostics["preconditioner"] == form
+                states[form].append(result.rho.to_dense())
+        worst = max(np.abs(a - b).max() for a, b in zip(states["eig"], states["schur"]))
+        assert worst < 1e-12
+
+    def test_weight_sits_on_the_least_damped_level(self):
+        # H_eff = diag(0, -i): the ground state is undamped, the excited one decays
+        result = steady_iterative(build_liouvillian(qubit_decay_model()), qubit_decay_model())
+        assert result.diagnostics["augmented_level"] == 0
+        flipped = LindbladModel(
+            Operator(single_space(2, "q"), np.zeros((2, 2))),
+            [(1.0, Operator(single_space(2, "q"), transition(2, 2, 1)))],
+        )
+        result = steady_iterative(build_liouvillian(flipped), flipped)
+        assert result.diagnostics["augmented_level"] == 1
+        assert np.allclose(result.rho.to_dense(), np.diag([0.0, 1.0]), atol=1e-12)
+
+    def test_decoupled_driven_qubits_are_degenerate(self):
+        # two driven, damped qubits in one 4-level space: a steady state per block
+        layout = single_space(4, "q")
+        drive = transition(4, 1, 2) + transition(4, 2, 1)
+        drive += 0.5 * (transition(4, 3, 4) + transition(4, 4, 3))
+        model = LindbladModel(
+            Operator(layout, drive),
+            [(1.0, Operator(layout, transition(4, 1, 2))),
+             (1.0, Operator(layout, transition(4, 3, 4)))],
+        )
+        with pytest.raises(DegeneracyError, match="augmentations"):
+            steady_iterative(build_liouvillian(model), model)
 
     def test_degenerate_hamiltonian_only(self):
         model = degenerate_model()
@@ -704,7 +767,7 @@ class TestIterative:
             reference = steady_iterative(liouv, model)
             result = steady_iterative(c * liouv, scaled_model(model, c))
             assert np.abs(result.rho.to_dense() - reference.rho.to_dense()).max() < 1e-12
-            counts = ("gmres_iterations", "check_iterations")
+            counts = ("gmres_iterations", "check_iterations", "preconditioner", "augmented_level")
             assert [result.diagnostics[key] for key in counts] == [
                 reference.diagnostics[key] for key in counts
             ]

@@ -292,8 +292,8 @@ class TestSuperOperatorStorage:
         assert isinstance(rebuilt.matrix, sp.csr_array)
         assert np.array_equal(rebuilt.to_dense(), dense)
         assert np.array_equal(rebuilt.matrix.toarray(), dense)
-        assert np.array_equal((rebuilt + superop).to_dense(), 2 * dense)
-        assert np.array_equal((-rebuilt).to_dense(), -dense)
+        assert np.array_equal((2 * rebuilt).to_dense(), 2 * dense)
+        assert np.array_equal((rebuilt * -1).matrix.toarray(), -dense)
         assert rebuilt.norm_inf() == pytest.approx(np.abs(dense).sum(axis=1).max(), abs=1e-12)
 
     def test_dense_capacity_guard(self):
