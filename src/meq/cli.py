@@ -113,12 +113,8 @@ _FLAGS = {
         action="store_true", help="rerun with one more photon per mode, report drift")),
     "method": ("--method", dict(choices=("dense", "sparse", "solve", "iterative"),
                                 help="steady-state route (default: by problem size)")),
-    "row": ("--row", dict(type=int, help="diagonal element whose equation the solve "
-                          "route replaces (default 1; needs --method solve)")),
-    "gamma": ("--gamma", dict(type=float, help="scale of the normalization row in the "
-                              "solve route (default 1.0; needs --method solve)")),
 }
-_STEADY = ("method", "row", "gamma")  # the flags of a command that solves for a steady state
+_STEADY = ("method",)  # the flags of a command that solves for a steady state
 
 # the model commands: name -> (help, the flag it requires, the flags it may take)
 _COMMANDS = {
@@ -193,11 +189,11 @@ def _cascade_mode(args):
 
 
 def _check_flags(args):
-    """Usage errors the argument parser cannot see: an ``--observables`` or ``--keep``
-    list that names nothing, a ``meq cascade`` flag its mode would ignore, and ``--row`` or
-    ``--gamma`` without ``--method solve``.  Unset ``--initial``, ``--row`` and ``--gamma``
-    become ``ground``, 1 and 1.0."""
-    for dest, item in (("observables", "expression"), ("keep", "subsystem")):
+    """Usage errors the argument parser cannot see: an ``--observables``, ``--keep`` or
+    ``--transpose`` list that names nothing, and a ``meq cascade`` flag its mode would
+    ignore.  An unset ``--initial`` becomes ``ground``."""
+    for dest, item in (("observables", "expression"), ("keep", "subsystem"),
+                       ("transpose", "subsystem")):
         if getattr(args, dest, None) is not None and not _split_top_level(getattr(args, dest)):
             raise _UsageError(f"{_FLAGS[dest][0]} lists no {item}")
     if args.command == "cascade":
@@ -209,13 +205,6 @@ def _check_flags(args):
                 raise _UsageError(f"cascade {spelling} does not use {_FLAGS[dest][0]}")
     if hasattr(args, "initial") and args.initial is None:
         args.initial = "ground"
-    if not hasattr(args, "row"):  # the command solves for no steady state
-        return
-    for dest in ("row", "gamma"):
-        if _given(args, dest) and args.method != "solve":
-            raise _UsageError(f"{_FLAGS[dest][0]} needs --method solve")
-    args.row = 1 if args.row is None else args.row
-    args.gamma = 1.0 if args.gamma is None else args.gamma
 
 
 @functools.lru_cache(maxsize=1)
@@ -298,9 +287,8 @@ class _Runner:
     def _steady(self, doc):
         """The document's bindings and the steady state on the requested or
         policy-chosen route; the result's policy says which."""
-        args = self.args
         env, model, liouv = self._build(doc)
-        policy = self.superspace.choose_route("steady", liouv.dim, method=args.method)
+        policy = self.superspace.choose_route("steady", liouv.dim, method=self.args.method)
         with self._timed("solve"):
             if policy.route == "dense":
                 result = self.steady.steady_dense(liouv)
@@ -309,7 +297,7 @@ class _Runner:
             elif policy.route == "iterative":
                 result = self.steady.steady_iterative(liouv, model)
             else:  # the LU route records its own dense/sparse choice
-                result = self.steady.steady_linsolve(liouv, l=args.row, gamma=args.gamma)
+                result = self.steady.steady_linsolve(liouv)
         return env, result if result.policy else dataclasses.replace(result, policy=policy)
 
     def _observables(self, doc, env, states):
@@ -409,17 +397,31 @@ class _Runner:
             results["observables"] = observables
         return self._record(trajectory.policy.route, results, trajectory.policy)
 
+    def _subsystems(self, doc, dest):
+        """The names a ``--keep`` or ``--transpose`` list gives, each a space of the
+        model and none twice, checked before any solve."""
+        names, spaces = _split_top_level(getattr(self.args, dest)), tuple(dict(doc.spaces))
+        flag = _FLAGS[dest][0]
+        for j, name in enumerate(names):
+            if name not in spaces:
+                raise _UsageError(f"{flag} names unknown subsystem {name!r}; "
+                                  f"the model has {spaces}")
+            if name in names[:j]:
+                raise _UsageError(f"{flag} names subsystem {name!r} twice")
+        return names
+
     def _reduce_to(self, rho, keep):
-        """Partial trace over every subsystem not in ``keep``; unknown names fail early."""
-        for name in keep:
-            rho.layout.axis(name)
+        """Partial trace over every subsystem not in ``keep``."""
         traced = [n for n in rho.layout.names if n not in keep]
         return self.hilbert.partial_trace(rho, traced) if traced else rho
 
     def cmd_negativity(self, doc):
+        transpose = self._subsystems(doc, "transpose")
+        keep = self._subsystems(doc, "keep") if self.args.keep is not None else []
+        for name in transpose:
+            if keep and name not in keep:
+                raise _UsageError(f"--transpose names subsystem {name!r}, which --keep drops")
         _, result = self._steady(doc)
-        keep = _split_top_level(self.args.keep or "")
-        transpose = _split_top_level(self.args.transpose)
         with self._timed("measure"):
             rho = self._reduce_to(result.rho, keep) if keep else result.rho
             value = self.measures.log_negativity(rho, transpose)
@@ -429,8 +431,8 @@ class _Runner:
         return self._steady_record(result, **extra, log_negativity=value)
 
     def cmd_ptrace(self, doc):
+        keep = self._subsystems(doc, "keep")
         _, result = self._steady(doc)
-        keep = _split_top_level(self.args.keep)
         with self._timed("measure"):
             reduced = self._reduce_to(result.rho, keep)
         return self._steady_record(result, keep=keep, rho_reduced=reduced.to_dense())

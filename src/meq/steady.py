@@ -4,8 +4,9 @@ Every valid generator annihilates some density matrix; the routines here
 recover it either from the eigenvector of the (largest-real-part, i.e. zero)
 eigenvalue -- densely or by shift-inverted Arnoldi iteration targeting 0 --
 by replacing one row of the generator with the trace-normalization
-condition and solving the resulting linear system by LU factorization, or
-by preconditioned GMRES on the generator augmented with the trace condition.
+condition and solving the resulting linear system by LU factorization (the
+paper's method, the default below superspace dimension 1024), or by
+preconditioned GMRES on the generator augmented with the trace condition.
 
 Everything but the GMRES route works in real arithmetic: the eigenvector
 and LU steady routes, :func:`spectrum` and :func:`check_uniqueness` here,
@@ -390,40 +391,32 @@ def _replace_row(matrix: sp.csr_array, s: int, cols: np.ndarray, value: float) -
     return sp.csr_array((data, indices, indptr), shape=matrix.shape)
 
 
-def steady_linsolve(liouv: SuperOperator, l: int = 1, gamma: float = 1.0) -> SteadyStateResult:
+def steady_linsolve(liouv: SuperOperator) -> SteadyStateResult:
     """Steady state from the row-replacement linear system.
 
-    Row l+(l-1)d of the generator (the evolution equation of the diagonal
-    element rho_ll) is overwritten with gamma times the vectorized identity,
-    turning the normalization condition into one equation of the system; the
-    right-hand side is gamma at that row and zero elsewhere.  The edit is
-    made on the real generator R, where it is the same row and the same d
-    columns, and equals T^dag L' T for the edited complex L'.  The solve uses
-    a real LU factorization (dense LAPACK or SuperLU, as :func:`choose_route`
-    decides by size), so the trace of the solution is 1 by construction.
-    A condition estimate above 1e14 signals a degenerate steady state, for
-    which the replaced system is singular.  ``l`` must lie in [1, d] and
-    ``gamma`` must be finite and > 0, or ``ValueError`` is raised.
+    Row 0 of the generator (the evolution equation of rho_11) is overwritten
+    with gamma vec(I)^T, gamma = ||L||_inf / d (1 / d when L = 0), turning the
+    normalization condition into one equation of the system with right-hand
+    side gamma e_0.  That is the scale of the iterative route's augmentation:
+    under L -> cL the system becomes c times itself, so neither the state nor
+    the condition estimate depends on the unit of time.  The edit is made on
+    the real generator R, where it is the same row and the same d columns,
+    and equals T^dag L' T for the edited complex L'.  The solve uses a real LU
+    factorization (dense LAPACK or SuperLU, as :func:`choose_route` decides by
+    size), so the trace of the solution is 1 by construction.  A condition
+    estimate above 1e14 signals a degenerate steady state, for which the
+    replaced system is singular.
     """
-    layout = liouv.layout
-    d = layout.total_dim
-    if not 1 <= l <= d:
-        raise ValueError(f"row selector l={l} out of range [1, {d}]")
-    gamma = float(gamma)
-    if not np.isfinite(gamma):
-        raise ValueError(f"gamma must be finite, got {gamma}")
-    if gamma <= 0:
-        raise ValueError(f"gamma must be > 0, got {gamma}")
-    n = d * d
-    s = (l - 1) * (d + 1)  # 0-based superindex of rho_ll
+    d = liouv.layout.total_dim
+    gamma = (liouv.norm_inf() or 1.0) / d
     diag_cols = np.arange(d) * (d + 1)
-    rhs = np.zeros(n)
-    rhs[s] = gamma
-    policy = choose_route("linsolve", n)
+    rhs = np.zeros(liouv.dim)
+    rhs[0] = gamma
+    policy = choose_route("linsolve", liouv.dim)
     real, basis = _real_generator(liouv)
 
     if policy.route == "sparse":
-        replaced = _replace_row(real.tocsr(), s, diag_cols, gamma).tocsc()
+        replaced = _replace_row(real.tocsr(), 0, diag_cols, gamma).tocsc()
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", spla.MatrixRankWarning)
@@ -452,8 +445,8 @@ def steady_linsolve(liouv: SuperOperator, l: int = 1, gamma: float = 1.0) -> Ste
         diagnostics = {"lu_nnz": lu.L.nnz + lu.U.nnz}
     else:
         replaced = real.toarray()
-        replaced[s, :] = 0.0
-        replaced[s, diag_cols] = gamma
+        replaced[0, :] = 0.0
+        replaced[0, diag_cols] = gamma
         anorm = float(np.abs(replaced).sum(axis=0).max())
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

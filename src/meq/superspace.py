@@ -53,12 +53,11 @@ _DENSE_CAPACITY = 10_000
 # dense while they fit: ARPACK's largest-real-part iteration took 0.1-0.3 s
 # on the cascade for k <= 12 (n = 900, 2025) and failed to converge at k = 20
 # with a restart dimension of 41 (k = 20 now gets 60).
-_SPARSE_FROM = {"steady": 64, "spectrum": 200, "linsolve": 400, "evolve": 150}
+_SPARSE_FROM = {"spectrum": 200, "linsolve": 400, "evolve": 150}
 _SPARSE_SPECTRUM_MAX_K = 10
-# From here on steady states take the factorization-free iterative route
-# (GMRES preconditioned by the no-jump part) instead of shift-inverted ARPACK:
-# it won on the cascade and on two-mode models from n of about 1000, and
-# lost by about 2x on a single long damped mode (README lists the medians).
+# Steady states take the row-replacement solve below this n and GMRES (the
+# iterative route) from it on: the solve beat eig and ARPACK at every n and
+# GMRES up to n = 576, and lost to GMRES from n = 1296 (README lists medians).
 _ITERATIVE_FROM = 1024
 # The routes a caller may request per task; the LU route picks its own by n.
 _REQUESTABLE = {
@@ -93,23 +92,26 @@ def choose_route(
 ) -> RouteChoice:
     """The one dense-versus-sparse policy for superspace computations.
 
-    ``task`` is "steady" (the dense and sparse eigenvector routes, and from
-    :data:`_ITERATIVE_FROM` on the "iterative" route), "spectrum" (``k``
-    leading eigenvalues), "linsolve" (row-replaced LU) or "evolve"
-    (propagation); ``n`` is the superspace dimension.  A caller's ``method``
-    (steady: "dense", "sparse", "solve" or "iterative"; spectrum and evolve:
-    "dense" or "sparse") is checked and returned as requested, except that a
-    sparse spectrum with k >= n - 1, which ARPACK cannot compute, runs dense.
+    ``task`` is "steady" (the row-replacement "solve" route below
+    :data:`_ITERATIVE_FROM`, the "iterative" route from it on), "spectrum"
+    (``k`` leading eigenvalues), "linsolve" (the solve route's dense or
+    sparse LU) or "evolve" (propagation); ``n`` is the superspace dimension.
+    A caller's ``method`` (steady: "dense", "sparse", "solve" or
+    "iterative"; spectrum and evolve: "dense" or "sparse") is checked and
+    returned as requested, except that a sparse spectrum with k >= n - 1,
+    which ARPACK cannot compute, runs dense.
     """
-    threshold = _SPARSE_FROM[task]
     if method is not None:
         allowed = _REQUESTABLE[task]
         if method not in allowed:
             raise ValueError(f"method must be {' or '.join(map(repr, allowed))}, got {method!r}")
         if not (task == "spectrum" and method == "sparse" and k >= n - 1):
             return RouteChoice(method, "requested")
-    if task == "steady" and n >= _ITERATIVE_FROM:
-        return RouteChoice("iterative", f"steady: n={n} >= {_ITERATIVE_FROM}")
+    if task == "steady":
+        if n >= _ITERATIVE_FROM:
+            return RouteChoice("iterative", f"steady: n={n} >= {_ITERATIVE_FROM}")
+        return RouteChoice("solve", f"steady: n={n} < {_ITERATIVE_FROM}")
+    threshold = _SPARSE_FROM[task]
     if task == "spectrum":
         if k >= n - 1:
             return RouteChoice("dense", f"spectrum: k={k} >= n-1={n - 1}, ARPACK needs k < n-1")

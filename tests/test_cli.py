@@ -183,47 +183,12 @@ class TestSteadyCommand:
         assert values["proj(q,2)"][0] == pytest.approx(1 / 3, abs=1e-9)
         assert values["trans(q,1,1)"][0] == pytest.approx(2 / 3, abs=1e-9)
 
-    def test_row_and_gamma_flags(self, model_file):
-        path = model_file(DRIVEN_QUBIT)
-        base = invoke_record(["steady", path, "--method", "solve"])
-        tweaked = invoke_record(
-            ["steady", path, "--method", "solve", "--row", "2", "--gamma", "100"]
-        )
-        for row_a, row_b in zip(base["results"]["rho"], tweaked["results"]["rho"]):
-            for val_a, val_b in zip(row_a, row_b):
-                assert val_a == pytest.approx(val_b, abs=1e-9)
-
-    @pytest.mark.parametrize("command", [
-        ["steady"], ["negativity", "--transpose", "q"], ["ptrace", "--keep", "q"],
-    ])
-    @pytest.mark.parametrize("flags,message", [
-        (["--row", "2"], "--row needs --method solve"),
-        (["--row", "1"], "--row needs --method solve"),
-        (["--gamma", "2"], "--gamma needs --method solve"),
-        (["--method", "sparse", "--gamma", "1.0"], "--gamma needs --method solve"),
-        (["--method", "dense", "--row", "2"], "--row needs --method solve"),
-    ])
-    def test_row_and_gamma_need_the_solve_route(self, model_file, command, flags, message):
-        argv = [command[0], model_file(DRIVEN_QUBIT), *command[1:], *flags]
-        assert invoke(argv) == (1, "", f"meq: error: usage: {message}\n")
-
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("gamma,message", [
-        ("inf", "gamma must be finite, got inf"),
-        ("nan", "gamma must be finite, got nan"),
-        ("-inf", "gamma must be finite, got -inf"),
-        ("0", "gamma must be > 0, got 0.0"),
-    ])
-    def test_gamma_must_be_finite_and_positive(self, model_file, gamma, message):
-        argv = ["steady", model_file(DRIVEN_QUBIT), "--method", "solve", f"--gamma={gamma}"]
-        assert invoke(argv) == (1, "", f"meq: error: usage: {message}\n")
-
     def test_byte_identical_records(self, model_file):
         path = model_file(DRIVEN_QUBIT)
         for argv, policy in (
             (["steady", path, "--method", "sparse", "--observables", "proj(q,2)"],
              {"route": "sparse", "reason": "requested"}),
-            (["steady", path], {"route": "dense", "reason": "steady: n=4 < 64"}),
+            (["steady", path], {"route": "dense", "reason": "linsolve: n=4 < 400"}),
             (["steady", path, "--method", "solve"],
              {"route": "dense", "reason": "linsolve: n=4 < 400"}),
             (["spectrum", path, "-k", "2"], {"route": "dense", "reason": "spectrum: n=4 < 200"}),
@@ -429,8 +394,37 @@ class TestReductionCommands:
     @pytest.mark.parametrize("command", [["ptrace", "--keep"], ["negativity", "--transpose"]])
     def test_unknown_subsystem_message_is_unquoted(self, model_file, command):
         path = model_file(TWO_QUBIT_DECAY)
-        expected = "meq: error: usage: unknown subsystem 'zz'; layout has ('p', 'q')\n"
+        expected = (f"meq: error: usage: {command[1]} names unknown subsystem 'zz'; "
+                    "the model has ('p', 'q')\n")
         assert invoke([command[0], path, command[1], "zz"]) == (1, "", expected)
+
+    # checked against the model's spaces before any solve, on the commands and the cascade modes
+    @pytest.mark.parametrize("flags,message", [
+        (["--keep", "xi,xi"], "--keep names subsystem 'xi' twice"),
+        (["--keep", "a,zz"], "--keep names unknown subsystem 'zz'; the model has ('xi', 'a', 'b')"),
+        (["--transpose", "xi,xi"], "--transpose names subsystem 'xi' twice"),
+        (["--transpose", "zz"],
+         "--transpose names unknown subsystem 'zz'; the model has ('xi', 'a', 'b')"),
+        (["--transpose", "xi", "--keep", "a"], "--transpose names subsystem 'xi', which --keep drops"),
+        (["--transpose", "a", "--keep", "a,a"], "--keep names subsystem 'a' twice"),
+        (["--transpose", "a", "--keep", "zz"],
+         "--keep names unknown subsystem 'zz'; the model has ('xi', 'a', 'b')"),
+        (["--transpose", ""], "--transpose lists no subsystem"),
+        (["--transpose", " , "], "--transpose lists no subsystem"),
+    ])
+    def test_bad_subsystem_list_fails_before_the_solve(self, model_file, monkeypatch, flags,
+                                                        message):
+        from meq import cli
+
+        def no_solve(*args):
+            raise AssertionError("the steady state was solved for")
+
+        monkeypatch.setattr(cli._Runner, "_steady", no_solve)
+        path = model_file(emitted_model(*SMALL_CASCADE))
+        command = "negativity" if flags[0] == "--transpose" else "ptrace"
+        expected = (1, "", f"meq: error: usage: {message}\n")
+        assert invoke([command, path, *flags]) == expected
+        assert invoke(["cascade", *SMALL_CASCADE, *flags]) == expected
 
 
 # every cascade parameter flag, its CascadeParams field and its default
@@ -518,10 +512,10 @@ class TestCascadeCommand:
         assert record["method"] == "sparse"
 
     @pytest.mark.parametrize("size,method,policy", [
-        (["--na", "1", "--nb", "0"], "dense-eig",
-         {"route": "dense", "reason": "steady: n=36 < 64"}),
-        (["--na", "2", "--nb", "0"], "sparse-eig",
-         {"route": "sparse", "reason": "steady: n=81 >= 64"}),
+        (["--na", "1", "--nb", "0"], "linsolve",
+         {"route": "dense", "reason": "linsolve: n=36 < 400"}),
+        (["--na", "6", "--nb", "0"], "linsolve",
+         {"route": "sparse", "reason": "linsolve: n=441 >= 400"}),
         (["--na", "3", "--nb", "2"], "iterative",
          {"route": "iterative", "reason": "steady: n=1296 >= 1024"}),
     ])
@@ -584,17 +578,17 @@ class TestCascadeCommand:
         (["-k", "3", "--initial", "ground"], "cascade -k does not use --initial"),
         (["-k", "3", "--times", "1"], "cascade -k does not use --times"),
         (["--times", "1", "--keep", "xi"], "cascade --times does not use --keep"),
-        (["-k", "3", "--method", "solve", "--row", "2"], "cascade -k does not use --row"),
-        (["-k", "3", "--method", "solve", "--gamma", "2"], "cascade -k does not use --gamma"),
-        (["--times", "1", "--method", "solve", "--row", "1"], "cascade --times does not use --row"),
-        (["--times", "1", "--method", "solve", "--gamma", "2"],
-         "cascade --times does not use --gamma"),
-        (["-k", "3", "--row", "2"], "cascade -k does not use --row"),
-        (["--row", "2"], "--row needs --method solve"),
-        (["--negativity-all", "--gamma", "2"], "--gamma needs --method solve"),
-        (["--transpose", "xi", "--method", "iterative", "--row", "2"],
-         "--row needs --method solve"),
-        (["--keep", "xi", "--gamma", "2"], "--gamma needs --method solve"),
+        (["-k", "3", "--negativity-all"], "cascade -k does not use --negativity-all"),
+        (["-k", "3", "--keep", "xi"], "cascade -k does not use --keep"),
+        (["--times", "1", "--transpose", "xi"], "cascade --times does not use --transpose"),
+        (["--times", "1", "--keep", "xi", "--transpose", "a"],
+         "cascade --times does not use --transpose"),
+        (["-k", "3", "--transpose", "xi"], "cascade -k does not use --transpose"),
+        (["--negativity-all", "--keep", "xi"], "cascade --negativity-all does not use --keep"),
+        (["--negativity-all", "--transpose", "xi"],
+         "cascade --negativity-all does not use --transpose"),
+        (["--transpose", "xi", "--initial", "ground"], "cascade --transpose does not use --initial"),
+        (["--keep", "xi", "--initial", "ground"], "cascade --keep does not use --initial"),
         (["--emit-model", "-k", "3"], "cascade --emit-model does not use -k"),
         (["-k", "3", "--emit-model"], "cascade --emit-model does not use -k"),
         (["--emit-model", "--times", ""], "cascade --emit-model does not use --times"),
@@ -613,10 +607,9 @@ class TestCascadeCommand:
         record = invoke_record(["cascade", *SMALL_CASCADE, "--times", "0",
                                 "--initial", "maximally-mixed", "--observables", "s11"])
         assert record["results"]["initial"] == "maximally-mixed"
-        # every mode that solves for a steady state takes the LU route's row and gamma
+        # every mode that solves for a steady state takes --method
         for flags in ([], ["--negativity-all"], ["--transpose", "xi"], ["--keep", "xi"]):
-            record = invoke_record(["cascade", *SMALL_CASCADE, *flags, "--method", "solve",
-                                    "--row", "2", "--gamma", "10"])
+            record = invoke_record(["cascade", *SMALL_CASCADE, *flags, "--method", "solve"])
             assert record["method"] == "linsolve"
 
     # an empty value still picks the mode, which then fails like the command it runs
@@ -684,6 +677,32 @@ class TestCascadeIsItsModelText:
         assert shared >= {"policy"} and shared != {"policy"}
         assert {key: built_in["results"][key] for key in shared} == {
             key: from_file["results"][key] for key in shared}
+
+
+class TestDefaultSteadyRoute:
+    """Below superspace 1024 the default steady route is the row-replacement solve."""
+
+    @pytest.mark.parametrize("size,command", [
+        (None, ["steady"]),  # n = 4
+        (["--na", "2", "--nb", "1"], ["steady", "--observables", "s11"]),  # n = 324
+        (["--na", "3", "--nb", "1"], ["ptrace", "--keep", "xi,a"]),  # n = 576, SuperLU
+        (["--na", "2", "--nb", "1"], ["cascade"]),
+        (["--na", "3", "--nb", "1"], ["cascade"]),
+        (["--na", "3", "--nb", "1"], ["cascade", "--keep", "b"]),
+        (["--na", "2", "--nb", "1"], ["cascade", "--transpose", "xi", "--keep", "xi,a"]),
+    ])
+    def test_default_record_is_the_solve_record(self, model_file, size, command):
+        if command[0] == "cascade":
+            argv = ["cascade", *size, *command[1:]]
+        else:
+            path = model_file(emitted_model(*size) if size else DRIVEN_QUBIT)
+            argv = [command[0], path, *command[1:]]
+        default = invoke_record(argv)
+        solve = invoke_record([*argv, "--method", "solve"])
+        default.pop("timings")
+        solve.pop("timings")
+        assert default["method"] == "linsolve"
+        assert json.dumps(default) == json.dumps(solve)
 
 
 class TestCascadeBenchmarkRecords:

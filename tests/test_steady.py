@@ -125,34 +125,22 @@ class TestInvariants:
         assert np.abs(dense - sparse).max() < 1e-8
         assert np.abs(dense - solve).max() < 1e-8
 
-    def test_gamma_invariance(self):
-        liouv = build_liouvillian(driven_qubit_model(1.0, 1.0))
-        reference = steady_linsolve(liouv, gamma=1.0).rho.to_dense()
-        for gamma in (1e-3, 1e3):
-            other = steady_linsolve(liouv, gamma=gamma).rho.to_dense()
-            assert np.abs(other - reference).max() < 1e-9
-
-    def test_row_choice_invariance(self):
-        liouv = build_liouvillian(driven_qubit_model(1.3, 0.7))
-        reference = steady_linsolve(liouv, l=1).rho.to_dense()
-        other = steady_linsolve(liouv, l=2).rho.to_dense()
-        assert np.abs(other - reference).max() < 1e-9
-
-    def test_linsolve_argument_validation(self):
-        liouv = build_liouvillian(qubit_decay_model())
-        with pytest.raises(ValueError):
-            steady_linsolve(liouv, l=0)
-        with pytest.raises(ValueError):
-            steady_linsolve(liouv, l=3)
-        with pytest.raises(ValueError):
-            steady_linsolve(liouv, gamma=-1.0)
-
-    @pytest.mark.parametrize("d", [2, 20])  # dense LAPACK and SuperLU
-    @pytest.mark.parametrize("gamma", [np.inf, -np.inf, np.nan])
-    def test_linsolve_rejects_non_finite_gamma(self, d, gamma):
-        liouv = build_liouvillian(driven_emitter_model(d, np.random.default_rng(d)))
-        with pytest.raises(ValueError, match="gamma must be finite"):
-            steady_linsolve(liouv, gamma=gamma)
+    # gamma = ||L||_inf / d: with gamma = 1 the cascade at c = 1e-16, 1e12 and 1e16
+    # and every corpus model at c = 1e+-16 raised a false DegeneracyError
+    @pytest.mark.parametrize("c", [1e-16, 1e-12, 1.0, 1e12, 1e16])
+    def test_linsolve_is_scale_free(self, c):
+        cascade = build_liouvillian(cascade_model(CascadeParams(n_a=3, n_b=1)))  # n = 576
+        liouvs = [cascade, *(build_liouvillian(model) for model in random_corpus())]
+        assert choose_route("linsolve", cascade.dim).route == "sparse"
+        assert choose_route("linsolve", liouvs[-1].dim).route == "dense"
+        for liouv in liouvs:
+            result = steady_linsolve(c * liouv)
+            reference = steady_dense(liouv).rho.to_dense()
+            assert np.abs(result.rho.to_dense() - reference).max() < 1e-12
+        h_only = LindbladModel(Operator(single_space(20, "q"), np.diag(np.arange(20.0))))
+        for model in (dephasing_model(12), degenerate_model(), h_only):  # n = 144, 4, 400
+            with pytest.raises(DegeneracyError):
+                steady_linsolve(c * build_liouvillian(model))
 
 
 class TestDegeneracy:
@@ -501,15 +489,15 @@ def complex_sparse_reference(liouv):
     return _normalized(vectors[:, np.argmin(np.abs(values))], liouv.layout.total_dim)
 
 
-def complex_linsolve_reference(liouv, l=1, gamma=1.0):
-    """Complex row-replaced system: row of rho_ll set to gamma vec(I)^T."""
+def complex_linsolve_reference(liouv):
+    """Complex row-replaced system: row of rho_11 set to gamma vec(I)^T, gamma = ||L||_inf / d."""
     d = liouv.layout.total_dim
-    s = (l - 1) * (d + 1)
+    gamma = (liouv.norm_inf() or 1.0) / d
     replaced = liouv.to_dense()
-    replaced[s, :] = 0.0
-    replaced[s, np.arange(d) * (d + 1)] = gamma
+    replaced[0, :] = 0.0
+    replaced[0, np.arange(d) * (d + 1)] = gamma
     rhs = np.zeros(d * d, dtype=complex)
-    rhs[s] = gamma
+    rhs[0] = gamma
     return _normalized(np.linalg.solve(replaced, rhs), d)
 
 
@@ -563,6 +551,7 @@ class TestRealBasis:
                 worst = max(worst, gap)
         assert worst < 1e-12
 
+    # the row of rho_11 and gamma = ||L||_inf / d, which the route derives from L
     @pytest.mark.parametrize("route", ["dense", "sparse"])
     def test_linsolve_row_and_gamma_match_complex_system(self, route, monkeypatch):
         monkeypatch.setattr(
@@ -570,10 +559,10 @@ class TestRealBasis:
         )
         rng = np.random.default_rng(81)
         liouv = build_liouvillian(random_model(rng, 5, 2))
-        for l, gamma in ((1, 1.0), (3, 0.01), (5, 250.0)):
-            result = steady_linsolve(liouv, l=l, gamma=gamma)
+        for c in (1e-3, 1.0, 250.0):
+            result = steady_linsolve(c * liouv)
             assert result.policy.route == route
-            reference = complex_linsolve_reference(liouv, l, gamma)
+            reference = complex_linsolve_reference(c * liouv)
             assert np.abs(result.rho.to_dense() - reference).max() < 1e-12
 
     # n = 4 (dense branch of steady_sparse), 9, 144, 400 (ARPACK error 3 on the sparse route)

@@ -241,11 +241,13 @@ class TestSuperOperatorStorage:
         for superop in (small, large):
             assert isinstance(superop.matrix, sp.csr_array)
             assert superop.matrix.nnz == 0  # [I, rho] = 0 stores no entries
-        crossovers = {"steady": 64, "spectrum": 200, "linsolve": 400, "evolve": 150}
+        crossovers = {"spectrum": 200, "linsolve": 400, "evolve": 150}
         for task, n in crossovers.items():
             assert choose_route(task, n - 1, k=5) == ("dense", f"{task}: n={n - 1} < {n}")
             assert choose_route(task, n, k=5) == ("sparse", f"{task}: n={n} >= {n}")
-        assert choose_route("steady", 1023) == ("sparse", "steady: n=1023 >= 64")
+        # steady states: the row-replacement solve, then GMRES; no eigenvector route by default
+        assert choose_route("steady", 1) == ("solve", "steady: n=1 < 1024")
+        assert choose_route("steady", 1023) == ("solve", "steady: n=1023 < 1024")
         assert choose_route("steady", 1024) == ("iterative", "steady: n=1024 >= 1024")
         assert choose_route("steady", 321_489).route == "iterative"
         assert choose_route("spectrum", 2025, k=11).route == "dense"
