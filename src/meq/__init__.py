@@ -1,8 +1,8 @@
 """Lindblad master equations in superspace for composite systems.
 
 Build Liouvillians from Hamiltonians and jump operators, find steady states
-by four independent routes, propagate states, and compute reduced states,
-partial transposes, and logarithmic negativities.  Submodules:
+by four independent routes (``steady_state`` picks one), propagate states, and
+compute reduced states, partial transposes and log negativities.  Submodules:
 
 - ``hilbert``: composite-space layouts, index maps, embeddings, partial
   trace and transpose
@@ -59,6 +59,7 @@ _EXPORTS = {
     "GapReport": "steady",
     "DegeneracyError": "steady",
     "ConvergenceError": "steady",
+    "steady_state": "steady",
     "steady_dense": "steady",
     "steady_sparse": "steady",
     "steady_linsolve": "steady",

@@ -114,15 +114,14 @@ _FLAGS = {
     "method": ("--method", dict(choices=("dense", "sparse", "solve", "iterative"),
                                 help="steady-state route (default: by problem size)")),
 }
-_STEADY = ("method",)  # the flags of a command that solves for a steady state
 
 # the model commands: name -> (help, the flag it requires, the flags it may take)
 _COMMANDS = {
-    "steady": ("steady state and expectation values", None, (*_STEADY, "observables")),
+    "steady": ("steady state and expectation values", None, ("method", "observables")),
     "spectrum": ("leading Liouvillian eigenvalues", "count", ()),
     "evolve": ("propagate a state through a time list", "times", ("initial", "observables")),
-    "negativity": ("logarithmic negativity of the steady state", "transpose", ("keep", *_STEADY)),
-    "ptrace": ("reduced steady-state density matrix", "keep", _STEADY),
+    "negativity": ("logarithmic negativity of the steady state", "transpose", ("keep", "method")),
+    "ptrace": ("reduced steady-state density matrix", "keep", ("method",)),
 }
 
 # meq cascade's modes by the flag that picks each, first given first (None, the population
@@ -132,11 +131,11 @@ _COMMANDS = {
 _CASCADE_MODES = {
     "emit_model": (None,),
     "count": "spectrum",
-    "negativity_all": ("_cascade_negativities", *_STEADY),
+    "negativity_all": ("_cascade_negativities", "method"),
     "times": "evolve",
     "transpose": "negativity",
     "keep": "ptrace",
-    None: ("_cascade_report", "observables", "check_truncation", *_STEADY),
+    None: ("_cascade_report", "observables", "check_truncation", "method"),
 }
 
 
@@ -285,20 +284,10 @@ class _Runner:
         return env, model, liouv
 
     def _steady(self, doc):
-        """The document's bindings and the steady state on the requested or
-        policy-chosen route; the result's policy says which."""
+        """The document's bindings and :func:`meq.steady.steady_state` of its model."""
         env, model, liouv = self._build(doc)
-        policy = self.superspace.choose_route("steady", liouv.dim, method=self.args.method)
         with self._timed("solve"):
-            if policy.route == "dense":
-                result = self.steady.steady_dense(liouv)
-            elif policy.route == "sparse":
-                result = self.steady.steady_sparse(liouv)
-            elif policy.route == "iterative":
-                result = self.steady.steady_iterative(liouv, model)
-            else:  # the LU route records its own dense/sparse choice
-                result = self.steady.steady_linsolve(liouv)
-        return env, result if result.policy else dataclasses.replace(result, policy=policy)
+            return env, self.steady.steady_state(liouv, model, self.args.method)
 
     def _observables(self, doc, env, states):
         """Each ``--observables`` expression, evaluated once, with its
@@ -370,7 +359,7 @@ class _Runner:
             return self.hilbert.identity_operator(layout) / layout.total_dim
         op = self.modelspec.evaluate_observable(doc, text, env=env)
         trace = op.trace()
-        if abs(trace) < 1e-12:
+        if abs(trace) <= 1e-12 * abs(op.matrix).max():  # <=: the zero operator too
             raise _UsageError(f"initial state expression {text!r} has zero trace")
         return op / trace
 

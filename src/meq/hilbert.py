@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "LayoutMismatchError",
@@ -188,18 +187,11 @@ def transition(dim: int, j: int, k: int) -> np.ndarray:
     return mat
 
 
-def _to_dense(matrix) -> np.ndarray:
-    if sp.issparse(matrix):
-        return matrix.toarray().astype(complex)
-    return np.asarray(matrix, dtype=complex)
-
-
 class Operator:
     """A linear operator on a composite space, tied to its :class:`SpaceLayout`.
 
-    The matrix is always a dense complex ndarray; sparse input is converted
-    exactly.  Sparsity pays off only in superspace, where
-    :mod:`meq.superspace` assembles CSR from these d x d arrays.
+    The matrix is always a dense complex ndarray (the module docstring says
+    why), and sparse input raises ``TypeError``.
 
     Instances are immutable; arithmetic returns new operators.  ``*`` is the
     operator product (or scaling when one side is a scalar).
@@ -212,7 +204,7 @@ class Operator:
 
     def __init__(self, layout: SpaceLayout, matrix):
         d = layout.total_dim
-        mat = _to_dense(matrix)
+        mat = np.asarray(matrix, dtype=complex)
         if mat.shape != (d, d):
             raise ValueError(
                 f"matrix shape {mat.shape} does not match layout dimension {d}"
@@ -300,7 +292,7 @@ def embed(layout: SpaceLayout, subsystem: str, local) -> Operator:
     varies fastest, matching :func:`index_to_flat`.
     """
     locals_ = [None] * len(layout)
-    locals_[layout.axis(subsystem)] = _to_dense(local)
+    locals_[layout.axis(subsystem)] = np.asarray(local, dtype=complex)
     return tensor_all(layout, locals_)
 
 
@@ -317,7 +309,7 @@ def tensor_all(layout: SpaceLayout, locals_: Sequence) -> Operator:
         )
     factors = []
     for j, (loc, dim) in enumerate(zip(locals_, dims)):
-        loc = np.eye(dim, dtype=complex) if loc is None else _to_dense(loc)
+        loc = np.eye(dim, dtype=complex) if loc is None else np.asarray(loc, dtype=complex)
         if loc.shape != (dim, dim):
             name = layout.names[j]
             raise ValueError(

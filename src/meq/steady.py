@@ -70,6 +70,7 @@ __all__ = [
     "SteadyStateResult",
     "SpectrumResult",
     "GapReport",
+    "steady_state",
     "steady_dense",
     "steady_sparse",
     "steady_linsolve",
@@ -141,9 +142,9 @@ class SteadyStateResult:
     that normalization drops from the solver output (divided by its trace),
     exactly 0 on the routes that solve in the real Hermitian basis;
     ``eigenvalue`` is the computed leading eigenvalue where the route
-    provides one; ``policy`` is the route choice, where the LU route or a
-    caller's route policy made one; ``diagnostics`` holds the deterministic
-    counters of the iterative route (see :func:`steady_iterative`).
+    provides one; ``policy`` is :func:`steady_state`'s route choice (None on
+    a direct route call); ``diagnostics`` holds the deterministic counters
+    of the LU and iterative routes (:func:`steady_linsolve`, :func:`steady_iterative`).
     """
 
     rho: Operator
@@ -402,21 +403,22 @@ def steady_linsolve(liouv: SuperOperator) -> SteadyStateResult:
     the condition estimate depends on the unit of time.  The edit is made on
     the real generator R, where it is the same row and the same d columns,
     and equals T^dag L' T for the edited complex L'.  The solve uses a real LU
-    factorization (dense LAPACK or SuperLU, as :func:`choose_route` decides by
-    size), so the trace of the solution is 1 by construction.  A condition
-    estimate above 1e14 signals a degenerate steady state, for which the
-    replaced system is singular.
+    factorization (dense LAPACK or SuperLU by size, recorded as
+    ``diagnostics["lu_policy"]``), so the trace of the solution is 1 by
+    construction.  A condition estimate above 1e14 signals a degenerate
+    steady state, for which the replaced system is singular.
     """
     d = liouv.layout.total_dim
     gamma = (liouv.norm_inf() or 1.0) / d
     diag_cols = np.arange(d) * (d + 1)
     rhs = np.zeros(liouv.dim)
     rhs[0] = gamma
-    policy = choose_route("linsolve", liouv.dim)
+    diagnostics = {"lu_policy": choose_route("linsolve", liouv.dim)._asdict()}
     real, basis = _real_generator(liouv)
+    replaced = _replace_row(real.tocsr(), 0, diag_cols, gamma)
 
-    if policy.route == "sparse":
-        replaced = _replace_row(real.tocsr(), 0, diag_cols, gamma).tocsc()
+    if diagnostics["lu_policy"]["route"] == "sparse":
+        replaced = replaced.tocsc()
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", spla.MatrixRankWarning)
@@ -442,11 +444,9 @@ def steady_linsolve(liouv: SuperOperator) -> SteadyStateResult:
         with _seeded_global_random_state():
             rcond = 1.0 / (anorm * spla.onenormest(inverse))
         solve = lu.solve
-        diagnostics = {"lu_nnz": lu.L.nnz + lu.U.nnz}
+        diagnostics["lu_nnz"] = lu.L.nnz + lu.U.nnz
     else:
-        replaced = real.toarray()
-        replaced[0, :] = 0.0
-        replaced[0, diag_cols] = gamma
+        replaced = replaced.toarray()
         anorm = float(np.abs(replaced).sum(axis=0).max())
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -454,7 +454,6 @@ def steady_linsolve(liouv: SuperOperator) -> SteadyStateResult:
         rcond, info = scipy.linalg.lapack.dgecon(factors[0], anorm)
         rcond = rcond if info == 0 else 0.0
         solve = lambda b: scipy.linalg.lu_solve(factors, b)
-        diagnostics = None
     if not rcond >= 1.0 / _COND_LIMIT:  # also catches NaN
         raise DegeneracyError(
             f"replaced generator is ill-conditioned (rcond {rcond:.2e}); "
@@ -463,7 +462,7 @@ def steady_linsolve(liouv: SuperOperator) -> SteadyStateResult:
     solution = solve(rhs)
 
     result = _finalize(liouv, basis, solution, "linsolve", None)
-    return replace(result, policy=policy, diagnostics=diagnostics)
+    return replace(result, diagnostics=diagnostics)
 
 
 def _no_jump_inverse(model: LindbladModel, norm: float):
@@ -633,6 +632,26 @@ def steady_iterative(liouv: SuperOperator, model: LindbladModel) -> SteadyStateR
         "state_difference": difference,
     }
     return replace(result, diagnostics=diagnostics)
+
+
+def steady_state(liouv: SuperOperator, model: LindbladModel,
+                 method: str | None = None) -> SteadyStateResult:
+    """The steady state on the route :func:`choose_route` picks or ``method``
+    requests; the result's ``policy`` records the choice.  ``model`` supplies
+    H_eff to the iterative route and must have ``liouv``'s layout."""
+    if model.layout != liouv.layout:
+        raise LayoutMismatchError("model and generator live on different layouts")
+    policy = choose_route("steady", liouv.dim, method=method)
+    # routes are looked up at call time, so wrappers set on this module see the call
+    if policy.route == "dense":
+        result = steady_dense(liouv)
+    elif policy.route == "sparse":
+        result = steady_sparse(liouv)
+    elif policy.route == "solve":
+        result = steady_linsolve(liouv)
+    else:
+        result = steady_iterative(liouv, model)
+    return replace(result, policy=policy)
 
 
 def spectrum(liouv: SuperOperator, k: int, method: str | None = None) -> SpectrumResult:

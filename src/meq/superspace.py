@@ -50,9 +50,8 @@ _DENSE_CAPACITY = 10_000
 # Route policy crossovers: the superspace dimension n from which each task's
 # sparse route beats its dense one (medians at one BLAS thread; the README
 # lists the measurements).  Spectra with k above _SPARSE_SPECTRUM_MAX_K stay
-# dense while they fit: ARPACK's largest-real-part iteration took 0.1-0.3 s
-# on the cascade for k <= 12 (n = 900, 2025) and failed to converge at k = 20
-# with a restart dimension of 41 (k = 20 now gets 60).
+# dense while they fit, although ARPACK (restart dimension max(3k, 40)) won
+# for k <= 30 from n = 576; no benchmark runs k > 10 (README, spectrum policy).
 _SPARSE_FROM = {"spectrum": 200, "linsolve": 400, "evolve": 150}
 _SPARSE_SPECTRUM_MAX_K = 10
 # Steady states take the row-replacement solve below this n and GMRES (the

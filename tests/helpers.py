@@ -29,6 +29,31 @@ def random_density(rng, d):
     return rho / np.trace(rho)
 
 
+# each steady route of meq.steady.steady_state and the function that runs it
+STEADY_ROUTES = {
+    "dense": "steady_dense",
+    "sparse": "steady_sparse",
+    "solve": "steady_linsolve",
+    "iterative": "steady_iterative",
+}
+
+
+def count_route_calls(monkeypatch):
+    """Replace each steady route function of ``meq.steady`` with a wrapper that
+    counts its calls, as the benchmark's tracer replaces them; returns the
+    counts by route, updated as the wrappers run."""
+    from meq import steady
+
+    counts = dict.fromkeys(STEADY_ROUTES, 0)
+    for route, name in STEADY_ROUTES.items():
+        def counted(*args, _route=route, _original=getattr(steady, name), **kwargs):
+            counts[_route] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(steady, name, counted)
+    return counts
+
+
 def single_space(d, name="s"):
     return SpaceLayout([(name, d)])
 

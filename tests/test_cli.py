@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from helpers import STEADY_ROUTES, count_route_calls
 import meq
 from meq.cli import run
 from meq.modelspec import CascadeParams, cascade_document, parse_model, render_model
@@ -56,6 +57,15 @@ dissipators:
 
 # small cascade: keeps the dense routes fast in CLI tests
 SMALL_CASCADE = ["--na", "1", "--nb", "1"]
+
+# the LU storage the solve route records, by superspace dimension
+LU_POLICIES = {
+    4: {"route": "dense", "reason": "linsolve: n=4 < 400"},
+    36: {"route": "dense", "reason": "linsolve: n=36 < 400"},
+    324: {"route": "dense", "reason": "linsolve: n=324 < 400"},
+    441: {"route": "sparse", "reason": "linsolve: n=441 >= 400"},
+    576: {"route": "sparse", "reason": "linsolve: n=576 >= 400"},
+}
 
 
 def invoke(argv):
@@ -188,9 +198,8 @@ class TestSteadyCommand:
         for argv, policy in (
             (["steady", path, "--method", "sparse", "--observables", "proj(q,2)"],
              {"route": "sparse", "reason": "requested"}),
-            (["steady", path], {"route": "dense", "reason": "linsolve: n=4 < 400"}),
-            (["steady", path, "--method", "solve"],
-             {"route": "dense", "reason": "linsolve: n=4 < 400"}),
+            (["steady", path], {"route": "solve", "reason": "steady: n=4 < 1024"}),
+            (["steady", path, "--method", "solve"], {"route": "solve", "reason": "requested"}),
             (["spectrum", path, "-k", "2"], {"route": "dense", "reason": "spectrum: n=4 < 200"}),
             (["evolve", path, "--times", "0,1"],
              {"route": "dense", "reason": "evolve: n=4 < 150"}),
@@ -199,7 +208,7 @@ class TestSteadyCommand:
             (["cascade", "--na", "3", "--nb", "2"],
              {"route": "iterative", "reason": "steady: n=1296 >= 1024"}),
             (["cascade", "--na", "3", "--nb", "1", "--method", "solve"],
-             {"route": "sparse", "reason": "linsolve: n=576 >= 400"}),
+             {"route": "solve", "reason": "requested"}),
             (["cascade", "--na", "2", "--nb", "1", "--times", "0.5,1,2"],
              {"route": "sparse", "reason": "evolve: n=324 >= 150"}),
         ):
@@ -224,9 +233,16 @@ class TestSteadyCommand:
                     "gmres_iterations", "check_iterations", "gmres_relative_residual",
                     "sylvester_shift", "preconditioner", "augmented_level", "state_difference",
                 }
-            elif first["method"] == "linsolve" and policy["route"] == "sparse":
-                assert set(first["results"]["diagnostics"]) == {"lu_nnz"}
-                assert first["results"]["diagnostics"]["lu_nnz"] > 0
+            elif first["method"] == "linsolve":
+                # the size policy's LU choice, and SuperLU's fill
+                n = first["results"]["superspace_dimension"]
+                diagnostics = first["results"]["diagnostics"]
+                assert diagnostics["lu_policy"] == LU_POLICIES[n]
+                if LU_POLICIES[n]["route"] == "sparse":
+                    assert set(diagnostics) == {"lu_policy", "lu_nnz"}
+                    assert diagnostics["lu_nnz"] > 0
+                else:
+                    assert set(diagnostics) == {"lu_policy"}
             else:
                 assert "diagnostics" not in first["results"]
             if "min_eigenvalue" in first["results"]:
@@ -341,6 +357,22 @@ class TestEvolveCommand:
     def test_unusable_times_or_initial_state(self, model_file, initial, times, message):
         argv = ["evolve", model_file(DRIVEN_QUBIT), "--initial", initial, "--times", times]
         assert invoke(argv) == (1, "", f"meq: error: usage: {message}\n")
+
+    # the zero-trace check is relative to the expression's largest element
+    @pytest.mark.parametrize("command,space", [("evolve", "q"), ("cascade", "xi")])
+    def test_initial_trace_is_relative_to_scale(self, model_file, command, space):
+        if command == "evolve":
+            argv = ["evolve", model_file(DRIVEN_QUBIT), "--times", "1"]
+        else:
+            argv = ["cascade", *SMALL_CASCADE, "--times", "1"]
+        state = f"proj({space},2)"
+        reference = invoke_record([*argv, "--initial", state])
+        scaled = invoke_record([*argv, "--initial", f"1e-13*{state}"])
+        assert scaled["results"]["trace"] == reference["results"]["trace"]
+        assert scaled["results"]["min_eigenvalues"] == reference["results"]["min_eigenvalues"]
+        for initial in (f"{state} - proj({space},1)", f"0*ident({space})"):
+            message = f"initial state expression {initial!r} has zero trace"
+            assert invoke([*argv, "--initial", initial]) == (1, "", f"meq: error: usage: {message}\n")
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("times", ["nan", "1,nan", "inf", "0.5,inf"])
@@ -513,9 +545,9 @@ class TestCascadeCommand:
 
     @pytest.mark.parametrize("size,method,policy", [
         (["--na", "1", "--nb", "0"], "linsolve",
-         {"route": "dense", "reason": "linsolve: n=36 < 400"}),
+         {"route": "solve", "reason": "steady: n=36 < 1024"}),
         (["--na", "6", "--nb", "0"], "linsolve",
-         {"route": "sparse", "reason": "linsolve: n=441 >= 400"}),
+         {"route": "solve", "reason": "steady: n=441 < 1024"}),
         (["--na", "3", "--nb", "2"], "iterative",
          {"route": "iterative", "reason": "steady: n=1296 >= 1024"}),
     ])
@@ -523,6 +555,8 @@ class TestCascadeCommand:
         record = invoke_record(["cascade", *size])
         assert record["method"] == method
         assert record["results"]["policy"] == policy
+        n = record["results"]["superspace_dimension"]
+        assert record["results"].get("diagnostics", {}).get("lu_policy") == LU_POLICIES.get(n)
         other = "sparse" if method in ("dense-eig", "iterative") else "dense"
         reference = invoke_record(["cascade", *size, "--method", other])
         assert record["results"]["populations"]["values"] == pytest.approx(
@@ -680,7 +714,8 @@ class TestCascadeIsItsModelText:
 
 
 class TestDefaultSteadyRoute:
-    """Below superspace 1024 the default steady route is the row-replacement solve."""
+    """Below superspace 1024 the default steady route is the row-replacement solve,
+    and its record differs from the requested solve's only in the policy reason."""
 
     @pytest.mark.parametrize("size,command", [
         (None, ["steady"]),  # n = 4
@@ -702,7 +737,46 @@ class TestDefaultSteadyRoute:
         default.pop("timings")
         solve.pop("timings")
         assert default["method"] == "linsolve"
+        n = default["results"]["superspace_dimension"]
+        # only the reason differs: the size policy chose the solve, or the flag did
+        assert default["results"].pop("policy") == {
+            "route": "solve", "reason": f"steady: n={n} < 1024"}
+        assert solve["results"].pop("policy") == {"route": "solve", "reason": "requested"}
         assert json.dumps(default) == json.dumps(solve)
+
+
+class TestOneSteadyEntryPoint:
+    """Every steady command solves through ``meq.steady.steady_state``."""
+
+    def test_method_choices_are_the_requestable_steady_routes(self):
+        # cli keeps its own copy: _FLAGS is built before MEQ_THREADS takes effect,
+        # so it cannot import meq.superspace (and numpy)
+        from meq import cli, superspace
+
+        assert cli._FLAGS["method"][1]["choices"] == superspace._REQUESTABLE["steady"]
+
+    @pytest.mark.parametrize("argv,route,calls", [
+        (["steady"], "solve", 1),
+        (["steady", "--method", "dense"], "dense", 1),
+        (["steady", "--method", "sparse"], "sparse", 1),
+        (["steady", "--method", "solve"], "solve", 1),
+        (["steady", "--method", "iterative"], "iterative", 1),
+        (["ptrace", "--keep", "xi"], "solve", 1),
+        (["negativity", "--transpose", "xi", "--method", "iterative"], "iterative", 1),
+        (["cascade"], "solve", 1),
+        (["cascade", "--check-truncation"], "solve", 2),  # n = 144, then 729
+        (["cascade", "--negativity-all", "--method", "sparse"], "sparse", 1),
+    ])
+    def test_each_route_function_runs_once_per_solve(self, model_file, monkeypatch,
+                                                     argv, route, calls):
+        # the benchmark's tracer replaces these module attributes with wrappers
+        counts = count_route_calls(monkeypatch)
+        if argv[0] == "cascade":
+            argv = ["cascade", *SMALL_CASCADE, *argv[1:]]
+        else:
+            argv = [argv[0], model_file(emitted_model(*SMALL_CASCADE)), *argv[1:]]
+        assert invoke_record(argv)["results"]["policy"]["route"] == route
+        assert counts == {name: calls * (name == route) for name in STEADY_ROUTES}
 
 
 class TestCascadeBenchmarkRecords:

@@ -349,30 +349,17 @@ class TestPartialTranspose:
         with pytest.raises(KeyError):
             partial_transpose(identity_operator(LAYOUT_353), ["z"])
 
-    def test_sparse_storage_matches_dense_path(self):
-        rng = np.random.default_rng(21)
-        layout = SpaceLayout([("p", 2), ("q", 3)])
-        mat = random_matrix(rng, 6)
-        dense = Operator(layout, mat)
-        sparse = Operator(layout, sp.csr_array(mat))
-        assert np.array_equal(
-            partial_transpose(sparse, ["q"]).to_dense(),
-            partial_transpose(dense, ["q"]).to_dense(),
-        )
-        assert np.array_equal(
-            partial_trace(sparse, ["p"]).to_dense(),
-            partial_trace(dense, ["p"]).to_dense(),
-        )
-
 
 class TestOperatorStorage:
-    def test_conversion_is_exact(self):
-        rng = np.random.default_rng(19)
+    def test_sparse_input_is_refused(self):
         layout = SpaceLayout([("p", 3), ("q", 3)])
-        mat = random_matrix(rng, 9)
-        op = Operator(layout, sp.csr_array(mat))
-        assert type(op.matrix) is np.ndarray
-        assert np.array_equal(op.to_dense(), mat)
+        local = sp.csr_array(annihilation(3))
+        with pytest.raises(TypeError):
+            Operator(layout, sp.csr_array(np.eye(9)))
+        with pytest.raises(TypeError):
+            embed(layout, "p", local)
+        with pytest.raises(TypeError):
+            tensor_all(layout, [local, None])
 
     def test_default_threshold(self):
         # one storage form at every size: d = 64 and 65 straddle the former

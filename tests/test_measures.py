@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from helpers import bell_projector, random_density, random_hermitian, random_matrix
 from meq.hilbert import (
@@ -45,16 +44,6 @@ class TestExpectation:
         obs = Operator(layout, random_hermitian(rng, 4))
         rho = Operator(layout, random_density(rng, 4))
         assert abs(expectation(obs, rho).imag) < 1e-10
-
-    def test_sparse_operands(self):
-        rng = np.random.default_rng(73)
-        layout = SpaceLayout([("s", 3)])
-        obs, rho = random_hermitian(rng, 3), random_density(rng, 3)
-        dense_value = expectation(Operator(layout, obs), Operator(layout, rho))
-        sparse_value = expectation(
-            Operator(layout, sp.csr_array(obs)), Operator(layout, sp.csr_array(rho))
-        )
-        assert sparse_value == dense_value
 
     def test_layout_mismatch(self):
         a = identity_operator(SpaceLayout([("s", 2)]))

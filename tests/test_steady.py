@@ -4,7 +4,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from helpers import random_corpus, random_model, single_space
+from helpers import STEADY_ROUTES, count_route_calls, random_corpus, random_model, single_space
 from meq import steady
 from meq.dynamics import evolve_trajectory
 from meq.hilbert import LayoutMismatchError, Operator, identity_operator, transition
@@ -19,6 +19,7 @@ from meq.steady import (
     steady_iterative,
     steady_linsolve,
     steady_sparse,
+    steady_state,
 )
 from meq.steady import _real_generator, _replace_row
 from meq.superspace import (
@@ -158,6 +159,14 @@ class TestDegeneracy:
         liouv = build_liouvillian(degenerate_model())
         with pytest.raises(DegeneracyError):
             steady_linsolve(liouv)
+
+    def test_traceless_kernel_vector_is_refused(self):
+        # diag(1, -1): in vec(rho) form and in the real Hermitian basis alike
+        liouv = build_liouvillian(driven_qubit_model(1.0, 1.0))
+        raw = np.array([1.0, 0.0, 0.0, -1.0])
+        for basis in (None, _real_generator(liouv)[1]):
+            with pytest.raises(DegeneracyError, match="traceless kernel vector"):
+                steady._finalize(liouv, basis, raw, "dense-eig", None)
 
     def test_linsolve_sparse_storage_degenerate(self):
         # d = 20 puts the LU route on SuperLU (n = 400), the 2x2 model on LAPACK
@@ -391,8 +400,9 @@ class TestRoutePolicy:
     def test_linsolve_route_by_size(self, d, route):
         liouv = build_liouvillian(driven_emitter_model(d, np.random.default_rng(d)))
         result = steady_linsolve(liouv)
-        assert result.policy.route == route
-        assert result.policy == choose_route("linsolve", liouv.dim)
+        assert result.diagnostics["lu_policy"]["route"] == route
+        assert result.diagnostics["lu_policy"] == choose_route("linsolve", liouv.dim)._asdict()
+        assert result.policy is None  # steady_state records the steady choice
         assert result.residual < 1e-10
         reference = steady_sparse(liouv).rho.to_dense()
         assert np.abs(result.rho.to_dense() - reference).max() < 1e-9
@@ -453,8 +463,9 @@ class TestRoutePolicy:
             "meq.steady.choose_route", lambda task, n, k=None: RouteChoice("sparse", "forced")
         )
         for liouv, reference in zip(liouvs, dense):
-            assert reference.policy.route == "dense"
+            assert reference.diagnostics["lu_policy"]["route"] == "dense"
             result = steady_linsolve(liouv)
+            assert result.diagnostics["lu_policy"] == {"route": "sparse", "reason": "forced"}
             gap = np.abs(result.rho.to_dense() - reference.rho.to_dense()).max()
             assert gap < 1e-12
 
@@ -561,7 +572,7 @@ class TestRealBasis:
         liouv = build_liouvillian(random_model(rng, 5, 2))
         for c in (1e-3, 1.0, 250.0):
             result = steady_linsolve(c * liouv)
-            assert result.policy.route == route
+            assert result.diagnostics["lu_policy"]["route"] == route
             reference = complex_linsolve_reference(c * liouv)
             assert np.abs(result.rho.to_dense() - reference).max() < 1e-12
 
@@ -820,3 +831,78 @@ class TestSparseSpectrumManyEigenvalues:
         monkeypatch.setattr(steady.spla, "eigs", lambda *args, **kwargs: arpack[::-1])
         values = spectrum(liouv, cut, "sparse").eigenvalues
         assert np.abs(values - dense[:cut]).max() < 1e-12
+
+
+def _route_result(liouv, model, route):
+    """The result of the route function that ``route`` names, called directly."""
+    if route == "iterative":
+        return steady_iterative(liouv, model)
+    return getattr(steady, STEADY_ROUTES[route])(liouv)
+
+
+def _assert_same_result(result, direct, policy):
+    """``result`` is ``direct`` to the last bit, with ``policy`` recorded."""
+    assert result.policy == policy
+    assert direct.policy is None
+    assert np.array_equal(result.rho.matrix, direct.rho.matrix)
+    for field in ("residual", "method", "trace_before_normalization", "min_eigenvalue",
+                  "hermiticity_defect", "eigenvalue", "diagnostics"):
+        assert getattr(result, field) == getattr(direct, field), field
+
+
+class TestSteadyState:
+    """``steady_state`` runs the route the size policy or ``method`` picks, and
+    records the choice in ``policy``."""
+
+    @pytest.mark.parametrize("na,nb,route", [
+        (None, None, "solve"), (2, 1, "solve"), (3, 1, "solve"), (3, 2, "iterative"),
+    ])  # n = 4, 324, 576 (SuperLU), 1296
+    def test_default_route_by_size(self, na, nb, route):
+        model = (driven_qubit_model(1.0, 1.0) if na is None
+                 else cascade_model(CascadeParams(n_a=na, n_b=nb)))
+        liouv = build_liouvillian(model)
+        n = liouv.dim
+        reason = f"steady: n={n} < 1024" if route == "solve" else f"steady: n={n} >= 1024"
+        _assert_same_result(steady_state(liouv, model), _route_result(liouv, model, route),
+                            (route, reason))
+
+    @pytest.mark.parametrize("method", list(STEADY_ROUTES))
+    @pytest.mark.parametrize("na,nb", [(None, None), (2, 1)])  # n = 4, 324
+    def test_requested_route(self, method, na, nb):
+        model = (driven_qubit_model(1.0, 1.0) if na is None
+                 else cascade_model(CascadeParams(n_a=na, n_b=nb)))
+        liouv = build_liouvillian(model)
+        _assert_same_result(steady_state(liouv, model, method),
+                            _route_result(liouv, model, method), (method, "requested"))
+
+    def test_corpus(self):
+        for model in random_corpus():
+            liouv = build_liouvillian(model)
+            _assert_same_result(steady_state(liouv, model), steady_linsolve(liouv),
+                                ("solve", f"steady: n={liouv.dim} < 1024"))
+            for method in STEADY_ROUTES:
+                _assert_same_result(steady_state(liouv, model, method),
+                                    _route_result(liouv, model, method), (method, "requested"))
+
+    def test_bad_method(self):
+        model = driven_qubit_model(1.0, 1.0)
+        with pytest.raises(ValueError, match="method must be"):
+            steady_state(build_liouvillian(model), model, "linsolve")
+
+    @pytest.mark.parametrize("method", [None, *STEADY_ROUTES])
+    def test_layout_must_match(self, method):
+        model = driven_qubit_model(1.0, 1.0)
+        other = LindbladModel(Operator(single_space(2, "p"), np.zeros((2, 2))))
+        with pytest.raises(LayoutMismatchError):
+            steady_state(build_liouvillian(model), other, method)
+
+    @pytest.mark.parametrize("na,nb,method,route", [
+        (1, 1, None, "solve"), (1, 1, "dense", "dense"), (1, 1, "sparse", "sparse"),
+        (1, 1, "solve", "solve"), (1, 1, "iterative", "iterative"), (3, 2, None, "iterative"),
+    ])  # n = 144, 1296
+    def test_each_route_function_runs_once(self, na, nb, method, route, monkeypatch):
+        # the benchmark's tracer replaces these module attributes with wrappers
+        counts = count_route_calls(monkeypatch)
+        model = cascade_model(CascadeParams(n_a=na, n_b=nb))
+        assert steady_state(build_liouvillian(model), model, method).policy.route == route
+        assert counts == {name: int(name == route) for name in STEADY_ROUTES}
