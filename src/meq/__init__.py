@@ -7,7 +7,8 @@ compute reduced states, partial transposes and log negativities.  Submodules:
 - ``hilbert``: composite-space layouts, index maps, embeddings, partial
   trace and transpose
 - ``superspace``: superoperators, Liouvillian assembly (plus an
-  independent elementwise oracle), the route policy
+  independent elementwise oracle), the route policy, the Hermitian basis T
+  with the real generator R = T^dag L T, and the density-matrix check
 - ``steady``: dense/sparse eigenvector, row-replacement and preconditioned
   GMRES steady states, spectra, uniqueness checks
 - ``dynamics``: exp(L t) propagation, dense ``expm`` or ``expm_multiply``

@@ -374,11 +374,10 @@ class _Runner:
         with self._timed("measure"):
             observables = (self._observables(doc, env, trajectory.states)
                            if self.args.observables else {})
-            traces = [state.trace() for state in trajectory.states]
         results = {
             "initial": self.args.initial,
             "times": list(trajectory.times),
-            "trace": traces,
+            "trace": list(trajectory.traces),
             "min_eigenvalues": list(trajectory.min_eigenvalues),
             "diagnostics": trajectory.diagnostics,
         }

@@ -1,18 +1,17 @@
 """Time propagation of density matrices under a fixed generator.
 
 The solution of the vectorized master equation is rho(t) = exp(L t) rho(0).
-Propagation runs in real arithmetic: in the Hermitian operator basis T of
-:mod:`meq.steady` the generator is the real matrix R = T^dag L T, a Hermitian
-rho(0) has real coordinates x(0) with vec(rho(0)) = T x(0), and
-rho(t) = T exp(R t) x(0).  Small problems exponentiate R once per distinct
+Propagation runs in real arithmetic, in the Hermitian operator basis T of
+:mod:`meq.superspace`: rho(t) = T exp(R t) x(0) with R = T^dag L T and the
+real coordinates x(0) of rho(0).  Small problems exponentiate R once per distinct
 time gap (scaling and squaring) and apply it; larger ones compute the action
 exp(R t) x by the truncated Taylor steps of Al-Mohy and Higham (SIAM J. Sci.
 Comput. 33, 488 (2011), algorithm 3.2, the method of
 ``scipy.sparse.linalg.expm_multiply``) and never form the exponential.  That
 route shifts R once per trajectory and estimates the norms of its powers
 once, because they scale linearly with the time step; each distinct gap then
-only picks its Taylor degree and step count.  Every state is checked to be a
-density matrix up to its smallest eigenvalue.
+only picks its Taylor degree and step count.  Each state's smallest
+eigenvalue (checked) and trace are recorded.
 """
 
 from __future__ import annotations
@@ -31,14 +30,18 @@ from scipy.sparse.linalg._expm_multiply import (
 )
 
 from .hilbert import LayoutMismatchError, Operator
-from .steady import (
+from .superspace import (
     _HERMITIAN_TOL,
-    _POSITIVITY_TOL,
-    _hermitian_basis,
+    RouteChoice,
+    SuperOperator,
+    _lowest_eigenvalue,
     _real_generator,
     _seeded_global_random_state,
+    _to_coordinates,
+    _to_operator,
+    check_dense_capacity,
+    choose_route,
 )
-from .superspace import RouteChoice, SuperOperator, check_dense_capacity, choose_route
 
 __all__ = ["PropagationError", "Trajectory", "evolve", "evolve_trajectory"]
 
@@ -51,7 +54,7 @@ class PropagationError(RuntimeError):
 class Trajectory:
     """States sampled along an evolution, one per requested time, and their route.
 
-    ``min_eigenvalues`` holds the smallest eigenvalue of each state.
+    ``min_eigenvalues`` and ``traces`` hold each state's smallest eigenvalue and trace.
     ``diagnostics["gaps"]`` lists each distinct time gap in order of first
     use with its propagator: ``expm_calls`` (1) on the dense route, the
     Taylor degree ``taylor_degree`` and step count ``taylor_steps`` on the
@@ -61,6 +64,7 @@ class Trajectory:
     times: tuple[float, ...]
     states: tuple[Operator, ...]
     min_eigenvalues: tuple[float, ...] = ()
+    traces: tuple[complex, ...] = ()
     policy: RouteChoice | None = None
     diagnostics: dict | None = None
 
@@ -158,49 +162,32 @@ def evolve_trajectory(
     defect = float(np.abs(rho - rho.conj().T).max())
     if defect > _HERMITIAN_TOL * max(1.0, float(np.abs(rho).max())):
         raise ValueError(f"initial state is not Hermitian: anti-Hermitian part {defect:.2e}")
-    lowest = float(np.linalg.eigvalsh(rho).min())
-    if lowest < -_POSITIVITY_TOL:
-        raise ValueError(
-            f"initial state has eigenvalue {lowest:.3e}, below -{_POSITIVITY_TOL:g}; "
-            "it is not a density matrix"
-        )
-    real, basis = _real_generator(liouv)
-    dense = policy.route == "dense"
-    if dense:
+    lowest = _lowest_eigenvalue(rho, "initial state", ValueError)
+    real = _real_generator(liouv)
+    gaps = dict.fromkeys(b - a for a, b in zip([0.0, *times], times) if b > a)  # in order of use
+    if policy.route == "dense":
         check_dense_capacity(liouv.dim)
         generator = real.toarray()
+        propagators = {gap: scipy.linalg.expm(generator * gap) for gap in gaps}
+        step = lambda x, gap: propagators[gap] @ x
+        diagnostics = [{"gap": gap, "expm_calls": 1} for gap in gaps]
     else:
-        intervals = [b - a for a, b in zip([0.0, *times], times) if b > a]
-        plan = _TaylorPlan(real, dict.fromkeys(intervals))  # distinct, in order of use
+        plan = _TaylorPlan(real, gaps)
+        step = plan.apply
+        diagnostics = [{"gap": gap, "taylor_degree": m_star, "taylor_steps": s}
+                       for gap, (m_star, s) in plan.schedules.items()]
     d = liouv.layout.total_dim
-    coords = (_hermitian_basis(d)[1] @ rho.ravel(order="F")).real
-    propagators: dict[float, np.ndarray] = {}
+    coords = _to_coordinates(rho)
     previous = 0.0
-    states, minima = [], []
+    states, minima, traces = [], [], []
     for t in times:
-        gap = t - previous
-        if gap > 0.0:
-            if dense:
-                if gap not in propagators:
-                    propagators[gap] = scipy.linalg.expm(generator * gap)
-                coords = propagators[gap] @ coords
-            else:
-                coords = plan.apply(coords, gap)
-            rho = (basis @ coords).reshape((d, d), order="F")
-            lowest = float(np.linalg.eigvalsh(rho).min())
-            if lowest < -_POSITIVITY_TOL:
-                raise PropagationError(
-                    f"state at t = {t:g} has eigenvalue {lowest:.3e}, below "
-                    f"-{_POSITIVITY_TOL:g}; it is not a density matrix"
-                )
+        if t > previous:
+            coords = step(coords, t - previous)
+            rho = _to_operator(coords, d)
+            lowest = _lowest_eigenvalue(rho, f"state at t = {t:g}", PropagationError)
         states.append(Operator(liouv.layout, rho))
         minima.append(lowest)
+        traces.append(states[-1].trace())
         previous = t
-    if dense:
-        gaps = [{"gap": gap, "expm_calls": 1} for gap in propagators]
-    else:
-        gaps = [
-            {"gap": gap, "taylor_degree": m_star, "taylor_steps": s}
-            for gap, (m_star, s) in plan.schedules.items()
-        ]
-    return Trajectory(tuple(times), tuple(states), tuple(minima), policy, {"gaps": gaps})
+    return Trajectory(tuple(times), tuple(states), tuple(minima), tuple(traces), policy,
+                      {"gaps": diagnostics})

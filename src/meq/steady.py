@@ -8,18 +8,13 @@ condition and solving the resulting linear system by LU factorization (the
 paper's method, the default below superspace dimension 1024), or by
 preconditioned GMRES on the generator augmented with the trace condition.
 
-Everything but the GMRES route works in real arithmetic: the eigenvector
-and LU steady routes, :func:`spectrum` and :func:`check_uniqueness` here,
-and propagation in :mod:`meq.dynamics`.  A Lindblad generator maps
-Hermitian operators to Hermitian operators, so in an orthonormal basis of
-Hermitian operators -- E_ll for each diagonal element, (E_nm + E_mn)/sqrt(2)
-and i(E_nm - E_mn)/sqrt(2) for each pair n < m -- it is a real matrix
-R = T^dag L T with the spectrum of L, because T is unitary.  The basis
-element that carries rho_nm sits at the superindex of rho_nm, so the trace
-condition replaces the same row of R as of L and touches the same d
-columns.  Real LU factors take half the bytes per entry, and on the cascade
-they also have about a quarter fewer entries and take 40% of the complex
-factorization time; real ARPACK takes about half the time of complex.
+Everything but the GMRES route works on the real generator R = T^dag L T
+in the Hermitian operator basis T that :mod:`meq.superspace` describes: the
+eigenvector and LU steady routes, :func:`spectrum` and
+:func:`check_uniqueness`.  Real LU factors take half the bytes per entry,
+and on the cascade they also have about a quarter fewer entries and take
+40% of the complex factorization time; real ARPACK takes about half the
+time of complex.
 
 The iterative route factors nothing of size d^2.  It splits the generator
 into the no-jump part S(rho) = -i (H_eff rho - rho H_eff^dag), with
@@ -42,8 +37,6 @@ with an eigenvalue below -1e-8 is refused.
 
 from __future__ import annotations
 
-import contextlib
-import functools
 import warnings
 from dataclasses import dataclass, replace
 
@@ -59,6 +52,10 @@ from .superspace import (
     RouteChoice,
     SuperOperator,
     _effective_hamiltonian,
+    _lowest_eigenvalue,
+    _real_generator,
+    _seeded_global_random_state,
+    _to_operator,
     check_dense_capacity,
     choose_route,
 )
@@ -87,13 +84,6 @@ _TIE_TOL = 1e-12
 _GAP_TOL = 1e-8
 # Row-replaced systems with a condition estimate above this are degenerate.
 _COND_LIMIT = 1e14
-# Imaginary parts of T^dag L T up to this times max(1, ||L||_inf) are rounding;
-# LindbladModel admits Hamiltonians with Hermiticity defects of 1e-12 relative.
-_HERMITIAN_TOL = 1e-10
-# Returned states may have eigenvalues down to minus this (their trace is 1).
-_POSITIVITY_TOL = 1e-8
-# Seed of numpy's global random state while scipy's onenormest draws from it.
-_ONENORMEST_SEED = 0
 # GMRES of the iterative route: Krylov dimension between restarts, restart
 # cycles, and the tolerance on the true residual ||b - A x|| / ||b||.  The
 # cascade needs 15-40 iterations, a 60-level damped mode about 70; restarting
@@ -186,87 +176,11 @@ def _descending_order(values: np.ndarray, scale: float) -> np.ndarray:
     return order[np.lexsort((-values.imag[order], group))]
 
 
-@contextlib.contextmanager
-def _seeded_global_random_state():
-    """Run the block on numpy's global random state seeded with
-    _ONENORMEST_SEED, then give the caller's state back.
-
-    ``scipy.sparse.linalg.onenormest`` draws its start vectors from the
-    global state, so without this its estimates would depend on what else
-    drew from it, and every estimate would advance the caller's stream.
-    """
-    saved = np.random.get_state()
-    np.random.seed(_ONENORMEST_SEED)
-    try:
-        yield
-    finally:
-        np.random.set_state(saved)
-
-
-@functools.lru_cache(maxsize=4)
-def _hermitian_basis(d: int) -> tuple[sp.csr_array, sp.csr_array]:
-    """The unitary T of the Hermitian operator basis for dimension d, and T^dag.
-
-    Column j = n + m d of T is E_nn if n = m, (E_nm + E_mn)/sqrt(2) if n < m
-    and i(E_mn - E_nm)/sqrt(2) if n > m, so T has at most two nonzeros per
-    column and the real coordinates x of a Hermitian rho satisfy
-    vec(rho) = T x.  Cached, because it depends on d alone; callers must not
-    modify the arrays.
-    """
-    j = np.arange(d * d)
-    row, col = j % d, j // d
-    off = row != col
-    h = np.sqrt(0.5)
-    self_data = np.where(off, np.where(row < col, h, -1j * h), 1.0)
-    partner_data = np.where(row[off] < col[off], h, 1j * h)
-    basis = sp.csr_array(
-        (
-            np.concatenate((self_data, partner_data)),
-            (np.concatenate((j, col[off] + row[off] * d)), np.concatenate((j, j[off]))),
-        ),
-        shape=(d * d, d * d),
-    )
-    return basis, basis.conj().T.tocsr()
-
-
-def _real_generator(liouv: SuperOperator) -> tuple[sp.csc_array, sp.csr_array]:
-    """The generator in the Hermitian operator basis: real CSC R = T^dag L T, and T.
-
-    T is :func:`_hermitian_basis`.  Raises ``ValueError`` if L does not
-    preserve Hermiticity.
-    """
-    basis, adjoint = _hermitian_basis(liouv.layout.total_dim)
-    product = adjoint @ liouv.matrix @ basis
-    defect = float(np.abs(product.data.imag).max()) if product.nnz else 0.0
-    if defect > _HERMITIAN_TOL:  # the bound is relative to max(1, ||L||_inf)
-        tol = _HERMITIAN_TOL * max(1.0, liouv.norm_inf())
-        if defect > tol:
-            raise ValueError(
-                f"generator does not preserve Hermiticity: imaginary part {defect:.2e} "
-                f"in the Hermitian basis exceeds {tol:.2e}"
-            )
-    real = sp.csr_array((product.data.real, product.indices, product.indptr), shape=product.shape)
-    real.eliminate_zeros()
-    return real.tocsc(), basis
-
-
-def _finalize(
-    liouv: SuperOperator,
-    basis: sp.csr_array | None,
-    raw: np.ndarray,
-    method: str,
-    eigenvalue: complex | None,
-) -> SteadyStateResult:
-    """Normalize a solver's vector into a checked density matrix.
-
-    ``raw`` holds real-basis coordinates (vec(rho) = basis @ raw), or vec(rho)
-    itself when ``basis`` is None.
-    """
-    layout = liouv.layout
-    d = layout.total_dim
-    rho = (raw if basis is None else basis @ raw).reshape((d, d), order="F")
+def _finalize(liouv: SuperOperator, rho: np.ndarray, method: str,
+              eigenvalue: complex | None) -> SteadyStateResult:
+    """Normalize a solver's d x d operator into a checked density matrix."""
     trace_raw = complex(np.trace(rho))
-    scale = np.linalg.norm(raw)
+    scale = np.linalg.norm(rho)
     if abs(trace_raw) < 1e-8 * max(scale, np.finfo(float).tiny):
         raise DegeneracyError(
             "solver returned a (numerically) traceless kernel vector; "
@@ -277,18 +191,12 @@ def _finalize(
     rho = (rho + rho.conj().T) / 2.0
     rho = rho / np.trace(rho).real
     residual = float(np.abs(liouv.apply(rho.ravel(order="F"))).max())
-    min_eigenvalue = float(np.linalg.eigvalsh(rho).min())
-    if min_eigenvalue < -_POSITIVITY_TOL:
-        raise ConvergenceError(
-            f"{method} returned a state with eigenvalue {min_eigenvalue:.3e}, "
-            f"below -{_POSITIVITY_TOL:g}; it is not a density matrix"
-        )
     return SteadyStateResult(
-        rho=Operator(layout, rho),
+        rho=Operator(liouv.layout, rho),
         residual=residual,
         method=method,
         trace_before_normalization=trace_raw,
-        min_eigenvalue=min_eigenvalue,
+        min_eigenvalue=_lowest_eigenvalue(rho, f"the {method} state", ConvergenceError),
         hermiticity_defect=hermiticity_defect,
         eigenvalue=eigenvalue,
     )
@@ -302,10 +210,14 @@ def steady_dense(liouv: SuperOperator) -> SteadyStateResult:
     density matrix.  Above the dense capacity this raises
     :class:`CapacityError`.
     """
+    return _eigenvector_state(liouv, "dense-eig")
+
+
+def _eigenvector_state(liouv: SuperOperator, method: str) -> SteadyStateResult:
+    """:func:`steady_dense`'s state, recorded as ``method``."""
     n = liouv.dim
     check_dense_capacity(n)
-    real, basis = _real_generator(liouv)
-    values, vectors = np.linalg.eig(real.toarray())
+    values, vectors = np.linalg.eig(_real_generator(liouv).toarray())
     scale = liouv.norm_inf() or 1.0
     order = _descending_order(values, scale)
     lam0 = complex(values[order[0]])
@@ -317,7 +229,8 @@ def steady_dense(liouv: SuperOperator) -> SteadyStateResult:
                 f"leading eigenvalues {lam0:.3e} and {lam1:.3e} are degenerate "
                 f"within gap tolerance {tol:.3g}"
             )
-    return _finalize(liouv, basis, vectors[:, order[0]], "dense-eig", lam0)
+    return _finalize(liouv, _to_operator(vectors[:, order[0]], liouv.layout.total_dim),
+                     method, lam0)
 
 
 def _arpack_params(n: int, k: int) -> dict:
@@ -342,8 +255,8 @@ def steady_sparse(liouv: SuperOperator) -> SteadyStateResult:
     """
     n = liouv.dim
     if n < 5:  # too small for ARPACK; the dense route is exact here
-        return replace(steady_dense(liouv), method="sparse-eig")
-    matrix, basis = _real_generator(liouv)
+        return _eigenvector_state(liouv, "sparse-eig")
+    matrix = _real_generator(liouv)
     scale = liouv.norm_inf() or 1.0
     params = _arpack_params(n, 2)
     last_error: Exception | None = None
@@ -379,7 +292,7 @@ def steady_sparse(liouv: SuperOperator) -> SteadyStateResult:
     vec = vectors[:, order[0]]
     # Rayleigh quotient: more accurate than the back-transformed ARPACK value
     lam0 = complex((vec.conj() @ (matrix @ vec)) / (vec.conj() @ vec))
-    return _finalize(liouv, basis, vec, "sparse-eig", lam0)
+    return _finalize(liouv, _to_operator(vec, liouv.layout.total_dim), "sparse-eig", lam0)
 
 
 def _replace_row(matrix: sp.csr_array, s: int, cols: np.ndarray, value: float) -> sp.csr_array:
@@ -414,8 +327,7 @@ def steady_linsolve(liouv: SuperOperator) -> SteadyStateResult:
     rhs = np.zeros(liouv.dim)
     rhs[0] = gamma
     diagnostics = {"lu_policy": choose_route("linsolve", liouv.dim)._asdict()}
-    real, basis = _real_generator(liouv)
-    replaced = _replace_row(real.tocsr(), 0, diag_cols, gamma)
+    replaced = _replace_row(_real_generator(liouv).tocsr(), 0, diag_cols, gamma)
 
     if diagnostics["lu_policy"]["route"] == "sparse":
         replaced = replaced.tocsc()
@@ -461,7 +373,7 @@ def steady_linsolve(liouv: SuperOperator) -> SteadyStateResult:
         )
     solution = solve(rhs)
 
-    result = _finalize(liouv, basis, solution, "linsolve", None)
+    result = _finalize(liouv, _to_operator(solution, d), "linsolve", None)
     return replace(result, diagnostics=diagnostics)
 
 
@@ -621,7 +533,7 @@ def steady_iterative(liouv: SuperOperator, model: LindbladModel) -> SteadyStateR
             f"two augmentations gave steady states {difference:.2e} apart "
             f"(tolerance {_STATE_GAP_TOL:g}); degenerate kernel"
         )
-    result = _finalize(liouv, None, first, "iterative", None)
+    result = _finalize(liouv, first.reshape((d, d), order="F"), "iterative", None)
     diagnostics = {
         "gmres_iterations": iterations,
         "check_iterations": check_iterations,
@@ -672,7 +584,7 @@ def spectrum(liouv: SuperOperator, k: int, method: str | None = None) -> Spectru
         raise ValueError(f"k={k} out of range [1, {n}]")
     policy = choose_route("spectrum", n, k, method)
 
-    real, _ = _real_generator(liouv)
+    real = _real_generator(liouv)
     if policy.route == "dense":
         check_dense_capacity(n)
         values = np.linalg.eigvals(real.toarray())

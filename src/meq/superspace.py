@@ -21,10 +21,21 @@ are converted to CSR in one step that sums the duplicates.
 formula with explicit loops and shares no code with
 :func:`build_liouvillian`; it exists so the two can be checked against each
 other.
+
+Every solver but the GMRES steady route works in the real Hermitian basis
+defined here.  A Lindblad generator maps Hermitian operators to Hermitian
+ones, so in the orthonormal basis T of E_ll, (E_nm + E_mn)/sqrt(2) and
+i(E_nm - E_mn)/sqrt(2) (n < m) it is the real matrix R = T^dag L T with the
+spectrum of L.  The element carrying rho_nm sits at its superindex, so the
+trace condition replaces the same row of R as of L, on the same d columns,
+and a Hermitian rho has real coordinates x with vec(rho) = T x.  Every state
+a solver returns passes one positivity check, :func:`_lowest_eigenvalue`.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -64,6 +75,13 @@ _REQUESTABLE = {
     "spectrum": ("dense", "sparse"),
     "evolve": ("dense", "sparse"),
 }
+# Imaginary parts of T^dag L T up to this times max(1, ||L||_inf) are rounding;
+# LindbladModel admits Hamiltonians with Hermiticity defects of 1e-12 relative.
+_HERMITIAN_TOL = 1e-10
+# States may have eigenvalues down to minus this (their trace is 1).
+_POSITIVITY_TOL = 1e-8
+# Seed of numpy's global random state while scipy's onenormest draws from it.
+_ONENORMEST_SEED = 0
 
 
 class CapacityError(RuntimeError):
@@ -309,3 +327,85 @@ def liouvillian_oracle(model: LindbladModel) -> SuperOperator:
                             val -= rate * jdj[l - 1, m - 1]
                     out[row, col] = val
     return SuperOperator(model.layout, out)
+
+
+@contextlib.contextmanager
+def _seeded_global_random_state():
+    """Run the block on numpy's global random state seeded with
+    _ONENORMEST_SEED, then give the caller's state back.
+
+    ``scipy.sparse.linalg.onenormest`` draws its start vectors from the
+    global state, so without this its estimates would depend on what else
+    drew from it, and every estimate would advance the caller's stream.
+    """
+    saved = np.random.get_state()
+    np.random.seed(_ONENORMEST_SEED)
+    try:
+        yield
+    finally:
+        np.random.set_state(saved)
+
+
+@functools.lru_cache(maxsize=4)
+def _hermitian_basis(d: int) -> tuple[sp.csr_array, sp.csr_array]:
+    """The unitary T of the Hermitian operator basis for dimension d, and T^dag.
+
+    Column j = n + m d of T is E_nn if n = m, (E_nm + E_mn)/sqrt(2) if n < m
+    and i(E_mn - E_nm)/sqrt(2) if n > m.  Cached, because it depends on d
+    alone; callers must not modify the arrays.
+    """
+    j = np.arange(d * d)
+    row, col = j % d, j // d
+    off = row != col
+    h = np.sqrt(0.5)
+    self_data = np.where(off, np.where(row < col, h, -1j * h), 1.0)
+    partner_data = np.where(row[off] < col[off], h, 1j * h)
+    basis = sp.csr_array(
+        (
+            np.concatenate((self_data, partner_data)),
+            (np.concatenate((j, col[off] + row[off] * d)), np.concatenate((j, j[off]))),
+        ),
+        shape=(d * d, d * d),
+    )
+    return basis, basis.conj().T.tocsr()
+
+
+def _real_generator(liouv: SuperOperator) -> sp.csc_array:
+    """The generator in the Hermitian operator basis: real CSC R = T^dag L T.
+
+    T is :func:`_hermitian_basis`.  Raises ``ValueError`` if L does not
+    preserve Hermiticity.
+    """
+    basis, adjoint = _hermitian_basis(liouv.layout.total_dim)
+    product = adjoint @ liouv.matrix @ basis
+    defect = float(np.abs(product.data.imag).max()) if product.nnz else 0.0
+    if defect > _HERMITIAN_TOL:  # the bound is relative to max(1, ||L||_inf)
+        tol = _HERMITIAN_TOL * max(1.0, liouv.norm_inf())
+        if defect > tol:
+            raise ValueError(
+                f"generator does not preserve Hermiticity: imaginary part {defect:.2e} "
+                f"in the Hermitian basis exceeds {tol:.2e}"
+            )
+    real = sp.csr_array((product.data.real, product.indices, product.indptr), shape=product.shape)
+    real.eliminate_zeros()
+    return real.tocsc()
+
+
+def _to_operator(x: np.ndarray, d: int) -> np.ndarray:
+    """The d x d operator rho with vec(rho) = T x."""
+    return (_hermitian_basis(d)[0] @ x).reshape((d, d), order="F")
+
+
+def _to_coordinates(rho: np.ndarray) -> np.ndarray:
+    """The real coordinates x of a Hermitian d x d rho, vec(rho) = T x."""
+    return (_hermitian_basis(rho.shape[0])[1] @ rho.ravel(order="F")).real
+
+
+def _lowest_eigenvalue(rho: np.ndarray, what: str, error: type[Exception]) -> float:
+    """The smallest eigenvalue of a Hermitian rho; below -_POSITIVITY_TOL it
+    raises ``error``, naming the state ``what``."""
+    lowest = float(np.linalg.eigvalsh(rho).min())
+    if lowest < -_POSITIVITY_TOL:
+        raise error(f"{what} has eigenvalue {lowest:.3e}, below -{_POSITIVITY_TOL:g}; "
+                    "it is not a density matrix")
+    return lowest

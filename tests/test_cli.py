@@ -154,10 +154,10 @@ class TestExitCodes:
 
         finalize = steady._finalize
 
-        def tampered(liouv, basis, raw, *args):
-            raw = raw.copy()
-            raw[3] = -0.5 * raw[0]  # rho_22 = -rho_11 / 2
-            return finalize(liouv, basis, raw, *args)
+        def tampered(liouv, rho, *args):
+            rho = rho.copy()
+            rho[1, 1] = -0.5 * rho[0, 0]
+            return finalize(liouv, rho, *args)
 
         monkeypatch.setattr(steady, "_finalize", tampered)
         code, out, err = invoke(["steady", model_file(DRIVEN_QUBIT)])
@@ -388,8 +388,7 @@ class TestEvolveCommand:
         real_generator = dynamics._real_generator
 
         def reversed_time(liouv):  # -L drives the excited state out of the positive cone
-            real, basis = real_generator(liouv)
-            return -real, basis
+            return -real_generator(liouv)
 
         monkeypatch.setattr(dynamics, "_real_generator", reversed_time)
         code, out, err = invoke(["evolve", model_file(QUBIT_DECAY), "--initial", "proj(q,2)",

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,11 +8,18 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from helpers import random_density, random_model, single_space
+from meq import dynamics
 from meq.dynamics import PropagationError, Trajectory, evolve, evolve_trajectory
 from meq.hilbert import LayoutMismatchError, Operator, transition
 from meq.modelspec import CascadeParams, cascade_model
-from meq.steady import _hermitian_basis, _real_generator, steady_dense
-from meq.superspace import LindbladModel, build_liouvillian, choose_route
+from meq.steady import steady_dense
+from meq.superspace import (
+    LindbladModel,
+    _hermitian_basis,
+    _real_generator,
+    build_liouvillian,
+    choose_route,
+)
 
 
 def qubit_decay_liouvillian(rate=1.0):
@@ -235,6 +245,16 @@ class TestStateChecks:
         assert min(trajectory.min_eigenvalues) > -1e-12
 
     @pytest.mark.parametrize("method", ["dense", "sparse"])
+    def test_traces_recorded(self, method):
+        rng = np.random.default_rng(69)
+        model = random_model(rng, 3, 2)
+        rho0 = Operator(model.layout, random_density(rng, 3))
+        trajectory = evolve_trajectory(build_liouvillian(model), rho0, [0.0, 0.5, 0.5, 2.0],
+                                       method=method)
+        assert trajectory.traces == tuple(state.trace() for state in trajectory.states)
+        assert max(abs(trace - 1) for trace in trajectory.traces) < 1e-12
+
+    @pytest.mark.parametrize("method", ["dense", "sparse"])
     def test_negative_propagated_state_raises(self, method):
         # -L pumps population into the excited state, so rho_11 turns negative
         liouv = -1.0 * qubit_decay_liouvillian()
@@ -284,8 +304,8 @@ class TestTaylorPlan:
         liouv = cascade_576
         d = liouv.layout.total_dim
         rho0 = Operator(liouv.layout, random_density(np.random.default_rng(68), d))
-        real, basis = _real_generator(liouv)
-        adjoint = _hermitian_basis(d)[1]
+        real = _real_generator(liouv)
+        basis, adjoint = _hermitian_basis(d)
         norm = spla.norm(real, 1)
         trajectory = evolve_trajectory(liouv, rho0, times, method="sparse")
         previous, x = 0.0, (adjoint @ rho0.to_dense().ravel(order="F")).real
@@ -345,3 +365,12 @@ class TestTaylorPlan:
             {"gap": 1.0, "taylor_degree": 0, "taylor_steps": 1},
             {"gap": 2.0, "taylor_degree": 0, "taylor_steps": 1},
         ]
+
+
+def test_dynamics_imports_nothing_from_steady():
+    # the Hermitian basis, R and the density-matrix check live in meq.superspace
+    tree = ast.parse(Path(dynamics.__file__).read_text())
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names}
+    assert not imported & {"steady", "meq.steady"}, imported

@@ -26,7 +26,6 @@ from helpers import (
 from meq.dynamics import evolve_trajectory
 from meq.hilbert import Operator, SpaceLayout, embed, partial_trace, partial_transpose
 from meq.steady import (
-    _real_generator,
     spectrum,
     steady_dense,
     steady_iterative,
@@ -35,6 +34,7 @@ from meq.steady import (
 )
 from meq.superspace import (
     LindbladModel,
+    _real_generator,
     build_liouvillian,
     liouvillian_oracle,
 )
@@ -119,7 +119,7 @@ def test_trace_preservation(model):
 @given(models())
 def test_real_generator_has_the_spectrum_of_l(model):
     liouv = build_liouvillian(model)
-    real, _ = _real_generator(liouv)
+    real = _real_generator(liouv)
     assert real.dtype == np.float64
     complex_values = np.linalg.eigvals(liouv.to_dense())
     real_values = np.linalg.eigvals(real.toarray())

@@ -21,10 +21,12 @@ from meq.steady import (
     steady_sparse,
     steady_state,
 )
-from meq.steady import _real_generator, _replace_row
+from meq.steady import _replace_row
 from meq.superspace import (
     LindbladModel,
     RouteChoice,
+    _hermitian_basis,
+    _real_generator,
     build_liouvillian,
     choose_route,
     liouvillian_oracle,
@@ -161,12 +163,9 @@ class TestDegeneracy:
             steady_linsolve(liouv)
 
     def test_traceless_kernel_vector_is_refused(self):
-        # diag(1, -1): in vec(rho) form and in the real Hermitian basis alike
         liouv = build_liouvillian(driven_qubit_model(1.0, 1.0))
-        raw = np.array([1.0, 0.0, 0.0, -1.0])
-        for basis in (None, _real_generator(liouv)[1]):
-            with pytest.raises(DegeneracyError, match="traceless kernel vector"):
-                steady._finalize(liouv, basis, raw, "dense-eig", None)
+        with pytest.raises(DegeneracyError, match="traceless kernel vector"):
+            steady._finalize(liouv, np.diag([1.0, -1.0]), "dense-eig", None)
 
     def test_linsolve_sparse_storage_degenerate(self):
         # d = 20 puts the LU route on SuperLU (n = 400), the 2x2 model on LAPACK
@@ -418,7 +417,7 @@ class TestRoutePolicy:
 
     def test_row_edit_matches_lil(self):
         rng = np.random.default_rng(70)
-        matrix = _real_generator(build_liouvillian(random_model(rng, 5, 2)))[0].tocsr()
+        matrix = _real_generator(build_liouvillian(random_model(rng, 5, 2))).tocsr()
         assert matrix.dtype == np.float64
         cols = np.arange(5) * 6
         for row in (0, 12, 24):
@@ -434,7 +433,7 @@ class TestRoutePolicy:
         liouv = build_liouvillian(cascade_model(CascadeParams(n_a=3, n_b=1)))
         assert choose_route("linsolve", liouv.dim).route == "sparse"
         d = liouv.layout.total_dim
-        real = _real_generator(liouv)[0].tocsr()
+        real = _real_generator(liouv).tocsr()
         exact = np.linalg.cond(_replace_row(real, 0, np.arange(d) * (d + 1), 1.0).toarray(), 1)
         # the route refuses an estimate above the limit: it passes at cond_1 and
         # fails at cond_1 / 3; onenormest runs under its own fixed seed, so the
@@ -525,7 +524,7 @@ class TestRealBasis:
     def test_basis_is_unitary_and_generator_real(self):
         rng = np.random.default_rng(80)
         liouv = build_liouvillian(random_model(rng, 4, 2))
-        real, basis = _real_generator(liouv)
+        real, basis = _real_generator(liouv), _hermitian_basis(4)[0]
         assert real.format == "csc" and real.dtype == np.float64
         assert np.diff(basis.indptr).max() == 2
         assert np.abs((basis.conj().T @ basis).toarray() - np.eye(16)).max() < 1e-15
@@ -622,7 +621,7 @@ class TestPositivity:
             assert method(liouv).hermiticity_defect == 0.0
         assert steady_iterative_driven_qubit(liouv).hermiticity_defect < 1e-12
         raw = np.array([[1.2, 0.2], [0.6, 0.8]], dtype=complex)  # trace 2
-        result = steady._finalize(liouv, None, raw.ravel(order="F"), "iterative", None)
+        result = steady._finalize(liouv, raw, "iterative", None)
         assert result.hermiticity_defect == pytest.approx(0.1, abs=1e-15)
         assert np.allclose(result.rho.to_dense(), [[0.6, 0.2], [0.2, 0.4]], atol=1e-15)
 
@@ -631,10 +630,10 @@ class TestPositivity:
         # rho_22 = -rho_11 / 2 in the raw solver output: eigenvalue -1 after normalization
         finalize = steady._finalize
 
-        def tampered(liouv, basis, raw, *args):
-            raw = raw.copy()
-            raw[3] = -0.5 * raw[0]
-            return finalize(liouv, basis, raw, *args)
+        def tampered(liouv, rho, *args):
+            rho = rho.copy()
+            rho[1, 1] = -0.5 * rho[0, 0]
+            return finalize(liouv, rho, *args)
 
         monkeypatch.setattr(steady, "_finalize", tampered)
         liouv = build_liouvillian(driven_qubit_model(1.0, 1.0))
@@ -906,3 +905,11 @@ class TestSteadyState:
         model = cascade_model(CascadeParams(n_a=na, n_b=nb))
         assert steady_state(build_liouvillian(model), model, method).policy.route == route
         assert counts == {name: int(name == route) for name in STEADY_ROUTES}
+
+    def test_small_sparse_request_runs_only_the_sparse_route(self, monkeypatch):
+        # n = 4 is too small for ARPACK: the sparse route takes the eigenvector
+        # densely, but does not count as a call of the dense route
+        counts = count_route_calls(monkeypatch)
+        model = driven_qubit_model(1.0, 1.0)
+        assert steady_state(build_liouvillian(model), model, "sparse").method == "sparse-eig"
+        assert counts == {name: int(name == "sparse") for name in STEADY_ROUTES}
