@@ -69,7 +69,6 @@ _EXPORTS = {
     "check_uniqueness": "steady",
     "Trajectory": "dynamics",
     "PropagationError": "dynamics",
-    "evolve": "dynamics",
     "evolve_trajectory": "dynamics",
     "PopulationReport": "measures",
     "expectation": "measures",

@@ -9,8 +9,9 @@ stderr):
 Complex numbers appear as two-element [re, im] arrays, matrices as row-major
 nested arrays; identical inputs give byte-identical records apart from the
 timings block.  Exit codes: 0 success, 1 usage problems, 2 model file errors
-(lexical/syntax/semantic), 3 numerical failures (non-convergence or
-degenerate steady states).
+(lexical/syntax/semantic), 3 numerical failures (non-convergence, degenerate
+steady states, a dense route above the dense capacity, or a propagated state
+that is not a density matrix).
 
 Each command hashes and parses its model text (the model file, or the
 cascade's :func:`meq.modelspec.cascade_text`), then builds, solves and

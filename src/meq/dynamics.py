@@ -43,7 +43,7 @@ from .superspace import (
     choose_route,
 )
 
-__all__ = ["PropagationError", "Trajectory", "evolve", "evolve_trajectory"]
+__all__ = ["PropagationError", "Trajectory", "evolve_trajectory"]
 
 
 class PropagationError(RuntimeError):
@@ -87,10 +87,10 @@ class _TaylorPlan:
     global random state.
     """
 
-    def __init__(self, real: sp.csc_array, gaps):
+    def __init__(self, real: sp.csr_array, gaps):
         n = real.shape[0]
         self.shift = real.trace() / n
-        self.shifted = (real - self.shift * sp.eye_array(n, format="csc")).tocsr()
+        self.shifted = real - self.shift * sp.eye_array(n, format="csr")
         self.norm = float(abs(self.shifted).sum(axis=0).max())
         norms = LazyOperatorNormInfo(self.shifted, A_1_norm=self.norm, ell=2)
         self.schedules: dict[float, tuple[int, int]] = {}
@@ -108,21 +108,6 @@ class _TaylorPlan:
         # the s steps; over a whole long gap exp(shift t) underflows to 0 while
         # the steps on the shifted generator overflow
         return _expm_multiply_simple_core(self.shifted, x, t, self.shift, m_star, s)
-
-
-def evolve(
-    liouv: SuperOperator,
-    rho0: Operator,
-    t: float,
-    method: str | None = None,
-) -> Operator:
-    """Propagate a state: returns devectorized exp(L t) vec(rho0).
-
-    :func:`evolve_trajectory` at the single time t; t = 0 returns the input
-    unchanged.
-    """
-    trajectory = evolve_trajectory(liouv, rho0, [t], method)
-    return rho0 if trajectory.times[0] == 0.0 else trajectory.states[0]
 
 
 def evolve_trajectory(

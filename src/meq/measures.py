@@ -4,7 +4,8 @@ Log negativity follows the eigenvalue form: for the partial transpose of a
 state with eigenvalues lambda_n, E = log(1 + sum_n (|lambda_n| - lambda_n)),
 natural logarithm.  A partially transposed Hermitian matrix is Hermitian, but
 assembly noise can break exact symmetry, so the eigenvalues are computed with
-a general solver and sub-1e-10 imaginary parts are discarded.
+a general solver and only their real parts are used (the imaginary parts,
+rounding noise of that asymmetry, are dropped without a threshold).
 """
 
 from __future__ import annotations

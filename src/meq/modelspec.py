@@ -65,7 +65,6 @@ __all__ = [
     "render_model",
     "render_expression",
     "CascadeParams",
-    "cascade_layout",
     "cascade_model",
     "cascade_text",
     "cascade_document",
@@ -383,9 +382,9 @@ def parse_model(text: str) -> ModelDocument:
     section = None
     seen: set[str] = set()
     spaces: list[tuple[str, int]] = []
-    space_pos: dict[str, tuple[int, int]] = {}
+    space_names: set[str] = set()
     bindings: list[tuple[str, Expr]] = []
-    binding_pos: dict[str, tuple[int, int]] = {}
+    binding_names: set[str] = set()
     hamiltonian: Expr | None = None
     dissipators: list[tuple[float, Expr]] = []
 
@@ -426,22 +425,22 @@ def parse_model(text: str) -> ModelDocument:
                     f"space dimension must be a positive integer, got {dim_tok.text!r}",
                     dim_tok.line, dim_tok.column,
                 )
-            if name_tok.text in space_pos:
+            if name_tok.text in space_names:
                 raise ModelSemanticError(
                     f"duplicate space {name_tok.text!r}", name_tok.line, name_tok.column
                 )
             spaces.append((name_tok.text, int(dim_tok.value.real)))
-            space_pos[name_tok.text] = (name_tok.line, name_tok.column)
+            space_names.add(name_tok.text)
         elif section == "define":
             name_tok = ts.expect("IDENT", ("binding name",))
             ts.expect("=", ("'='",))
             expr = _parse_line_expr(tokens, ts.pos)
-            if name_tok.text in binding_pos:
+            if name_tok.text in binding_names:
                 raise ModelSemanticError(
                     f"redefinition of {name_tok.text!r}", name_tok.line, name_tok.column
                 )
             bindings.append((name_tok.text, expr))
-            binding_pos[name_tok.text] = (name_tok.line, name_tok.column)
+            binding_names.add(name_tok.text)
         elif section == "hamiltonian":
             if hamiltonian is not None:
                 raise ModelSyntaxError(
@@ -739,10 +738,6 @@ class CascadeParams:
         return complex(self.omega_b) / self.g_b
 
 
-def cascade_layout(params: CascadeParams) -> SpaceLayout:
-    return SpaceLayout([("xi", 3), ("a", params.n_a + 1), ("b", params.n_b + 1)])
-
-
 def cascade_model(params: CascadeParams = CascadeParams()) -> LindbladModel:
     """Programmatic cascade benchmark model.
 
@@ -750,7 +745,7 @@ def cascade_model(params: CascadeParams = CascadeParams()) -> LindbladModel:
     couplings + Rabi drives; dissipators are the two cavity decays and the
     two spontaneous-emission channels.
     """
-    layout = cascade_layout(params)
+    layout = SpaceLayout([("xi", 3), ("a", params.n_a + 1), ("b", params.n_b + 1)])
     s11 = embed(layout, "xi", transition(3, 1, 1))
     s33 = embed(layout, "xi", transition(3, 3, 3))
     s12 = embed(layout, "xi", transition(3, 1, 2))

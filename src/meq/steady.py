@@ -177,8 +177,9 @@ def _descending_order(values: np.ndarray, scale: float) -> np.ndarray:
 
 
 def _finalize(liouv: SuperOperator, rho: np.ndarray, method: str,
-              eigenvalue: complex | None) -> SteadyStateResult:
-    """Normalize a solver's d x d operator into a checked density matrix."""
+              eigenvalue: complex | None, diagnostics: dict | None = None) -> SteadyStateResult:
+    """Normalize a solver's d x d operator into a checked density matrix,
+    the result of route ``method`` with its ``diagnostics``."""
     trace_raw = complex(np.trace(rho))
     scale = np.linalg.norm(rho)
     if abs(trace_raw) < 1e-8 * max(scale, np.finfo(float).tiny):
@@ -199,6 +200,7 @@ def _finalize(liouv: SuperOperator, rho: np.ndarray, method: str,
         min_eigenvalue=_lowest_eigenvalue(rho, f"the {method} state", ConvergenceError),
         hermiticity_defect=hermiticity_defect,
         eigenvalue=eigenvalue,
+        diagnostics=diagnostics,
     )
 
 
@@ -327,7 +329,7 @@ def steady_linsolve(liouv: SuperOperator) -> SteadyStateResult:
     rhs = np.zeros(liouv.dim)
     rhs[0] = gamma
     diagnostics = {"lu_policy": choose_route("linsolve", liouv.dim)._asdict()}
-    replaced = _replace_row(_real_generator(liouv).tocsr(), 0, diag_cols, gamma)
+    replaced = _replace_row(_real_generator(liouv), 0, diag_cols, gamma)
 
     if diagnostics["lu_policy"]["route"] == "sparse":
         replaced = replaced.tocsc()
@@ -373,8 +375,7 @@ def steady_linsolve(liouv: SuperOperator) -> SteadyStateResult:
         )
     solution = solve(rhs)
 
-    result = _finalize(liouv, _to_operator(solution, d), "linsolve", None)
-    return replace(result, diagnostics=diagnostics)
+    return _finalize(liouv, _to_operator(solution, d), "linsolve", None, diagnostics)
 
 
 def _no_jump_inverse(model: LindbladModel, norm: float):
@@ -533,7 +534,6 @@ def steady_iterative(liouv: SuperOperator, model: LindbladModel) -> SteadyStateR
             f"two augmentations gave steady states {difference:.2e} apart "
             f"(tolerance {_STATE_GAP_TOL:g}); degenerate kernel"
         )
-    result = _finalize(liouv, first.reshape((d, d), order="F"), "iterative", None)
     diagnostics = {
         "gmres_iterations": iterations,
         "check_iterations": check_iterations,
@@ -543,7 +543,7 @@ def steady_iterative(liouv: SuperOperator, model: LindbladModel) -> SteadyStateR
         "augmented_level": level,
         "state_difference": difference,
     }
-    return replace(result, diagnostics=diagnostics)
+    return _finalize(liouv, first.reshape((d, d), order="F"), "iterative", None, diagnostics)
 
 
 def steady_state(liouv: SuperOperator, model: LindbladModel,

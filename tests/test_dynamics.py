@@ -9,7 +9,7 @@ import scipy.sparse.linalg as spla
 
 from helpers import random_density, random_model, single_space
 from meq import dynamics
-from meq.dynamics import PropagationError, Trajectory, evolve, evolve_trajectory
+from meq.dynamics import PropagationError, Trajectory, evolve_trajectory
 from meq.hilbert import LayoutMismatchError, Operator, transition
 from meq.modelspec import CascadeParams, cascade_model
 from meq.steady import steady_dense
@@ -36,16 +36,17 @@ def excited_state():
 
 class TestEvolve:
     def test_zero_time_is_identity(self):
-        liouv = qubit_decay_liouvillian()
         rho0 = excited_state()
-        assert evolve(liouv, rho0, 0.0) is rho0
+        for method in ("dense", "sparse"):
+            state = evolve_trajectory(qubit_decay_liouvillian(), rho0, [0.0], method).states[0]
+            assert np.array_equal(state.to_dense(), rho0.to_dense())
 
     @pytest.mark.parametrize("method", ["dense", "sparse"])
     @pytest.mark.parametrize("t", [0.3, 1.0, 2.5])
     def test_exponential_decay(self, method, t):
         rate = 1.0
         liouv = qubit_decay_liouvillian(rate)
-        rho_t = evolve(liouv, excited_state(), t, method=method).to_dense()
+        rho_t = evolve_trajectory(liouv, excited_state(), [t], method).states[0].to_dense()
         assert rho_t[1, 1].real == pytest.approx(np.exp(-2 * rate * t), abs=1e-9)
         assert rho_t[0, 0].real == pytest.approx(1 - np.exp(-2 * rate * t), abs=1e-9)
 
@@ -57,12 +58,13 @@ class TestEvolve:
             rho0 = Operator(model.layout, random_density(rng, 4))
             t = 0.8
             direct = scipy.linalg.expm(liouv.to_dense() * t) @ rho0.to_dense().ravel(order="F")
-            sparse = evolve(liouv, rho0, t, method="sparse").to_dense().ravel(order="F")
+            state = evolve_trajectory(liouv, rho0, [t], "sparse").states[0]
+            sparse = state.to_dense().ravel(order="F")
             assert np.abs(direct - sparse).max() < 1e-8
 
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
-            evolve(qubit_decay_liouvillian(), excited_state(), -1.0)
+            evolve_trajectory(qubit_decay_liouvillian(), excited_state(), [-1.0])
 
     def test_trace_and_hermiticity_preserved(self):
         rng = np.random.default_rng(61)
@@ -70,7 +72,7 @@ class TestEvolve:
         liouv = build_liouvillian(model)
         rho0 = Operator(model.layout, random_density(rng, 3))
         for method in ("dense", "sparse"):
-            rho_t = evolve(liouv, rho0, 2.0, method=method).to_dense()
+            rho_t = evolve_trajectory(liouv, rho0, [2.0], method).states[0].to_dense()
             assert abs(np.trace(rho_t) - 1) < 1e-10
             assert np.abs(rho_t - rho_t.conj().T).max() < 1e-10
 
@@ -95,8 +97,9 @@ class TestTrajectory:
         liouv = build_liouvillian(model)
         rho0 = Operator(model.layout, random_density(rng, 3))
         t1, t2 = 0.7, 1.1
-        stepwise = evolve(liouv, evolve(liouv, rho0, t1), t2).to_dense()
-        direct = evolve(liouv, rho0, t1 + t2).to_dense()
+        middle = evolve_trajectory(liouv, rho0, [t1]).states[0]
+        stepwise = evolve_trajectory(liouv, middle, [t2]).states[0].to_dense()
+        direct = evolve_trajectory(liouv, rho0, [t1 + t2]).states[0].to_dense()
         assert np.abs(stepwise - direct).max() < 1e-9
 
     def test_trajectory_matches_pointwise_evolve(self):
@@ -107,7 +110,7 @@ class TestTrajectory:
         times = [0.2, 0.5, 1.3]
         trajectory = evolve_trajectory(liouv, rho0, times)
         for t, state in zip(times, trajectory.states):
-            expected = evolve(liouv, rho0, t).to_dense()
+            expected = evolve_trajectory(liouv, rho0, [t]).states[0].to_dense()
             assert np.abs(state.to_dense() - expected).max() < 1e-9
 
     def test_traces_preserved_along_trajectory(self):
@@ -127,7 +130,7 @@ class TestTrajectory:
         liouv = build_liouvillian(model)
         steady = steady_dense(liouv).rho.to_dense()
         rho0 = Operator(model.layout, np.eye(3) / 3)
-        late = evolve(liouv, rho0, 80.0).to_dense()
+        late = evolve_trajectory(liouv, rho0, [80.0]).states[0].to_dense()
         assert np.abs(late - steady).max() < 1e-8
 
     def test_rejects_unordered_times(self):
@@ -159,7 +162,7 @@ class TestCascadeRelaxation:
         # sparse and dense steady states agree to 1e-8, see acceptance)
         layout = cascade_liouvillian.layout
         rho0 = Operator(layout, np.eye(layout.total_dim) / layout.total_dim)
-        evolved = evolve(cascade_liouvillian, rho0, 10.0, method="sparse")
+        evolved = evolve_trajectory(cascade_liouvillian, rho0, [10.0], "sparse").states[0]
         from meq.measures import expectation
 
         for label in ("s11", "s22", "s33", "n_a", "n_b"):
@@ -176,7 +179,7 @@ class TestKrylovStepping:
         hamiltonian = Operator(layout, 0.1 * (transition(2, 1, 2) + transition(2, 2, 1)))
         jump = Operator(layout, transition(2, 1, 2))
         liouv = build_liouvillian(LindbladModel(hamiltonian, [(50.0, jump)]))
-        rho_t = evolve(liouv, excited_state(), 3.0, method="sparse").to_dense()
+        rho_t = evolve_trajectory(liouv, excited_state(), [3.0], "sparse").states[0].to_dense()
         direct = scipy.linalg.expm(liouv.to_dense() * 3.0) @ excited_state().to_dense().ravel(order="F")
         assert np.abs(rho_t.ravel(order="F") - direct).max() < 1e-8
 
@@ -203,7 +206,7 @@ class TestKrylovStepping:
             LindbladModel(Operator(layout, np.zeros((2, 2))), [(1.0, jump)])
         )
         assert isinstance(liouv.matrix, sp.csr_array)
-        rho_t = evolve(liouv, excited_state(), 1.0, method="sparse").to_dense()
+        rho_t = evolve_trajectory(liouv, excited_state(), [1.0], "sparse").states[0].to_dense()
         assert rho_t[1, 1].real == pytest.approx(np.exp(-2.0), abs=1e-9)
 
 
@@ -279,7 +282,7 @@ class TestRoutePolicy:
         assert reference.policy == (other, "requested")
         for state, expected in zip(trajectory.states, reference.states):
             assert np.abs(state.to_dense() - expected.to_dense()).max() < 1e-8
-        single = evolve(liouv, rho0, 0.6).to_dense()
+        single = evolve_trajectory(liouv, rho0, [0.6]).states[0].to_dense()
         assert np.abs(single - trajectory.states[-1].to_dense()).max() < 1e-8
 
     def test_rejects_unknown_method(self):

@@ -20,7 +20,6 @@ from meq.modelspec import (
     PrimitiveCall,
     build_model,
     cascade_document,
-    cascade_layout,
     cascade_model,
     cascade_text,
     document_environment,
@@ -382,11 +381,12 @@ class TestRoundTrip:
 class TestCascade:
     def test_dimensions(self):
         params = CascadeParams()
-        layout = cascade_layout(params)
+        model = cascade_model(params)
+        layout = model.layout
         assert layout.names == ("xi", "a", "b")
         assert layout.dims == (3, 5, 3)
         assert layout.total_dim == 45
-        liouv = build_liouvillian(cascade_model(params))
+        liouv = build_liouvillian(model)
         assert liouv.dim == 2025
 
     def test_document_matches_programmatic_builder(self):

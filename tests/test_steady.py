@@ -525,7 +525,8 @@ class TestRealBasis:
         rng = np.random.default_rng(80)
         liouv = build_liouvillian(random_model(rng, 4, 2))
         real, basis = _real_generator(liouv), _hermitian_basis(4)[0]
-        assert real.format == "csc" and real.dtype == np.float64
+        assert real.format == "csr" and real.has_sorted_indices and real.dtype == np.float64
+        assert real.data.flags.c_contiguous
         assert np.diff(basis.indptr).max() == 2
         assert np.abs((basis.conj().T @ basis).toarray() - np.eye(16)).max() < 1e-15
         reference = basis.conj().T.toarray() @ liouv.to_dense() @ basis.toarray()

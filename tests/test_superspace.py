@@ -305,7 +305,7 @@ class TestSuperOperatorStorage:
         with pytest.raises(CapacityError, match="exceeds the dense capacity 10000"):
             superop.to_dense()
         # every dense route builds its array through to_dense
-        from meq.dynamics import evolve
+        from meq.dynamics import evolve_trajectory
         from meq.steady import spectrum, steady_dense
 
         with pytest.raises(CapacityError):
@@ -314,7 +314,7 @@ class TestSuperOperatorStorage:
             steady_dense(superop)
         rho0 = identity_operator(layout) / 279
         with pytest.raises(CapacityError):
-            evolve(superop, rho0, 1.0, method="dense")
+            evolve_trajectory(superop, rho0, [1.0], "dense")
 
     def test_apply_checks_layout(self):
         # a column-stacked operator of another dimension is refused
