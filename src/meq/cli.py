@@ -349,6 +349,8 @@ class _Runner:
             "count_requested": spec.count_requested,
             "eigenvalues": list(spec.eigenvalues),
         }
+        if spec.diagnostics is not None:
+            results["diagnostics"] = spec.diagnostics
         return self._record(spec.policy.route, results, spec.policy)
 
     def _initial_state(self, doc, layout, env):

@@ -22,12 +22,6 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-# scipy's public expm_multiply redoes all of its planning on every call
-from scipy.sparse.linalg._expm_multiply import (
-    LazyOperatorNormInfo,
-    _expm_multiply_simple_core,
-    _fragment_3_1,
-)
 
 from .hilbert import LayoutMismatchError, Operator
 from .superspace import (
@@ -85,9 +79,21 @@ class _TaylorPlan:
     and the steps are the public function's own.  The norm estimates are
     ``onenormest``'s, so all schedules are picked up front under one seeded
     global random state.
+
+    The plan uses private names of ``scipy.sparse.linalg._expm_multiply``
+    (the public function redoes all of its planning on every call).  They
+    are imported here, so a scipy that moves them breaks only the sparse
+    propagation route.
     """
 
     def __init__(self, real: sp.csr_array, gaps):
+        from scipy.sparse.linalg._expm_multiply import (
+            LazyOperatorNormInfo,
+            _expm_multiply_simple_core,
+            _fragment_3_1,
+        )
+
+        self._core = _expm_multiply_simple_core
         n = real.shape[0]
         self.shift = real.trace() / n
         self.shifted = real - self.shift * sp.eye_array(n, format="csr")
@@ -107,7 +113,7 @@ class _TaylorPlan:
         # the core applies the shift's factor exp(shift t / s) after each of
         # the s steps; over a whole long gap exp(shift t) underflows to 0 while
         # the steps on the shifted generator overflow
-        return _expm_multiply_simple_core(self.shifted, x, t, self.shift, m_star, s)
+        return self._core(self.shifted, x, t, self.shift, m_star, s)
 
 
 def evolve_trajectory(

@@ -16,6 +16,15 @@ and on the cascade they also have about a quarter fewer entries and take
 40% of the complex factorization time; real ARPACK takes about half the
 time of complex.
 
+Spectra deflate the steady eigenvalue.  A trace-preserving generator has
+e^T R = 0 for the vector e that marks R's diagonal coordinates, so its
+spectrum is an exact 0 plus the spectrum of R restricted to the trace-zero
+coordinates W = {x : e^T x = 0}.  :func:`spectrum` returns that 0 and
+diagonalizes R|W, or runs ARPACK on it for the other k - 1 eigenvalues; on
+the cascade ARPACK then needs about half the products with R that it needed
+when it also had to converge to the 0.  :func:`check_uniqueness` needs one
+eigenvalue of R|W.
+
 The iterative route factors nothing of size d^2.  It splits the generator
 into the no-jump part S(rho) = -i (H_eff rho - rho H_eff^dag), with
 H_eff = H - i sum Gamma J^dag J, and the jumps.  S is a Sylvester operator,
@@ -56,6 +65,7 @@ from .superspace import (
     _real_generator,
     _seeded_global_random_state,
     _to_operator,
+    _trace_zero_generator,
     check_dense_capacity,
     choose_route,
 )
@@ -150,11 +160,16 @@ class SteadyStateResult:
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Leading eigenvalues sorted by descending real part, and the route used."""
+    """Leading eigenvalues sorted by descending real part, and the route used.
+
+    ``diagnostics["arpack_matvecs"]`` is the sparse route's count of products
+    with R|W (0 for k = 1); the dense route records none.
+    """
 
     eigenvalues: np.ndarray
     count_requested: int
     policy: RouteChoice
+    diagnostics: dict | None = None
 
 
 @dataclass(frozen=True)
@@ -169,7 +184,7 @@ class GapReport:
 def _descending_order(values: np.ndarray, scale: float) -> np.ndarray:
     """Indices sorting by descending real part; ties (real parts within
     _TIE_TOL * scale of their neighbour) are broken by descending imaginary
-    part, then input order."""
+    part, then descending real part, then input order."""
     order = np.argsort(-values.real, kind="stable")
     ties = np.diff(values.real[order]) < -_TIE_TOL * scale
     group = np.concatenate(([0], np.cumsum(ties)))
@@ -569,14 +584,25 @@ def steady_state(liouv: SuperOperator, model: LindbladModel,
 def spectrum(liouv: SuperOperator, k: int, method: str | None = None) -> SpectrumResult:
     """The k eigenvalues of largest real part, sorted descending.
 
-    Ties in the real part (within 1e-12 times ||L||_inf, so that the order
-    does not change when L is scaled) are broken by descending imaginary
-    part, then by input order.  Both routes work on the real generator R,
-    whose spectrum is L's and closed under conjugation, so when the k-th
-    value's partner is not among the first k the pair is split at the cut,
-    and its +imag member is returned (ARPACK may have converged to either).
-    The sparse route uses an Arnoldi largest-real-part iteration; the dense
-    route diagonalizes fully and truncates.  Without ``method``
+    A trace-preserving generator has the eigenvalue 0 exactly, and the rest
+    of its spectrum is that of R restricted to the trace-zero coordinates
+    (``superspace._trace_zero_generator``).  So both routes return an exact
+    0 plus the k - 1 leading eigenvalues of R|W: the dense route
+    diagonalizes R|W fully and truncates, the sparse route runs an Arnoldi
+    largest-real-part iteration for k - 1 values (none for k = 1), and its
+    ``diagnostics["arpack_matvecs"]`` counts the products with R|W.  A
+    generator with e^T R above 1e-10 times max(1, ||L||_inf) raises
+    ``ValueError``.
+
+    The k values are sorted together.  Ties in the real part (within 1e-12
+    times ||L||_inf, so that the order does not change when L is scaled) are
+    broken by descending imaginary part, then by descending real part, and
+    the exact 0 comes before any other 0.  So the 0 is first unless the
+    kernel is degenerate or an undamped eigenvalue (real part within the tie
+    tolerance of 0) has a positive imaginary part.  The spectrum of the real
+    R|W is closed under conjugation, so when the k-th value's partner is not
+    among the first k the pair is split at the cut, and its +imag member is
+    returned (ARPACK may have converged to either).  Without ``method``
     :func:`choose_route` picks; ARPACK needs k < n - 1.
     """
     n = liouv.dim
@@ -584,41 +610,62 @@ def spectrum(liouv: SuperOperator, k: int, method: str | None = None) -> Spectru
         raise ValueError(f"k={k} out of range [1, {n}]")
     policy = choose_route("spectrum", n, k, method)
 
-    real = _real_generator(liouv)
-    if policy.route == "dense":
-        check_dense_capacity(n)
-        values = np.linalg.eigvals(real.toarray())
-    else:
-        params = _arpack_params(n, k)
-        try:
-            values = spla.eigs(real, k=k, which="LR", return_eigenvectors=False, **params)
-        except spla.ArpackNoConvergence as exc:
-            raise ConvergenceError(
-                f"Arnoldi largest-real-part iteration did not converge: {exc}"
-            ) from exc
-
-    # eigvals returns a real array when every eigenvalue of R is real
+    restricted = _trace_zero_generator(liouv, dense=policy.route == "dense")
     scale = liouv.norm_inf() or 1.0
+    values, diagnostics = np.zeros(0), None  # k = 1 needs no solve
+    if policy.route == "dense":
+        if k > 1:
+            values = np.linalg.eigvals(restricted)
+    else:
+        # ARPACK accepts a Ritz value theta once its residual estimate is below
+        # tol * max(eps^(2/3), |theta|).  R|W has the eigenvalue 0 when the
+        # kernel of L is degenerate, and on dephasing models from d = 8 ARPACK
+        # returned the next eigenvalues instead of it.  Shifted by the gap
+        # tolerance, a zero eigenvalue is tested relative to that, and the
+        # test of any eigenvalue outside the tolerance loosens at most 2-fold.
+        shift = _GAP_TOL * scale
+        matvecs = 0
+
+        def matvec(x):
+            nonlocal matvecs
+            matvecs += 1
+            return restricted @ x + shift * x
+
+        if k > 1:
+            operator = spla.LinearOperator(restricted.shape, matvec=matvec, dtype=float)
+            try:
+                values = spla.eigs(operator, k=k - 1, which="LR", return_eigenvectors=False,
+                                   **_arpack_params(n - 1, k - 1)) - shift
+            except spla.ArpackNoConvergence as exc:
+                raise ConvergenceError(
+                    f"Arnoldi largest-real-part iteration did not converge: {exc}"
+                ) from exc
+        diagnostics = {"arpack_matvecs": matvecs}
+
+    # eigvals returns a real array when every eigenvalue of R|W is real
+    values = np.concatenate(([0.0], values))
     values = values[_descending_order(values, scale)[:k]].astype(complex)
     last = values[-1]
     tol = _GAP_TOL * scale
     if abs(last.imag) > tol and not (np.abs(values[:-1] - last.conjugate()) <= tol).any():
         values[-1] = complex(last.real, abs(last.imag))
-    return SpectrumResult(eigenvalues=values, count_requested=k, policy=policy)
+    return SpectrumResult(eigenvalues=values, count_requested=k, policy=policy,
+                          diagnostics=diagnostics)
 
 
 def check_uniqueness(liouv: SuperOperator, method: str | None = None) -> GapReport:
-    """Verify the kernel is one-dimensional via the two leading eigenvalues.
+    """Verify the kernel is one-dimensional from the two leading eigenvalues.
 
+    These are :func:`spectrum`'s exact 0 and the leading eigenvalue of R on
+    the trace-zero coordinates, one ARPACK value on the sparse route.
     Unique means the largest real part vanishes within the gap tolerance
     1e-8 times ||L||_inf while the second-largest stays below minus that
-    tolerance.
+    tolerance: for a trace-preserving L, R|W's leading real part is below
+    minus the tolerance.  A one-level model has no second eigenvalue.
     """
     tol = _GAP_TOL * (liouv.norm_inf() or 1.0)
-    if liouv.dim == 1:
-        lam0 = complex(liouv.to_dense()[0, 0])
-        return GapReport(lam0, None, abs(lam0.real) < tol)
-    lead = spectrum(liouv, 2, method=method).eigenvalues
-    lam0, lam1 = complex(lead[0]), complex(lead[1])
-    unique = abs(lam0.real) < tol and lam1.real < -tol
+    lead = spectrum(liouv, min(2, liouv.dim), method=method).eigenvalues
+    lam0 = complex(lead[0])
+    lam1 = complex(lead[1]) if lead.size > 1 else None
+    unique = abs(lam0.real) < tol and (lam1 is None or lam1.real < -tol)
     return GapReport(lam0, lam1, unique)

@@ -28,8 +28,10 @@ ones, so in the orthonormal basis T of E_ll, (E_nm + E_mn)/sqrt(2) and
 i(E_nm - E_mn)/sqrt(2) (n < m) it is the real matrix R = T^dag L T with the
 spectrum of L.  The element carrying rho_nm sits at its superindex, so the
 trace condition replaces the same row of R as of L, on the same d columns,
-and a Hermitian rho has real coordinates x with vec(rho) = T x.  Every state
-a solver returns passes one positivity check, :func:`_lowest_eigenvalue`.
+and a Hermitian rho has real coordinates x with vec(rho) = T x.  Spectra
+use R restricted to the trace-zero coordinates,
+:func:`_trace_zero_generator`.  Every state a solver returns passes one
+positivity check, :func:`_lowest_eigenvalue`.
 """
 
 from __future__ import annotations
@@ -396,6 +398,50 @@ def _real_generator(liouv: SuperOperator) -> sp.csr_array:
     # R x sums in column order, as L x does
     real.sort_indices()
     return real
+
+
+def _trace_zero_generator(liouv: SuperOperator, dense: bool):
+    """R restricted to the trace-zero coordinates W = {x : e^T x = 0}, where
+    e marks the d diagonal coordinates, in an orthonormal basis of W; a
+    dense array if ``dense``, else CSR with sorted indices.
+
+    A trace-preserving L has e^T R = 0, so W is invariant and
+    spec R = {0} + spec R|W.  The Householder reflection H = I - 2 w w^T,
+    w a unit vector along e / sqrt(d) + e_0, maps e / sqrt(d) to -e_0 and
+    touches only the diagonal coordinates; row 0 of H R H is then 0, and
+    R|W = (H R H)[1:, 1:], orthogonally similar to R on W.  So a normal R
+    (unitary dynamics) gives a normal R|W, which ARPACK needs there: with W
+    parametrized by all coordinates but rho_11's it did not converge on
+    Hamiltonian-only models from d = 12.  Raises ``ValueError`` if L does
+    not preserve Hermiticity (see :func:`_real_generator`) or the trace
+    (e^T R above _HERMITIAN_TOL times max(1, ||L||_inf)), and
+    :class:`CapacityError` for a dense array above the dense capacity.
+    """
+    real = _real_generator(liouv)
+    n, d = liouv.dim, liouv.layout.total_dim
+    diagonal = np.arange(d) * (d + 1)
+    marks = np.zeros(n)
+    marks[diagonal] = 1.0
+    defect = float(np.abs(real.T @ marks).max())
+    tol = _HERMITIAN_TOL * max(1.0, liouv.norm_inf())
+    if defect > tol:
+        raise ValueError(f"generator does not preserve the trace: e^T R has an element "
+                         f"{defect:.2e}, above {tol:.2e}")
+    w = np.full(d, d ** -0.5)
+    w[0] += 1.0
+    w /= np.linalg.norm(w)
+    if dense:
+        check_dense_capacity(n)
+        full = real.toarray()
+        full[diagonal] -= np.outer(2.0 * w, w @ full[diagonal])
+        full[:, diagonal] -= np.outer(full[:, diagonal] @ w, 2.0 * w)
+        return full[1:, 1:]
+    block = np.outer(2.0 * w, w).ravel()
+    reflection = sp.eye_array(n, format="csr") - sp.csr_array(
+        (block, (np.repeat(diagonal, d), np.tile(diagonal, d))), shape=(n, n))
+    restricted = (reflection @ real @ reflection)[1:, 1:]
+    restricted.sort_indices()
+    return restricted
 
 
 def _to_operator(x: np.ndarray, d: int) -> np.ndarray:

@@ -298,6 +298,18 @@ class TestSpectrumCommand:
         record = invoke_record(["spectrum", path, "-k", "4"])
         values = [complex(re, im) for re, im in record["results"]["eigenvalues"]]
         assert sorted(v.real for v in values) == pytest.approx([-2, -1, -1, 0], abs=1e-10)
+        assert record["results"]["eigenvalues"][0] == [0.0, 0.0]
+        assert "diagnostics" not in record["results"]  # the dense route runs no ARPACK
+
+    def test_sparse_route_records_arpack_matvecs(self):
+        # superspace 225: ARPACK by size, on the trace-zero coordinates
+        record = invoke_record(["cascade", "--na", "4", "--nb", "0", "-k", "3"])
+        assert record["method"] == "sparse"
+        assert record["results"]["eigenvalues"][0] == [0.0, 0.0]
+        assert record["results"]["diagnostics"]["arpack_matvecs"] > 0
+        record = invoke_record(["cascade", "--na", "4", "--nb", "0", "-k", "1"])
+        assert record["results"]["eigenvalues"] == [[0.0, 0.0]]
+        assert record["results"]["diagnostics"] == {"arpack_matvecs": 0}
 
 
 class TestEvolveCommand:
@@ -829,3 +841,30 @@ class TestConsoleScript:
         assert proc.returncode == 0, proc.stderr
         record = json.loads(proc.stdout)
         assert record["method"] == "dense-eig"
+
+
+class TestPrivateScipyNames:
+    def test_steady_and_spectrum_run_without_them(self, tmp_path):
+        # only the sparse propagation route imports scipy's private
+        # expm_multiply names, so the other commands survive their loss
+        path = tmp_path / "qubit.model"
+        path.write_text(QUBIT_DECAY)
+        script = (
+            "import sys, scipy.sparse.linalg\n"
+            "sys.modules['scipy.sparse.linalg._expm_multiply'] = None\n"
+            "from meq.cli import run\n"
+            f"path = {str(path)!r}\n"
+            "sys.exit(run(['steady', path]) or run(['spectrum', path, '-k', '2']))\n"
+        )
+        src = os.path.dirname(os.path.dirname(meq.__file__))
+        env = dict(os.environ, MEQ_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        decoder, text, records = json.JSONDecoder(), proc.stdout.strip(), []
+        while text:
+            record, end = decoder.raw_decode(text)
+            records.append(record)
+            text = text[end:].strip()
+        assert [r["command"] for r in records] == ["steady", "spectrum"]

@@ -3,8 +3,16 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.optimize import linear_sum_assignment
 
-from helpers import STEADY_ROUTES, count_route_calls, random_corpus, random_model, single_space
+from helpers import (
+    STEADY_ROUTES,
+    count_route_calls,
+    random_corpus,
+    random_hermitian,
+    random_model,
+    single_space,
+)
 from meq import steady
 from meq.dynamics import evolve_trajectory
 from meq.hilbert import LayoutMismatchError, Operator, identity_operator, transition
@@ -25,8 +33,10 @@ from meq.steady import _replace_row
 from meq.superspace import (
     LindbladModel,
     RouteChoice,
+    SuperOperator,
     _hermitian_basis,
     _real_generator,
+    _trace_zero_generator,
     build_liouvillian,
     choose_route,
     liouvillian_oracle,
@@ -51,6 +61,18 @@ def degenerate_model():
     # no dissipation, diagonal H: every diagonal state is steady
     layout = single_space(2, "q")
     return LindbladModel(Operator(layout, np.diag([0.0, 1.0])))
+
+
+def decoupled_driven_qubits():
+    # two driven, damped qubits in one 4-level space: a steady state per block
+    layout = single_space(4, "q")
+    drive = transition(4, 1, 2) + transition(4, 2, 1)
+    drive += 0.5 * (transition(4, 3, 4) + transition(4, 4, 3))
+    return LindbladModel(
+        Operator(layout, drive),
+        [(1.0, Operator(layout, transition(4, 1, 2))),
+         (1.0, Operator(layout, transition(4, 3, 4)))],
+    )
 
 
 ALL_METHODS = [steady_dense, steady_sparse, steady_linsolve]
@@ -359,8 +381,6 @@ class TestUniqueness:
 
     def test_hamiltonian_only_never_unique(self):
         rng = np.random.default_rng(53)
-        from helpers import random_hermitian
-
         layout = single_space(3, "q")
         model = LindbladModel(Operator(layout, random_hermitian(rng, 3)))
         report = check_uniqueness(build_liouvillian(model))
@@ -742,15 +762,7 @@ class TestIterative:
         assert np.allclose(result.rho.to_dense(), np.diag([0.0, 1.0]), atol=1e-12)
 
     def test_decoupled_driven_qubits_are_degenerate(self):
-        # two driven, damped qubits in one 4-level space: a steady state per block
-        layout = single_space(4, "q")
-        drive = transition(4, 1, 2) + transition(4, 2, 1)
-        drive += 0.5 * (transition(4, 3, 4) + transition(4, 4, 3))
-        model = LindbladModel(
-            Operator(layout, drive),
-            [(1.0, Operator(layout, transition(4, 1, 2))),
-             (1.0, Operator(layout, transition(4, 3, 4)))],
-        )
+        model = decoupled_driven_qubits()
         with pytest.raises(DegeneracyError, match="augmentations"):
             steady_iterative(build_liouvillian(model), model)
 
@@ -823,12 +835,20 @@ class TestSparseSpectrumManyEigenvalues:
 
     def test_split_pair_keeps_positive_member(self, monkeypatch):
         # ARPACK returning the -imag member of the pair at the cut, as it did
-        # with two BLAS threads on the cascade above
+        # with two BLAS threads on the cascade above.  It sees R on the
+        # trace-zero coordinates (shifted), so it returns the k - 1 leading
+        # eigenvalues of the operator it is given, the values after the 0
         liouv = build_liouvillian(driven_emitter_model(4, np.random.default_rng(4)))
         dense = spectrum(liouv, 16, "dense").eigenvalues
         cut = next(k for k in range(2, 12) if dense[k - 1].imag > 1e-6)
-        arpack = np.concatenate((dense[: cut - 1], dense[cut - 1: cut].conj()))
-        monkeypatch.setattr(steady.spla, "eigs", lambda *args, **kwargs: arpack[::-1])
+
+        def arpack(operator, k, **kwargs):
+            assert k == cut - 1
+            values = np.linalg.eigvals(operator @ np.eye(operator.shape[0]))
+            values = values[steady._descending_order(values, 1.0)[:k]]
+            return np.concatenate((values[:-1], values[-1:].conj()))[::-1]
+
+        monkeypatch.setattr(steady.spla, "eigs", arpack)
         values = spectrum(liouv, cut, "sparse").eigenvalues
         assert np.abs(values - dense[:cut]).max() < 1e-12
 
@@ -914,3 +934,104 @@ class TestSteadyState:
         model = driven_qubit_model(1.0, 1.0)
         assert steady_state(build_liouvillian(model), model, "sparse").method == "sparse-eig"
         assert counts == {name: int(name == "sparse") for name in STEADY_ROUTES}
+
+
+class TestTraceDeflation:
+    """Spectra run on R restricted to the trace-zero coordinates W and add the exact 0."""
+
+    @pytest.mark.parametrize("route", ["dense", "sparse"])
+    def test_spectrum_is_zero_and_the_restricted_spectrum_on_corpus(self, route):
+        for model in random_corpus():
+            liouv = build_liouvillian(model)
+            n, scale = liouv.dim, liouv.norm_inf()
+            full = np.linalg.eigvals(_real_generator(liouv).toarray())
+            restricted = _trace_zero_generator(liouv, dense=route == "dense")
+            if route == "sparse":
+                restricted = restricted.toarray()
+            # spec R = {0} + spec R|W, with multiplicity
+            both = np.concatenate(([0.0], np.linalg.eigvals(restricted)))
+            distance = np.abs(both[:, None] - full[None, :])
+            rows, cols = linear_sum_assignment(distance)
+            assert distance[rows, cols].max() < 1e-13 * scale
+            k = n if route == "dense" else min(6, n - 2)
+            values = spectrum(liouv, k, route).eigenvalues
+            assert values[0] == 0
+            distance = np.abs(values[:, None] - full[None, :])
+            rows, cols = linear_sum_assignment(distance)
+            assert distance[rows, cols].max() < 1e-13 * scale
+            top = np.sort(full.real)[::-1][:k]
+            assert np.abs(values.real - top).max() < 1e-13 * scale
+
+    def test_sparse_restriction_matches_dense(self):
+        for model in (*random_corpus()[:8], cascade_model(CascadeParams(n_a=2, n_b=1))):
+            liouv = build_liouvillian(model)
+            restricted = _trace_zero_generator(liouv, dense=False)
+            assert restricted.format == "csr" and restricted.has_sorted_indices
+            dense = _trace_zero_generator(liouv, dense=True)
+            assert np.abs(restricted.toarray() - dense).max() < 1e-14 * liouv.norm_inf()
+
+    def test_restriction_of_unitary_dynamics_stays_skew_symmetric(self):
+        # the basis of W is orthonormal, so a normal R gives a normal R|W.
+        # With W parametrized by all coordinates but rho_11's, R|W is not
+        # normal, and ARPACK did not converge on it for this model
+        layout = single_space(12, "q")
+        liouv = build_liouvillian(
+            LindbladModel(Operator(layout, random_hermitian(np.random.default_rng(12), 12))))
+        real = _real_generator(liouv)
+        assert abs(real + real.T).max() == 0
+        for dense in (True, False):
+            restricted = _trace_zero_generator(liouv, dense)
+            assert abs(restricted + restricted.T).max() < 1e-14 * liouv.norm_inf()
+        values = spectrum(liouv, 4, "sparse").eigenvalues
+        assert np.abs(values.real).max() < 1e-12 * liouv.norm_inf()
+
+    @pytest.mark.parametrize("route", ["dense", "sparse"])
+    def test_steady_eigenvalue_is_exact_at_a_loose_arpack_tolerance(
+            self, cascade_liouvillian, cascade_top5, route, monkeypatch):
+        # at tol 1e-8 ARPACK on the whole of R missed the 0 at n = 2025
+        arpack_params = steady._arpack_params
+        monkeypatch.setattr(steady, "_arpack_params",
+                            lambda n, k: {**arpack_params(n, k), "tol": 1e-8})
+        values = spectrum(cascade_liouvillian, 5, route).eigenvalues
+        assert values[0] == 0
+        assert np.abs(values - cascade_top5.eigenvalues).max() < 1e-6
+        assert check_uniqueness(cascade_liouvillian, route).lambda0 == 0
+
+    def test_one_eigenvalue_needs_no_solve(self, cascade_liouvillian, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("no eigensolver should run for k = 1")
+
+        monkeypatch.setattr(steady.spla, "eigs", no_solve)
+        monkeypatch.setattr(steady.np.linalg, "eigvals", no_solve)
+        result = spectrum(cascade_liouvillian, 1)
+        assert result.policy.route == "sparse"
+        assert list(result.eigenvalues) == [0]
+        assert result.diagnostics == {"arpack_matvecs": 0}
+        assert list(spectrum(build_liouvillian(qubit_decay_model()), 1).eigenvalues) == [0]
+
+    def test_non_trace_preserving_generator_is_refused(self):
+        # d rho / dt = -rho preserves Hermiticity, not the trace
+        layout = single_space(2, "q")
+        decay = SuperOperator(layout, -sp.eye_array(4))
+        with pytest.raises(ValueError, match="does not preserve the trace"):
+            _trace_zero_generator(decay, dense=False)
+        for route in ("dense", "sparse"):
+            with pytest.raises(ValueError, match="does not preserve the trace"):
+                spectrum(decay, 1, route)
+            with pytest.raises(ValueError, match="does not preserve the trace"):
+                check_uniqueness(decay, route)
+
+    @pytest.mark.parametrize("route", ["dense", "sparse"])
+    def test_uniqueness_fails_every_degenerate_model(self, route):
+        rng = np.random.default_rng(53)
+        models = [
+            degenerate_model(),
+            *(dephasing_model(d) for d in (2, 3, 12, 20)),
+            LindbladModel(Operator(single_space(20, "q"), np.diag(np.arange(20.0)))),
+            LindbladModel(Operator(single_space(3, "q"), random_hermitian(rng, 3))),
+            LindbladModel(Operator(single_space(12, "q"), random_hermitian(rng, 12))),
+            decoupled_driven_qubits(),
+        ]
+        for model in models:
+            report = check_uniqueness(build_liouvillian(model), route)
+            assert not report.unique, model
