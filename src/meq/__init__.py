@@ -1,7 +1,7 @@
 """Lindblad master equations in superspace for composite systems.
 
 Build Liouvillians from Hamiltonians and jump operators, find steady states
-by four independent routes (``steady_state`` picks one), propagate states, and
+by three independent routes (``steady_state`` picks one), propagate states, and
 compute reduced states, partial transposes and log negativities.  Submodules:
 
 - ``hilbert``: composite-space layouts, index maps, embeddings, partial
@@ -9,8 +9,8 @@ compute reduced states, partial transposes and log negativities.  Submodules:
 - ``superspace``: superoperators, Liouvillian assembly (plus an
   independent elementwise oracle), the route policy, the Hermitian basis T
   with the real generator R = T^dag L T, and the density-matrix check
-- ``steady``: dense/sparse eigenvector, row-replacement and preconditioned
-  GMRES steady states, spectra, uniqueness checks
+- ``steady``: dense/sparse eigenvector steady states and the row-replacement
+  solve (LU or preconditioned GMRES), spectra, uniqueness checks
 - ``dynamics``: exp(L t) propagation, dense ``expm`` or ``expm_multiply``
 - ``measures``: expectation values, displaced-frame populations,
   logarithmic negativity
@@ -64,7 +64,6 @@ _EXPORTS = {
     "steady_dense": "steady",
     "steady_sparse": "steady",
     "steady_linsolve": "steady",
-    "steady_iterative": "steady",
     "spectrum": "steady",
     "check_uniqueness": "steady",
     "Trajectory": "dynamics",

@@ -10,13 +10,14 @@ Complex numbers appear as two-element [re, im] arrays, matrices as row-major
 nested arrays; identical inputs give byte-identical records apart from the
 timings block.  Exit codes: 0 success, 1 usage problems, 2 model file errors
 (lexical/syntax/semantic), 3 numerical failures (non-convergence, degenerate
-steady states, a dense route above the dense capacity, or a propagated state
-that is not a density matrix).
+steady states, a dense route above the dense capacity, a propagated state
+that is not a density matrix, or memory that ran out).
 
 Each command hashes and parses its model text (the model file, or the
 cascade's :func:`meq.modelspec.cascade_text`), then builds, solves and
 measures.  The timings block holds the seconds of each stage that ran,
-``parse``, ``build``, ``solve`` and ``measure``, summed over repeats such as
+``parse``, ``operators`` (the model's operators), ``assemble`` (the
+Liouvillian), ``solve`` and ``measure``, summed over repeats such as
 the second solve of ``cascade --check-truncation``.  The cascade flags mirror
 the fields and defaults of :class:`meq.modelspec.CascadeParams`, with
 ``--na``/``--nb`` for ``n_a``/``n_b``; a cascade mode takes the flags of the
@@ -112,7 +113,7 @@ _FLAGS = {
                                   "density-matrix expression")),
     "check_truncation": ("--check-truncation", dict(
         action="store_true", help="rerun with one more photon per mode, report drift")),
-    "method": ("--method", dict(choices=("dense", "sparse", "solve", "iterative"),
+    "method": ("--method", dict(choices=("dense", "sparse", "solve"),
                                 help="steady-state route (default: by problem size)")),
 }
 
@@ -278,17 +279,19 @@ class _Runner:
             return self.modelspec.parse_model(text)
 
     def _build(self, doc):
-        with self._timed("build"):
+        """The document's bindings and the generator of its model."""
+        with self._timed("operators"):
             layout, env = self.modelspec.document_environment(doc)
             model = self.modelspec.build_model(doc, (layout, env))
+        with self._timed("assemble"):
             liouv = self.superspace.build_liouvillian(model)
-        return env, model, liouv
+        return env, liouv
 
     def _steady(self, doc):
         """The document's bindings and :func:`meq.steady.steady_state` of its model."""
-        env, model, liouv = self._build(doc)
+        env, liouv = self._build(doc)
         with self._timed("solve"):
-            return env, self.steady.steady_state(liouv, model, self.args.method)
+            return env, self.steady.steady_state(liouv, self.args.method)
 
     def _observables(self, doc, env, states):
         """Each ``--observables`` expression, evaluated once, with its
@@ -342,7 +345,7 @@ class _Runner:
         return self._steady_record(result, rho=result.rho.to_dense(), **observables)
 
     def cmd_spectrum(self, doc):
-        _, _, liouv = self._build(doc)
+        _, liouv = self._build(doc)
         with self._timed("solve"):
             spec = self.steady.spectrum(liouv, self.args.count)
         results = {
@@ -367,7 +370,7 @@ class _Runner:
         return op / trace
 
     def cmd_evolve(self, doc):
-        env, _, liouv = self._build(doc)
+        env, liouv = self._build(doc)
         times = [float(t) for t in self.args.times.split(",") if t.strip()]
         if not times:
             raise _UsageError("no times given")
@@ -524,6 +527,9 @@ def run(argv=None, stdout=None, stderr=None) -> int:
         return 2
     except (DegeneracyError, ConvergenceError, CapacityError, PropagationError) as exc:
         print(f"meq: error: numerical: {exc}", file=stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"meq: error: numerical: memory ran out {exc}".rstrip(), file=stderr)
         return 3
     except (_UsageError, ValueError, KeyError) as exc:
         # str() of a KeyError quotes its message

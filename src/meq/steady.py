@@ -3,14 +3,14 @@
 Every valid generator annihilates some density matrix; the routines here
 recover it either from the eigenvector of the (largest-real-part, i.e. zero)
 eigenvalue -- densely or by shift-inverted Arnoldi iteration targeting 0 --
-by replacing one row of the generator with the trace-normalization
-condition and solving the resulting linear system by LU factorization (the
-paper's method, the default below superspace dimension 1024), or by
-preconditioned GMRES on the generator augmented with the trace condition.
+or, by default, the paper's way: one row of the generator is replaced with
+the trace-normalization condition and the resulting linear system solved,
+by LU factorization below superspace dimension 1024 and by preconditioned
+GMRES from it on (:func:`steady_linsolve`).
 
-Everything but the GMRES route works on the real generator R = T^dag L T
-in the Hermitian operator basis T that :mod:`meq.superspace` describes: the
-eigenvector and LU steady routes, :func:`spectrum` and
+Everything but GMRES works on the real generator R = T^dag L T in the
+Hermitian operator basis T that :mod:`meq.superspace` describes: the
+eigenvector routes, the LU solves, :func:`spectrum` and
 :func:`check_uniqueness`.  Real LU factors take half the bytes per entry,
 and on the cascade they also have about a quarter fewer entries and take
 40% of the complex factorization time; real ARPACK takes about half the
@@ -25,16 +25,15 @@ the cascade ARPACK then needs about half the products with R that it needed
 when it also had to converge to the 0.  :func:`check_uniqueness` needs one
 eigenvalue of R|W.
 
-The iterative route factors nothing of size d^2.  It splits the generator
-into the no-jump part S(rho) = -i (H_eff rho - rho H_eff^dag), with
-H_eff = H - i sum Gamma J^dag J, and the jumps.  S is a Sylvester operator,
-inverted in O(d^3) per application from one eigendecomposition of H_eff
-(four d x d products and a division), or, when its eigenvectors are too
-ill-conditioned, from one complex Schur form (Bartels-Stewart, a triangular
-``ztrsyl`` solve), and it preconditions GMRES on L + u vec(I)^T.  The
-eigendecomposition also says where to put u.  The route needs the model,
-because H_eff cannot be recovered from the assembled L; it stays complex,
-because the preconditioner is complex either way and dominates the cost.
+GMRES factors nothing of size d^2.  It is preconditioned with the inverse
+of the no-jump part S(rho) = K rho + rho K^dag of the generator, with the
+K = -i H_eff, H_eff = H - i sum Gamma J^dag J, that the generator keeps.
+S is a Sylvester operator, inverted in O(d^3) per application from one
+eigendecomposition of H_eff (four d x d products and a division), or, when
+its eigenvectors are too ill-conditioned, from one complex Schur form
+(Bartels-Stewart, a triangular ``ztrsyl`` solve).  The eigendecomposition
+also says which row to replace.  GMRES stays complex: the preconditioner is
+complex either way and dominates the cost.
 
 All routes share one normalization pipeline: the solver's vector is mapped
 back to rho (rho = T x on the real routes), divided by its trace (which also
@@ -54,13 +53,11 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .hilbert import LayoutMismatchError, Operator
+from .hilbert import Operator
 from .superspace import (
     CapacityError,
-    LindbladModel,
     RouteChoice,
     SuperOperator,
-    _effective_hamiltonian,
     _lowest_eigenvalue,
     _real_generator,
     _seeded_global_random_state,
@@ -81,7 +78,6 @@ __all__ = [
     "steady_dense",
     "steady_sparse",
     "steady_linsolve",
-    "steady_iterative",
     "spectrum",
     "check_uniqueness",
 ]
@@ -94,7 +90,7 @@ _TIE_TOL = 1e-12
 _GAP_TOL = 1e-8
 # Row-replaced systems with a condition estimate above this are degenerate.
 _COND_LIMIT = 1e14
-# GMRES of the iterative route: Krylov dimension between restarts, restart
+# GMRES of the steady solve: Krylov dimension between restarts, restart
 # cycles, and the tolerance on the true residual ||b - A x|| / ||b||.  The
 # cascade needs 15-40 iterations, a 60-level damped mode about 70; restarting
 # at 50 there stagnated above 1e-12.  Basis vectors are touched only as they
@@ -114,10 +110,10 @@ _SYLVESTER_SHIFT = 0.1
 # (the Schur form 1+2 throughout), and stagnated from 1e7; the cascade reaches
 # 148 at n = 99225 and 565 at n = 321489.
 _EIG_COND_LIMIT = 1e4
-# Iterative states (trace 1) from two augmentation vectors that differ by
-# more than this in any element are two different steady states.
+# GMRES states (trace 1) from two replaced rows that differ by more than this
+# in any element are two different steady states.
 _STATE_GAP_TOL = 1e-6
-# An iterative solution x (trace 1) with ||L x||_inf above this times
+# A GMRES solution x (trace 1) with ||L x||_inf above this times
 # ||L||_inf is refused.
 _RESIDUAL_TOL = 1e-10
 
@@ -127,7 +123,7 @@ class DegeneracyError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative eigensolver or propagator failed to converge."""
+    """An iterative solver or propagator failed to converge."""
 
 
 @dataclass(frozen=True)
@@ -144,7 +140,7 @@ class SteadyStateResult:
     ``eigenvalue`` is the computed leading eigenvalue where the route
     provides one; ``policy`` is :func:`steady_state`'s route choice (None on
     a direct route call); ``diagnostics`` holds the deterministic counters
-    of the LU and iterative routes (:func:`steady_linsolve`, :func:`steady_iterative`).
+    of the row-replacement solve (:func:`steady_linsolve`).
     """
 
     rho: Operator
@@ -323,30 +319,39 @@ def _replace_row(matrix: sp.csr_array, s: int, cols: np.ndarray, value: float) -
 
 
 def steady_linsolve(liouv: SuperOperator) -> SteadyStateResult:
-    """Steady state from the row-replacement linear system.
+    """Steady state from the row-replacement linear system, the paper's method.
 
-    Row 0 of the generator (the evolution equation of rho_11) is overwritten
-    with gamma vec(I)^T, gamma = ||L||_inf / d (1 / d when L = 0), turning the
-    normalization condition into one equation of the system with right-hand
-    side gamma e_0.  That is the scale of the iterative route's augmentation:
-    under L -> cL the system becomes c times itself, so neither the state nor
-    the condition estimate depends on the unit of time.  The edit is made on
-    the real generator R, where it is the same row and the same d columns,
-    and equals T^dag L' T for the edited complex L'.  The solve uses a real LU
-    factorization (dense LAPACK or SuperLU by size, recorded as
-    ``diagnostics["lu_policy"]``), so the trace of the solution is 1 by
-    construction.  A condition estimate above 1e14 signals a degenerate
-    steady state, for which the replaced system is singular.
+    The population equation of one level, row s = l (d + 1) of the
+    generator, is overwritten with gamma vec(I)^T, gamma = ||L||_inf / d
+    (1 / d when L = 0), turning the normalization condition into one
+    equation of the system with right-hand side gamma e_s.  The range of L
+    is traceless, so the system is nonsingular exactly when the kernel is
+    one-dimensional, and its solution has trace 1.  Under L -> cL the system
+    becomes c times itself, so neither the state nor the condition estimate
+    nor the iteration depends on the unit of time.
+
+    :func:`choose_route` picks the solver by size, recorded as
+    ``diagnostics["linsolve_policy"]``.  Dense LAPACK or sparse SuperLU
+    factors the system in the real Hermitian basis, with the row of rho_11;
+    there the edit is the same row and the same d columns of R, and equals
+    T^dag L' T for the edited complex L'.  A condition estimate above 1e14
+    signals a degenerate steady state, for which the replaced system is
+    singular; SuperLU records its fill as ``lu_nnz``.  "gmres" solves the
+    complex system by preconditioned GMRES (:func:`_gmres_state`).
     """
     d = liouv.layout.total_dim
-    gamma = (liouv.norm_inf() or 1.0) / d
-    diag_cols = np.arange(d) * (d + 1)
+    norm = liouv.norm_inf() or 1.0
+    gamma = norm / d
+    policy = choose_route("linsolve", liouv.dim)
+    diagnostics = {"linsolve_policy": policy._asdict()}
+    if policy.route == "gmres":
+        rho = _gmres_state(liouv, norm, diagnostics)
+        return _finalize(liouv, rho, "linsolve", None, diagnostics)
     rhs = np.zeros(liouv.dim)
     rhs[0] = gamma
-    diagnostics = {"lu_policy": choose_route("linsolve", liouv.dim)._asdict()}
-    replaced = _replace_row(_real_generator(liouv), 0, diag_cols, gamma)
+    replaced = _replace_row(_real_generator(liouv), 0, np.arange(d) * (d + 1), gamma)
 
-    if diagnostics["lu_policy"]["route"] == "sparse":
+    if policy.route == "sparse":
         replaced = replaced.tocsc()
         try:
             with warnings.catch_warnings():
@@ -393,20 +398,20 @@ def steady_linsolve(liouv: SuperOperator) -> SteadyStateResult:
     return _finalize(liouv, _to_operator(solution, d), "linsolve", None, diagnostics)
 
 
-def _no_jump_inverse(model: LindbladModel, norm: float):
+def _no_jump_inverse(liouv: SuperOperator, norm: float):
     """The inverse of the no-jump part of the generator, how it was formed,
-    and the level that carries the first solve's augmentation weight.
+    and the level whose row the first GMRES solve replaces.
 
-    S(X) = -i (H_eff X - X H_eff^dag) with H_eff = H - i sum Gamma J^dag J.
-    With H_eff = V diag(lambda) V^-1, computed once, X = V Z V^dag turns
-    S(X) = Y into D * Z = V^-1 Y V^-dag elementwise, with
-    D_jk = -i (lambda_j - conj(lambda_k)): four d x d products and one
-    division per application, the eigendecomposition form of the Sylvester
-    solve (Golub and Van Loan, Matrix Computations, 7.6.3).  The smallest
-    |D_jk| is 2 min |Im lambda_j|, so an undamped no-jump state (a real
-    eigenvalue of H_eff) makes S singular.  Then lambda is shifted by
-    -i sigma / 2, which inverts S - sigma instead, with sigma relative to
-    ||L||_inf.
+    S(X) = K X + X K^dag = -i (H_eff X - X H_eff^dag), with the
+    generator's K = -i H_eff.  With H_eff = V diag(lambda) V^-1, computed
+    once, X = V Z V^dag turns S(X) = Y into D * Z = V^-1 Y V^-dag
+    elementwise, with D_jk = -i (lambda_j - conj(lambda_k)): four d x d
+    products and one division per application, the eigendecomposition form
+    of the Sylvester solve (Golub and Van Loan, Matrix Computations,
+    7.6.3).  The smallest |D_jk| is 2 min |Im lambda_j|, so an undamped
+    no-jump state (a real eigenvalue of H_eff) makes S singular.  Then
+    lambda is shifted by -i sigma / 2, which inverts S - sigma instead, with
+    sigma relative to ||L||_inf.
 
     The rounding of the eigendecomposition form grows with
     kappa_1(V) = ||V||_1 ||V^-1||_1, which diverges at an exceptional point
@@ -419,8 +424,8 @@ def _no_jump_inverse(model: LindbladModel, norm: float):
     weight longest.  Returns the inverse, the shift, ``"eig"`` or
     ``"schur"``, and the 0-based level.
     """
-    d = model.layout.total_dim
-    h_eff = _effective_hamiltonian(model)
+    d = liouv.layout.total_dim
+    h_eff = 1j * liouv.no_jump
     values, vectors = np.linalg.eig(h_eff)
     level = int(np.abs(vectors[:, np.argmax(values.imag)]).argmax())
     shift = 0.0
@@ -456,24 +461,24 @@ def _no_jump_inverse(model: LindbladModel, norm: float):
     return apply, shift, "schur", level
 
 
-def _augmented_gmres(liouv: SuperOperator, precondition, weights: np.ndarray, norm: float):
-    """Solve (L + u vec(I)^T) x = u with u = (||L||_inf / d) vec(diag(weights)).
+def _replaced_gmres(liouv: SuperOperator, precondition, level: int, gamma: float):
+    """Solve the row-replaced system A x = gamma e_s, s = level (d + 1), by GMRES.
 
-    vec(I)^T L = 0, so the trace of the equation gives tr(x) = 1 and then
-    L x = 0: x is the steady state with trace 1, whatever the nonnegative
-    weights with a positive sum; they change only the iteration.  Scaling u
-    with ||L||_inf keeps the system, and so the iteration, the same under
-    L -> cL.  Returns x, the iteration count and the true relative residual.
+    A x is L x with its entry s overwritten by gamma tr(x).  Returns x, the
+    iteration count and the true relative residual ||b - A x|| / ||b||.
     """
     d = liouv.layout.total_dim
     n = d * d
+    s = level * (d + 1)
     diagonal = np.arange(d) * (d + 1)
-    augment = np.zeros(n, dtype=complex)
-    augment[diagonal] = weights * (norm / d)
     matrix = liouv.matrix
+    rhs = np.zeros(n, dtype=complex)
+    rhs[s] = gamma
 
     def matvec(x):
-        return matrix @ x + augment * x[diagonal].sum()
+        y = matrix @ x
+        y[s] = gamma * x[diagonal].sum()
+        return y
 
     system = spla.LinearOperator((n, n), matvec=matvec, dtype=complex)
     preconditioner = spla.LinearOperator((n, n), matvec=precondition, dtype=complex)
@@ -484,10 +489,10 @@ def _augmented_gmres(liouv: SuperOperator, precondition, weights: np.ndarray, no
         iterations += 1
 
     x, info = spla.gmres(
-        system, augment, rtol=_GMRES_RTOL, atol=0.0, restart=min(_GMRES_RESTART, n),
+        system, rhs, rtol=_GMRES_RTOL, atol=0.0, restart=min(_GMRES_RESTART, n),
         maxiter=_GMRES_CYCLES, M=preconditioner, callback=count, callback_type="pr_norm",
     )
-    relative = float(np.linalg.norm(augment - matvec(x)) / np.linalg.norm(augment))
+    relative = float(np.linalg.norm(rhs - matvec(x)) / gamma)
     if info != 0:
         raise ConvergenceError(
             f"GMRES stagnated at relative residual {relative:.2e} after {iterations} "
@@ -496,47 +501,35 @@ def _augmented_gmres(liouv: SuperOperator, precondition, weights: np.ndarray, no
     return x, iterations, relative
 
 
-def steady_iterative(liouv: SuperOperator, model: LindbladModel) -> SteadyStateResult:
-    """Steady state by GMRES preconditioned with the inverse no-jump operator.
+def _gmres_state(liouv: SuperOperator, norm: float, diagnostics: dict) -> np.ndarray:
+    """The d x d steady state of :func:`steady_linsolve`'s GMRES branch.
 
-    Solves (L + u vec(I)^T) x = u with ``scipy.sparse.linalg.gmres``.  The
-    range of L is traceless, so the system is nonsingular exactly when the
-    kernel is one-dimensional, and its solution has trace 1.  ``model``
-    supplies H_eff for the preconditioner (see :func:`_no_jump_inverse`); it
-    must have ``liouv``'s layout.  The preconditioner changes the iteration
-    count, never the answer: GMRES solves the system built from ``liouv``.
+    GMRES solves the complex row-replaced system, preconditioned with the
+    inverse no-jump operator of :func:`_no_jump_inverse`; the preconditioner
+    changes the iteration count, never the answer.  The first solve replaces
+    the row of the level that function picks, where the least-damped no-jump
+    state lives: with the row of rho_11, a cascade relabelled so that level 0
+    is empty needed twice the iterations.
 
-    The first solve puts weight 1 on one level, the one
-    :func:`_no_jump_inverse` picks: where the least-damped no-jump state
-    lives, so the augmentation sits where the steady state does.  On the
-    cascade that halves the iterations of uniform weights, and on a long
-    damped mode it cuts them 4-10 times.  Its u is shorter than vec(I)'s,
-    so GMRES's relative tolerance bounds ||L x|| more tightly.
-
-    A degenerate kernel makes the system singular but still consistent, and
-    GMRES may return any member of the steady manifold.  So a check solve
-    uses the weights 1, 2, ..., d; two states that differ by more than 1e-6
-    raise :class:`DegeneracyError`.  (A check weight picked from the same
-    eigenvector can miss a degeneracy: on two decoupled driven, damped
-    qubits it gave the first solve's state.)  GMRES stagnation, or
-    ||L x||_inf of either solution (trace 1) above 1e-10 times ||L||_inf,
-    raises :class:`ConvergenceError`.  ``diagnostics`` records both iteration
-    counts, the true relative residual of the first solve, the Sylvester
-    shift (0 when none was needed), the form of the preconditioner
-    (``"eig"`` or ``"schur"``), the 0-based level of the first solve's
-    weight and the largest element difference between the two solutions.
+    A degenerate kernel makes the system singular but consistent, and GMRES
+    may return any member of the steady manifold.  So a check solve replaces
+    the row of the first state's least-populated other level (the same row
+    gives the same state); states more than 1e-6 apart raise
+    :class:`DegeneracyError`.  Stagnation, or ||L x||_inf of either solution
+    (trace 1) above 1e-10 ||L||_inf, raises :class:`ConvergenceError`.
+    ``diagnostics`` records both iteration counts and levels, the first
+    solve's true relative residual, the Sylvester shift (0 if none), the
+    preconditioner's form and the largest element difference of the two
+    solutions.
     """
-    if model.layout != liouv.layout:
-        raise LayoutMismatchError("model and generator live on different layouts")
     d = liouv.layout.total_dim
-    norm = liouv.norm_inf() or 1.0
-    precondition, shift, form, level = _no_jump_inverse(model, norm)
-    weights = np.zeros(d)
-    weights[level] = 1.0
-    first, iterations, relative = _augmented_gmres(liouv, precondition, weights, norm)
-    check, check_iterations, _ = _augmented_gmres(
-        liouv, precondition, np.arange(1.0, d + 1.0), norm
-    )
+    gamma = norm / d
+    precondition, shift, form, level = _no_jump_inverse(liouv, norm)
+    first, iterations, relative = _replaced_gmres(liouv, precondition, level, gamma)
+    populations = first[np.arange(d) * (d + 1)].real
+    populations[level] = np.inf
+    check_level = int(populations.argmin())
+    check, check_iterations, _ = _replaced_gmres(liouv, precondition, check_level, gamma)
     residual = max(float(np.abs(liouv.apply(x)).max()) for x in (first, check))
     if residual > _RESIDUAL_TOL * norm:
         raise ConvergenceError(
@@ -546,38 +539,33 @@ def steady_iterative(liouv: SuperOperator, model: LindbladModel) -> SteadyStateR
     difference = float(np.abs(first - check).max())
     if difference > _STATE_GAP_TOL:
         raise DegeneracyError(
-            f"two augmentations gave steady states {difference:.2e} apart "
+            f"two replaced rows gave steady states {difference:.2e} apart "
             f"(tolerance {_STATE_GAP_TOL:g}); degenerate kernel"
         )
-    diagnostics = {
+    diagnostics.update({
         "gmres_iterations": iterations,
         "check_iterations": check_iterations,
         "gmres_relative_residual": relative,
         "sylvester_shift": shift,
         "preconditioner": form,
-        "augmented_level": level,
+        "replaced_level": level,
+        "check_level": check_level,
         "state_difference": difference,
-    }
-    return _finalize(liouv, first.reshape((d, d), order="F"), "iterative", None, diagnostics)
+    })
+    return first.reshape((d, d), order="F")
 
 
-def steady_state(liouv: SuperOperator, model: LindbladModel,
-                 method: str | None = None) -> SteadyStateResult:
+def steady_state(liouv: SuperOperator, method: str | None = None) -> SteadyStateResult:
     """The steady state on the route :func:`choose_route` picks or ``method``
-    requests; the result's ``policy`` records the choice.  ``model`` supplies
-    H_eff to the iterative route and must have ``liouv``'s layout."""
-    if model.layout != liouv.layout:
-        raise LayoutMismatchError("model and generator live on different layouts")
+    requests; the result's ``policy`` records the choice."""
     policy = choose_route("steady", liouv.dim, method=method)
     # routes are looked up at call time, so wrappers set on this module see the call
     if policy.route == "dense":
         result = steady_dense(liouv)
     elif policy.route == "sparse":
         result = steady_sparse(liouv)
-    elif policy.route == "solve":
-        result = steady_linsolve(liouv)
     else:
-        result = steady_iterative(liouv, model)
+        result = steady_linsolve(liouv)
     return replace(result, policy=policy)
 
 

@@ -22,7 +22,7 @@ formula with explicit loops and shares no code with
 :func:`build_liouvillian`; it exists so the two can be checked against each
 other.
 
-Every solver but the GMRES steady route works in the real Hermitian basis
+Every solver but the steady solve's GMRES works in the real Hermitian basis
 defined here.  A Lindblad generator maps Hermitian operators to Hermitian
 ones, so in the orthonormal basis T of E_ll, (E_nm + E_mn)/sqrt(2) and
 i(E_nm - E_mn)/sqrt(2) (n < m) it is the real matrix R = T^dag L T with the
@@ -67,13 +67,13 @@ _DENSE_CAPACITY = 10_000
 # for k <= 30 from n = 576; no benchmark runs k > 10 (README, spectrum policy).
 _SPARSE_FROM = {"spectrum": 200, "linsolve": 400, "evolve": 150}
 _SPARSE_SPECTRUM_MAX_K = 10
-# Steady states take the row-replacement solve below this n and GMRES (the
-# iterative route) from it on: the solve beat eig and ARPACK at every n and
-# GMRES up to n = 576, and lost to GMRES from n = 1296 (README lists medians).
-_ITERATIVE_FROM = 1024
-# The routes a caller may request per task; the LU route picks its own by n.
+# The row-replaced system is solved by GMRES from this n on, by LU below it:
+# the LU solve beat GMRES up to n = 576 and lost to it from n = 1296 (README
+# lists medians).
+_GMRES_FROM = 1024
+# The routes a caller may request per task; the solve picks its own by n.
 _REQUESTABLE = {
-    "steady": ("dense", "sparse", "solve", "iterative"),
+    "steady": ("dense", "sparse", "solve"),
     "spectrum": ("dense", "sparse"),
     "evolve": ("dense", "sparse"),
 }
@@ -111,14 +111,13 @@ def choose_route(
 ) -> RouteChoice:
     """The one dense-versus-sparse policy for superspace computations.
 
-    ``task`` is "steady" (the row-replacement "solve" route below
-    :data:`_ITERATIVE_FROM`, the "iterative" route from it on), "spectrum"
-    (``k`` leading eigenvalues), "linsolve" (the solve route's dense or
-    sparse LU) or "evolve" (propagation); ``n`` is the superspace dimension.
-    A caller's ``method`` (steady: "dense", "sparse", "solve" or
-    "iterative"; spectrum and evolve: "dense" or "sparse") is checked and
-    returned as requested, except that a sparse spectrum with k >= n - 1,
-    which ARPACK cannot compute, runs dense.
+    ``task`` is "steady" (the row-replacement "solve" route at every n),
+    "spectrum" (``k`` leading eigenvalues), "linsolve" (the solve route's
+    dense or sparse LU, or "gmres" from :data:`_GMRES_FROM`) or "evolve"
+    (propagation); ``n`` is the superspace dimension.  A caller's ``method``
+    (steady: "dense", "sparse" or "solve"; spectrum and evolve: "dense" or
+    "sparse") is checked and returned as requested, except that a sparse
+    spectrum with k >= n - 1, which ARPACK cannot compute, runs dense.
     """
     if method is not None:
         allowed = _REQUESTABLE[task]
@@ -127,9 +126,9 @@ def choose_route(
         if not (task == "spectrum" and method == "sparse" and k >= n - 1):
             return RouteChoice(method, "requested")
     if task == "steady":
-        if n >= _ITERATIVE_FROM:
-            return RouteChoice("iterative", f"steady: n={n} >= {_ITERATIVE_FROM}")
-        return RouteChoice("solve", f"steady: n={n} < {_ITERATIVE_FROM}")
+        return RouteChoice("solve", "steady: the row-replacement solve at every n")
+    if task == "linsolve" and n >= _GMRES_FROM:
+        return RouteChoice("gmres", f"linsolve: n={n} >= {_GMRES_FROM}")
     threshold = _SPARSE_FROM[task]
     if task == "spectrum":
         if k >= n - 1:
@@ -142,19 +141,25 @@ def choose_route(
 
 
 class SuperOperator:
-    """A d^2 x d^2 matrix acting on vectorized operators, stored as CSR."""
+    """A d^2 x d^2 matrix acting on vectorized operators, stored as CSR, and
+    the d x d no-jump generator K = -i H_eff it was built with: L cannot give
+    K back, and the GMRES of the steady solve preconditions with it."""
 
-    __slots__ = ("layout", "_matrix")
+    __slots__ = ("layout", "_matrix", "no_jump")
 
     __array_ufunc__ = None
 
-    def __init__(self, layout: SpaceLayout, matrix):
-        n = layout.total_dim ** 2
+    def __init__(self, layout: SpaceLayout, matrix, no_jump):
+        d = layout.total_dim
         matrix = sp.csr_array(matrix, dtype=complex)
-        if matrix.shape != (n, n):
-            raise ValueError(f"superoperator shape {matrix.shape} does not match d^2 = {n}")
+        if matrix.shape != (d * d, d * d):
+            raise ValueError(f"superoperator shape {matrix.shape} does not match d^2 = {d * d}")
+        no_jump = np.array(no_jump, dtype=complex)
+        if no_jump.shape != (d, d):
+            raise ValueError(f"no-jump generator shape {no_jump.shape} does not match d = {d}")
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "_matrix", matrix)
+        object.__setattr__(self, "no_jump", no_jump)
 
     def __setattr__(self, name, value):
         raise AttributeError("SuperOperator is immutable")
@@ -183,7 +188,8 @@ class SuperOperator:
 
     def __mul__(self, other):
         if np.isscalar(other):
-            return SuperOperator(self.layout, self._matrix * complex(other))
+            other = complex(other)
+            return SuperOperator(self.layout, self._matrix * other, self.no_jump * other)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -235,14 +241,6 @@ class LindbladModel:
         )
 
 
-def _effective_hamiltonian(model: LindbladModel) -> np.ndarray:
-    """H_eff = H - i sum_j Gamma_j J_j^dag J_j, the generator of the no-jump evolution."""
-    h_eff = model.hamiltonian.matrix.copy()
-    for rate, jump in model.dissipators:
-        h_eff -= 1j * rate * (jump.matrix.conj().T @ jump.matrix)
-    return h_eff
-
-
 def _nonzeros(matrix: np.ndarray, index: type):
     """Row indices, column indices (of integer type ``index``) and values of
     the nonzeros of a dense matrix."""
@@ -278,17 +276,21 @@ def build_liouvillian(model: LindbladModel) -> SuperOperator:
     L = kron(I, K) + kron(conj(K), I) + sum_j 2 Gamma_j kron(conj(J_j), J_j)
     with K = -i H_eff: the no-jump part rho -> K rho + rho K^dag plus the
     jumps.  Entries that cancel exactly in the one CSR conversion are dropped.
+    The result keeps K.
     """
     d = model.layout.total_dim
     eye = np.eye(d)
-    k = -1j * _effective_hamiltonian(model)
+    h_eff = model.hamiltonian.matrix.copy()
+    for rate, jump in model.dissipators:
+        h_eff -= 1j * rate * (jump.matrix.conj().T @ jump.matrix)
+    k = -1j * h_eff
     pairs = [(eye, k), (k.conj(), eye)]
     pairs += [(2.0 * rate * jump.matrix.conj(), jump.matrix) for rate, jump in model.dissipators]
     index = np.int32 if d * d < 2 ** 31 else np.int64
     matrix = sp.csr_array(_kron_entries(pairs, d, index), shape=(d * d, d * d))
     matrix.eliminate_zeros()
     # its arrays are views of the longer entry list: copy them to size
-    return SuperOperator(model.layout, matrix.copy())
+    return SuperOperator(model.layout, matrix.copy(), k)
 
 
 def liouvillian_oracle(model: LindbladModel) -> SuperOperator:
@@ -300,8 +302,9 @@ def liouvillian_oracle(model: LindbladModel) -> SuperOperator:
         + sum_j Gamma_j [ 2 J_{nk} J*_{ml} - (J^dag J)_{nk} delta_{ml}
                           - delta_{kn} (J^dag J)_{lm} ]
 
-    Dense loops, quadratically slower than :func:`build_liouvillian`; meant
-    for small dimensions as an independent cross-check.
+    and K = -i H - sum_j Gamma_j J^dag J.  Dense loops, quadratically slower
+    than :func:`build_liouvillian`; meant for small dimensions as an
+    independent cross-check.
     """
     d = model.layout.total_dim
     h = model.hamiltonian.to_dense()
@@ -328,7 +331,8 @@ def liouvillian_oracle(model: LindbladModel) -> SuperOperator:
                         if k == n:
                             val -= rate * jdj[l - 1, m - 1]
                     out[row, col] = val
-    return SuperOperator(model.layout, out)
+    no_jump = -1j * h - sum(rate * jdj for rate, _, jdj in channels)
+    return SuperOperator(model.layout, out, no_jump)
 
 
 @contextlib.contextmanager

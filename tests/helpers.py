@@ -8,9 +8,10 @@ implementations can be checked against each other.
 import itertools
 
 import numpy as np
+import pytest
 
 from meq.hilbert import Operator, SpaceLayout
-from meq.superspace import LindbladModel
+from meq.superspace import LindbladModel, RouteChoice
 
 
 def random_hermitian(rng, d):
@@ -34,8 +35,22 @@ STEADY_ROUTES = {
     "dense": "steady_dense",
     "sparse": "steady_sparse",
     "solve": "steady_linsolve",
-    "iterative": "steady_iterative",
 }
+
+
+def force_linsolve_route(monkeypatch, route):
+    """Make :func:`meq.steady.steady_linsolve` take its ``route`` branch ("dense",
+    "sparse" or "gmres") at any size, with the policy reason "forced"."""
+    monkeypatch.setattr("meq.steady.choose_route", lambda task, n, k=None: RouteChoice(route, "forced"))
+
+
+def steady_gmres(liouv):
+    """:func:`meq.steady.steady_linsolve` on its GMRES branch, whatever the size."""
+    from meq import steady
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        force_linsolve_route(monkeypatch, "gmres")
+        return steady.steady_linsolve(liouv)
 
 
 def count_route_calls(monkeypatch):

@@ -58,14 +58,24 @@ dissipators:
 # small cascade: keeps the dense routes fast in CLI tests
 SMALL_CASCADE = ["--na", "1", "--nb", "1"]
 
-# the LU storage the solve route records, by superspace dimension
-LU_POLICIES = {
+# the solver the solve route records, by superspace dimension
+LINSOLVE_POLICIES = {
     4: {"route": "dense", "reason": "linsolve: n=4 < 400"},
     36: {"route": "dense", "reason": "linsolve: n=36 < 400"},
     324: {"route": "dense", "reason": "linsolve: n=324 < 400"},
     441: {"route": "sparse", "reason": "linsolve: n=441 >= 400"},
     576: {"route": "sparse", "reason": "linsolve: n=576 >= 400"},
+    1296: {"route": "gmres", "reason": "linsolve: n=1296 >= 1024"},
 }
+# the diagnostics of each solver of the solve route
+LINSOLVE_KEYS = {
+    "dense": {"linsolve_policy"},
+    "sparse": {"linsolve_policy", "lu_nnz"},
+    "gmres": {"linsolve_policy", "gmres_iterations", "check_iterations",
+              "gmres_relative_residual", "sylvester_shift", "preconditioner",
+              "replaced_level", "check_level", "state_difference"},
+}
+DEFAULT_STEADY = {"route": "solve", "reason": "steady: the row-replacement solve at every n"}
 
 
 def invoke(argv):
@@ -144,10 +154,21 @@ class TestExitCodes:
 
     def test_numerical_errors(self, model_file):
         path = model_file(DEGENERATE)
-        for method in ("solve", "iterative"):
+        for method in ("dense", "solve"):
             code, _, err = invoke(["steady", path, "--method", method])
             assert code == 3
             assert "error: numerical" in err
+
+    def test_memory_error_exits_numerical(self, model_file, monkeypatch):
+        from meq import superspace
+
+        def exhausted(model):
+            raise MemoryError("Unable to allocate 2.0 GiB")
+
+        monkeypatch.setattr(superspace, "build_liouvillian", exhausted)
+        path = model_file(DRIVEN_QUBIT)
+        assert invoke(["steady", path]) == (
+            3, "", "meq: error: numerical: memory ran out Unable to allocate 2.0 GiB\n")
 
     def test_non_positive_state_exits_numerical(self, model_file, monkeypatch):
         from meq import steady
@@ -182,7 +203,7 @@ class TestSteadyCommand:
         assert rho[0][0] == [1.0, 0.0]
         assert rho[1][1] == [0.0, 0.0]
 
-    @pytest.mark.parametrize("method", ["dense", "sparse", "solve", "iterative"])
+    @pytest.mark.parametrize("method", ["dense", "sparse", "solve"])
     def test_observables(self, model_file, method):
         path = model_file(DRIVEN_QUBIT)
         record = invoke_record(
@@ -198,15 +219,12 @@ class TestSteadyCommand:
         for argv, policy in (
             (["steady", path, "--method", "sparse", "--observables", "proj(q,2)"],
              {"route": "sparse", "reason": "requested"}),
-            (["steady", path], {"route": "solve", "reason": "steady: n=4 < 1024"}),
+            (["steady", path], DEFAULT_STEADY),
             (["steady", path, "--method", "solve"], {"route": "solve", "reason": "requested"}),
             (["spectrum", path, "-k", "2"], {"route": "dense", "reason": "spectrum: n=4 < 200"}),
             (["evolve", path, "--times", "0,1"],
              {"route": "dense", "reason": "evolve: n=4 < 150"}),
-            (["steady", path, "--method", "iterative"],
-             {"route": "iterative", "reason": "requested"}),
-            (["cascade", "--na", "3", "--nb", "2"],
-             {"route": "iterative", "reason": "steady: n=1296 >= 1024"}),
+            (["cascade", "--na", "3", "--nb", "2"], DEFAULT_STEADY),
             (["cascade", "--na", "3", "--nb", "1", "--method", "solve"],
              {"route": "solve", "reason": "requested"}),
             (["cascade", "--na", "2", "--nb", "1", "--times", "0.5,1,2"],
@@ -227,28 +245,21 @@ class TestSteadyCommand:
                 keys = {"dense": {"gap", "expm_calls"},
                         "sparse": {"gap", "taylor_degree", "taylor_steps"}}[policy["route"]]
                 assert all(set(entry) == keys for entry in gaps)
-            elif policy["route"] == "iterative":
-                assert first["method"] == "iterative"
-                assert set(first["results"]["diagnostics"]) == {
-                    "gmres_iterations", "check_iterations", "gmres_relative_residual",
-                    "sylvester_shift", "preconditioner", "augmented_level", "state_difference",
-                }
             elif first["method"] == "linsolve":
-                # the size policy's LU choice, and SuperLU's fill
+                # the size policy's solver and its counters
                 n = first["results"]["superspace_dimension"]
                 diagnostics = first["results"]["diagnostics"]
-                assert diagnostics["lu_policy"] == LU_POLICIES[n]
-                if LU_POLICIES[n]["route"] == "sparse":
-                    assert set(diagnostics) == {"lu_policy", "lu_nnz"}
-                    assert diagnostics["lu_nnz"] > 0
-                else:
-                    assert set(diagnostics) == {"lu_policy"}
+                solver = LINSOLVE_POLICIES[n]["route"]
+                assert diagnostics["linsolve_policy"] == LINSOLVE_POLICIES[n]
+                assert set(diagnostics) == LINSOLVE_KEYS[solver]
+                assert diagnostics.get("lu_nnz", 1) > 0
             else:
                 assert "diagnostics" not in first["results"]
             if "min_eigenvalue" in first["results"]:
-                # only the complex iterative route leaves an anti-Hermitian part
+                # only the complex GMRES solve leaves an anti-Hermitian part
                 defect = first["results"]["hermiticity_defect"]
-                assert defect == 0.0 if first["method"] != "iterative" else defect < 1e-12
+                gmres = first["results"].get("diagnostics", {}).get("linsolve_policy", {})
+                assert defect == 0.0 if gmres.get("route") != "gmres" else defect < 1e-12
             if argv[0] == "steady":
                 rho = np.array(first["results"]["rho"]) @ [1.0, 1j]
                 expected = np.linalg.eigvalsh(rho).min()
@@ -528,10 +539,10 @@ class TestCascadeCommand:
 
     def test_methods_agree(self):
         values = {}
-        for method in ("dense", "sparse", "solve", "iterative"):
+        for method in ("dense", "sparse", "solve"):
             record = invoke_record(["cascade", *SMALL_CASCADE, "--method", method])
             values[method] = record["results"]["populations"]["values"]
-        for method in ("sparse", "solve", "iterative"):
+        for method in ("sparse", "solve"):
             assert values[method] == pytest.approx(values["dense"], abs=1e-8)
 
     def test_spectrum_mode(self):
@@ -555,20 +566,17 @@ class TestCascadeCommand:
         assert record["method"] == "sparse"
 
     @pytest.mark.parametrize("size,method,policy", [
-        (["--na", "1", "--nb", "0"], "linsolve",
-         {"route": "solve", "reason": "steady: n=36 < 1024"}),
-        (["--na", "6", "--nb", "0"], "linsolve",
-         {"route": "solve", "reason": "steady: n=441 < 1024"}),
-        (["--na", "3", "--nb", "2"], "iterative",
-         {"route": "iterative", "reason": "steady: n=1296 >= 1024"}),
-    ])
+        (["--na", "1", "--nb", "0"], "linsolve", DEFAULT_STEADY),
+        (["--na", "6", "--nb", "0"], "linsolve", DEFAULT_STEADY),
+        (["--na", "3", "--nb", "2"], "linsolve", DEFAULT_STEADY),
+    ])  # n = 36, 441, 1296: dense LU, SuperLU, GMRES
     def test_default_route_by_size(self, size, method, policy):
         record = invoke_record(["cascade", *size])
         assert record["method"] == method
         assert record["results"]["policy"] == policy
         n = record["results"]["superspace_dimension"]
-        assert record["results"].get("diagnostics", {}).get("lu_policy") == LU_POLICIES.get(n)
-        other = "sparse" if method in ("dense-eig", "iterative") else "dense"
+        assert record["results"]["diagnostics"]["linsolve_policy"] == LINSOLVE_POLICIES[n]
+        other = "sparse" if n >= 1024 else "dense"
         reference = invoke_record(["cascade", *size, "--method", other])
         assert record["results"]["populations"]["values"] == pytest.approx(
             reference["results"]["populations"]["values"], abs=1e-9)
@@ -597,7 +605,7 @@ class TestCascadeCommand:
         check = record["results"]["truncation_check"]
         assert check["n_a"] == 2 and check["n_b"] == 2
         assert check["max_drift"] >= 0.0
-        assert set(record["timings"]) == {"parse", "build", "solve", "measure"}
+        assert set(record["timings"]) == {"parse", "operators", "assemble", "solve", "measure"}
 
     def test_evolve_mode(self):
         record = invoke_record(
@@ -725,8 +733,8 @@ class TestCascadeIsItsModelText:
 
 
 class TestDefaultSteadyRoute:
-    """Below superspace 1024 the default steady route is the row-replacement solve,
-    and its record differs from the requested solve's only in the policy reason."""
+    """The default steady route is the row-replacement solve, and its record
+    differs from the requested solve's only in the policy reason."""
 
     @pytest.mark.parametrize("size,command", [
         (None, ["steady"]),  # n = 4
@@ -736,6 +744,7 @@ class TestDefaultSteadyRoute:
         (["--na", "3", "--nb", "1"], ["cascade"]),
         (["--na", "3", "--nb", "1"], ["cascade", "--keep", "b"]),
         (["--na", "2", "--nb", "1"], ["cascade", "--transpose", "xi", "--keep", "xi,a"]),
+        (["--na", "3", "--nb", "2"], ["cascade"]),  # n = 1296, GMRES
     ])
     def test_default_record_is_the_solve_record(self, model_file, size, command):
         if command[0] == "cascade":
@@ -748,10 +757,8 @@ class TestDefaultSteadyRoute:
         default.pop("timings")
         solve.pop("timings")
         assert default["method"] == "linsolve"
-        n = default["results"]["superspace_dimension"]
-        # only the reason differs: the size policy chose the solve, or the flag did
-        assert default["results"].pop("policy") == {
-            "route": "solve", "reason": f"steady: n={n} < 1024"}
+        # only the reason differs: the policy chose the solve, or the flag did
+        assert default["results"].pop("policy") == DEFAULT_STEADY
         assert solve["results"].pop("policy") == {"route": "solve", "reason": "requested"}
         assert json.dumps(default) == json.dumps(solve)
 
@@ -771,9 +778,9 @@ class TestOneSteadyEntryPoint:
         (["steady", "--method", "dense"], "dense", 1),
         (["steady", "--method", "sparse"], "sparse", 1),
         (["steady", "--method", "solve"], "solve", 1),
-        (["steady", "--method", "iterative"], "iterative", 1),
+        (["negativity", "--transpose", "xi"], "solve", 1),
         (["ptrace", "--keep", "xi"], "solve", 1),
-        (["negativity", "--transpose", "xi", "--method", "iterative"], "iterative", 1),
+        (["negativity", "--transpose", "xi", "--method", "dense"], "dense", 1),
         (["cascade"], "solve", 1),
         (["cascade", "--check-truncation"], "solve", 2),  # n = 144, then 729
         (["cascade", "--negativity-all", "--method", "sparse"], "sparse", 1),

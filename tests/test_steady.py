@@ -8,14 +8,16 @@ from scipy.optimize import linear_sum_assignment
 from helpers import (
     STEADY_ROUTES,
     count_route_calls,
+    force_linsolve_route,
     random_corpus,
     random_hermitian,
     random_model,
     single_space,
+    steady_gmres,
 )
 from meq import steady
 from meq.dynamics import evolve_trajectory
-from meq.hilbert import LayoutMismatchError, Operator, identity_operator, transition
+from meq.hilbert import Operator, identity_operator, transition
 from meq.modelspec import CascadeParams, cascade_model
 from meq.steady import (
     ConvergenceError,
@@ -24,7 +26,6 @@ from meq.steady import (
     check_uniqueness,
     spectrum,
     steady_dense,
-    steady_iterative,
     steady_linsolve,
     steady_sparse,
     steady_state,
@@ -32,7 +33,6 @@ from meq.steady import (
 from meq.steady import _replace_row
 from meq.superspace import (
     LindbladModel,
-    RouteChoice,
     SuperOperator,
     _hermitian_basis,
     _real_generator,
@@ -106,7 +106,7 @@ class TestDrivenQubit:
         model = driven_qubit_model(omega, rate)
         liouv = build_liouvillian(model)
         expected = omega**2 / (rate**2 + 2 * omega**2)
-        for method in [*ALL_METHODS, lambda liouv: steady_iterative(liouv, model)]:
+        for method in [*ALL_METHODS, steady_gmres]:
             rho = method(liouv).rho.to_dense()
             assert rho[1, 1].real == pytest.approx(expected, abs=1e-10)
 
@@ -415,12 +415,13 @@ class TestRoutePolicy:
         reference = spectrum(liouv, 4, method="dense" if route == "sparse" else "sparse")
         assert np.allclose(result.eigenvalues, reference.eigenvalues, atol=1e-8)
 
-    @pytest.mark.parametrize("d,route", [(19, "dense"), (20, "sparse")])  # n = 361, 400
-    def test_linsolve_route_by_size(self, d, route):
+    @pytest.mark.parametrize("d,route", [(19, "dense"), (20, "sparse"), (32, "gmres")])
+    def test_linsolve_route_by_size(self, d, route):  # n = 361, 400, 1024
         liouv = build_liouvillian(driven_emitter_model(d, np.random.default_rng(d)))
         result = steady_linsolve(liouv)
-        assert result.diagnostics["lu_policy"]["route"] == route
-        assert result.diagnostics["lu_policy"] == choose_route("linsolve", liouv.dim)._asdict()
+        assert result.diagnostics["linsolve_policy"]["route"] == route
+        assert result.diagnostics["linsolve_policy"] == choose_route("linsolve", liouv.dim)._asdict()
+        assert ("lu_nnz" in result.diagnostics) == (route == "sparse")
         assert result.policy is None  # steady_state records the steady choice
         assert result.residual < 1e-10
         reference = steady_sparse(liouv).rho.to_dense()
@@ -478,13 +479,11 @@ class TestRoutePolicy:
     def test_sparse_lu_matches_dense_lu_on_corpus(self, monkeypatch):
         liouvs = [build_liouvillian(model) for model in random_corpus()]
         dense = [steady_linsolve(liouv) for liouv in liouvs]
-        monkeypatch.setattr(
-            "meq.steady.choose_route", lambda task, n, k=None: RouteChoice("sparse", "forced")
-        )
+        force_linsolve_route(monkeypatch, "sparse")
         for liouv, reference in zip(liouvs, dense):
-            assert reference.diagnostics["lu_policy"]["route"] == "dense"
+            assert reference.diagnostics["linsolve_policy"]["route"] == "dense"
             result = steady_linsolve(liouv)
-            assert result.diagnostics["lu_policy"] == {"route": "sparse", "reason": "forced"}
+            assert result.diagnostics["linsolve_policy"] == {"route": "sparse", "reason": "forced"}
             gap = np.abs(result.rho.to_dense() - reference.rho.to_dense()).max()
             assert gap < 1e-12
 
@@ -585,32 +584,26 @@ class TestRealBasis:
     # the row of rho_11 and gamma = ||L||_inf / d, which the route derives from L
     @pytest.mark.parametrize("route", ["dense", "sparse"])
     def test_linsolve_row_and_gamma_match_complex_system(self, route, monkeypatch):
-        monkeypatch.setattr(
-            "meq.steady.choose_route", lambda task, n, k=None: RouteChoice(route, "forced")
-        )
+        force_linsolve_route(monkeypatch, route)
         rng = np.random.default_rng(81)
         liouv = build_liouvillian(random_model(rng, 5, 2))
         for c in (1e-3, 1.0, 250.0):
             result = steady_linsolve(c * liouv)
-            assert result.diagnostics["lu_policy"]["route"] == route
+            assert result.diagnostics["linsolve_policy"]["route"] == route
             reference = complex_linsolve_reference(c * liouv)
             assert np.abs(result.rho.to_dense() - reference).max() < 1e-12
 
     # n = 4 (dense branch of steady_sparse), 9, 144, 400 (ARPACK error 3 on the sparse route)
     @pytest.mark.parametrize("d", [2, 3, 12, 20])
-    @pytest.mark.parametrize(
+    @pytest.mark.parametrize(  # "iterative": the solve's GMRES branch
         "method", ["dense", "sparse", "linsolve-dense", "linsolve-sparse", "iterative"]
     )
     def test_degenerate_model_on_every_route(self, d, method, monkeypatch):
-        model = dephasing_model(d)
-        liouv = build_liouvillian(model)
+        liouv = build_liouvillian(dephasing_model(d))
         if method == "iterative":
-            solver = lambda liouv: steady_iterative(liouv, model)
+            solver = steady_gmres
         elif method.startswith("linsolve"):
-            route = method.split("-")[1]
-            monkeypatch.setattr(
-                "meq.steady.choose_route", lambda task, n, k=None: RouteChoice(route, "forced")
-            )
+            force_linsolve_route(monkeypatch, method.split("-")[1])
             solver = steady_linsolve
         else:
             solver = steady_dense if method == "dense" else steady_sparse
@@ -618,12 +611,7 @@ class TestRealBasis:
             solver(liouv)
 
 
-def steady_iterative_driven_qubit(liouv):
-    """The iterative route on the generator of ``driven_qubit_model(1.0, 1.0)``."""
-    return steady_iterative(liouv, driven_qubit_model(1.0, 1.0))
-
-
-DRIVEN_QUBIT_METHODS = [*ALL_METHODS, steady_iterative_driven_qubit]
+DRIVEN_QUBIT_METHODS = [*ALL_METHODS, steady_gmres]
 
 
 class TestPositivity:
@@ -640,9 +628,9 @@ class TestPositivity:
         # rho = T x with real x is Hermitian to the last bit
         for method in ALL_METHODS:
             assert method(liouv).hermiticity_defect == 0.0
-        assert steady_iterative_driven_qubit(liouv).hermiticity_defect < 1e-12
+        assert steady_gmres(liouv).hermiticity_defect < 1e-12
         raw = np.array([[1.2, 0.2], [0.6, 0.8]], dtype=complex)  # trace 2
-        result = steady._finalize(liouv, raw, "iterative", None)
+        result = steady._finalize(liouv, raw, "linsolve", None)
         assert result.hermiticity_defect == pytest.approx(0.1, abs=1e-15)
         assert np.allclose(result.rho.to_dense(), [[0.6, 0.2], [0.2, 0.4]], atol=1e-15)
 
@@ -662,37 +650,37 @@ class TestPositivity:
             method(liouv)
 
 
-def scaled_model(model, c):
-    """The model whose generator is c times the original."""
-    return LindbladModel(
-        c * model.hamiltonian, [(c * rate, jump) for rate, jump in model.dissipators]
-    )
+def relabelled(model, order):
+    """The model on one space whose level j is level ``order[j]`` of ``model``."""
+    layout = single_space(model.layout.total_dim)
+    permuted = lambda op: Operator(layout, op.matrix[np.ix_(order, order)])
+    return LindbladModel(permuted(model.hamiltonian),
+                         [(rate, permuted(jump)) for rate, jump in model.dissipators])
 
 
 class TestIterative:
-    """GMRES preconditioned by the inverse no-jump Sylvester operator."""
+    """The solve's GMRES branch, preconditioned by the inverse no-jump Sylvester operator."""
 
     def test_decaying_qubit_needs_the_shift(self):
         # H = 0: the ground state is an undamped no-jump state, S is singular
-        model = qubit_decay_model()
-        liouv = build_liouvillian(model)
-        result = steady_iterative(liouv, model)
+        liouv = build_liouvillian(qubit_decay_model())
+        result = steady_gmres(liouv)
         assert np.allclose(result.rho.to_dense(), np.diag([1.0, 0.0]), atol=1e-12)
-        assert result.method == "iterative" and result.eigenvalue is None
+        assert result.method == "linsolve" and result.eigenvalue is None
+        assert result.diagnostics["linsolve_policy"] == {"route": "gmres", "reason": "forced"}
         shift = result.diagnostics["sylvester_shift"]
         assert shift == pytest.approx(steady._SYLVESTER_SHIFT * liouv.norm_inf())
 
     def test_driven_qubit_needs_no_shift(self):
         # the drive mixes the ground state into the damped one: no real eigenvalue
-        model = driven_qubit_model(1.0, 1.0)
-        result = steady_iterative(build_liouvillian(model), model)
+        result = steady_gmres(build_liouvillian(driven_qubit_model(1.0, 1.0)))
         assert result.diagnostics["sylvester_shift"] == 0.0
 
     def test_corpus_matches_linsolve(self):
         worst = 0.0
         for model in random_corpus():
             liouv = build_liouvillian(model)
-            result = steady_iterative(liouv, model)
+            result = steady_gmres(liouv)
             reference = steady_linsolve(liouv).rho.to_dense()
             worst = max(worst, np.abs(result.rho.to_dense() - reference).max())
             assert result.residual < 1e-10 * liouv.norm_inf()
@@ -700,41 +688,50 @@ class TestIterative:
         assert worst < 1e-10
 
     def test_cascade_matches_sparse_route(self, cascade_liouvillian, cascade_sparse):
-        model = cascade_model(CascadeParams())
-        result = steady_iterative(cascade_liouvillian, model)
-        assert np.abs(result.rho.to_dense() - cascade_sparse[0].rho.to_dense()).max() < 1e-10
+        # n = 2025: the solve runs GMRES by size
+        result = steady_linsolve(cascade_liouvillian)
+        reference = cascade_sparse[0].rho.to_dense()
+        assert np.abs(result.rho.to_dense() - reference).max() < 1e-10
         assert result.residual < 1e-10
         diagnostics = result.diagnostics
+        assert diagnostics["linsolve_policy"] == {"route": "gmres", "reason": "linsolve: n=2025 >= 1024"}
         assert diagnostics["sylvester_shift"] == 0.0
         assert diagnostics["preconditioner"] == "eig"
         assert 0 < diagnostics["gmres_iterations"] <= 40
         assert diagnostics["gmres_relative_residual"] <= steady._GMRES_RTOL
         assert diagnostics["state_difference"] < 1e-10
-        assert steady_iterative(cascade_liouvillian, model).diagnostics == diagnostics
+        assert steady_linsolve(cascade_liouvillian).diagnostics == diagnostics
+        # relabelled so that level 0 is the least-populated (p ~ 2e-16): the
+        # replaced row follows the level, and so do the iterations
+        populations = np.diag(reference).real
+        order = np.argsort(populations)
+        assert populations[order[0]] < 1e-15
+        model = relabelled(cascade_model(CascadeParams()), order)
+        moved = steady_linsolve(build_liouvillian(model))
+        assert moved.diagnostics["replaced_level"] == int(np.argsort(order)[diagnostics["replaced_level"]])
+        assert moved.diagnostics["gmres_iterations"] == diagnostics["gmres_iterations"]
+        assert np.abs(moved.rho.to_dense() - reference[np.ix_(order, order)]).max() < 1e-10
 
     @pytest.mark.parametrize("omega,form", [(0.5, "schur"), (0.51, "eig"), (1.0, "eig")])
     def test_exceptional_point_takes_the_schur_form(self, omega, form):
         # H_eff of the qubit driven at omega = rate / 2 is a Jordan block: kappa_1(V) = 8.5e7
-        model = driven_qubit_model(omega, 1.0)
-        liouv = build_liouvillian(model)
-        result = steady_iterative(liouv, model)
+        liouv = build_liouvillian(driven_qubit_model(omega, 1.0))
+        result = steady_gmres(liouv)
         assert result.diagnostics["preconditioner"] == form
         reference = steady_linsolve(liouv).rho.to_dense()
         assert np.abs(result.rho.to_dense() - reference).max() < 1e-12
 
     def test_eig_form_stagnates_at_the_exceptional_point(self, monkeypatch):
         monkeypatch.setattr(steady, "_EIG_COND_LIMIT", np.inf)
-        model = driven_qubit_model(0.5, 1.0)
         with pytest.raises(ConvergenceError, match="stagnated"):
-            steady_iterative(build_liouvillian(model), model)
+            steady_gmres(build_liouvillian(driven_qubit_model(0.5, 1.0)))
 
     def test_singular_eigenvectors_take_the_schur_form(self, monkeypatch):
         def singular(_):
             raise np.linalg.LinAlgError("Singular matrix")
 
         monkeypatch.setattr(steady.np.linalg, "inv", singular)
-        model = driven_qubit_model(1.0, 1.0)
-        result = steady_iterative(build_liouvillian(model), model)
+        result = steady_gmres(build_liouvillian(driven_qubit_model(1.0, 1.0)))
         assert result.diagnostics["preconditioner"] == "schur"
 
     def test_preconditioner_forms_agree_on_corpus(self, monkeypatch):
@@ -743,7 +740,7 @@ class TestIterative:
             monkeypatch.setattr(steady, "_EIG_COND_LIMIT", limit)
             states[form] = []
             for model in random_corpus():
-                result = steady_iterative(build_liouvillian(model), model)
+                result = steady_gmres(build_liouvillian(model))
                 assert result.diagnostics["preconditioner"] == form
                 states[form].append(result.rho.to_dense())
         worst = max(np.abs(a - b).max() for a, b in zip(states["eig"], states["schur"]))
@@ -751,61 +748,54 @@ class TestIterative:
 
     def test_weight_sits_on_the_least_damped_level(self):
         # H_eff = diag(0, -i): the ground state is undamped, the excited one decays
-        result = steady_iterative(build_liouvillian(qubit_decay_model()), qubit_decay_model())
-        assert result.diagnostics["augmented_level"] == 0
+        result = steady_gmres(build_liouvillian(qubit_decay_model()))
+        assert (result.diagnostics["replaced_level"], result.diagnostics["check_level"]) == (0, 1)
         flipped = LindbladModel(
             Operator(single_space(2, "q"), np.zeros((2, 2))),
             [(1.0, Operator(single_space(2, "q"), transition(2, 2, 1)))],
         )
-        result = steady_iterative(build_liouvillian(flipped), flipped)
-        assert result.diagnostics["augmented_level"] == 1
+        result = steady_gmres(build_liouvillian(flipped))
+        assert (result.diagnostics["replaced_level"], result.diagnostics["check_level"]) == (1, 0)
         assert np.allclose(result.rho.to_dense(), np.diag([0.0, 1.0]), atol=1e-12)
 
     def test_decoupled_driven_qubits_are_degenerate(self):
-        model = decoupled_driven_qubits()
-        with pytest.raises(DegeneracyError, match="augmentations"):
-            steady_iterative(build_liouvillian(model), model)
+        with pytest.raises(DegeneracyError, match="replaced rows"):
+            steady_gmres(build_liouvillian(decoupled_driven_qubits()))
 
     def test_degenerate_hamiltonian_only(self):
-        model = degenerate_model()
-        with pytest.raises(DegeneracyError, match="augmentations"):
-            steady_iterative(build_liouvillian(model), model)
+        with pytest.raises(DegeneracyError, match="replaced rows"):
+            steady_gmres(build_liouvillian(degenerate_model()))
 
-    # the augmentation scales with ||L||_inf; unscaled, c = 1e-8 and 1e8 fail
+    # gamma scales with ||L||_inf and c * L scales K: c * L alone, with no rescaled
+    # model, gives the same state, iterations, rows and verdict
     @pytest.mark.parametrize("c", [1e-8, 1e-3, 1e3, 1e8])
     def test_scale_invariance(self, c):
         for model in (driven_emitter_model(6, np.random.default_rng(6)), qubit_decay_model()):
             liouv = build_liouvillian(model)
-            reference = steady_iterative(liouv, model)
-            result = steady_iterative(c * liouv, scaled_model(model, c))
+            reference = steady_gmres(liouv)
+            result = steady_gmres(c * liouv)
             assert np.abs(result.rho.to_dense() - reference.rho.to_dense()).max() < 1e-12
-            counts = ("gmres_iterations", "check_iterations", "preconditioner", "augmented_level")
+            counts = ("gmres_iterations", "check_iterations", "preconditioner",
+                      "replaced_level", "check_level")
             assert [result.diagnostics[key] for key in counts] == [
                 reference.diagnostics[key] for key in counts
             ]
-        model = dephasing_model(3)
         with pytest.raises(DegeneracyError):
-            steady_iterative(c * build_liouvillian(model), scaled_model(model, c))
+            steady_gmres(c * build_liouvillian(dephasing_model(3)))
 
     def test_stagnation_raises(self, monkeypatch):
         monkeypatch.setattr(steady, "_GMRES_RESTART", 2)
         monkeypatch.setattr(steady, "_GMRES_CYCLES", 1)
-        model = driven_emitter_model(6, np.random.default_rng(6))
+        liouv = build_liouvillian(driven_emitter_model(6, np.random.default_rng(6)))
         with pytest.raises(ConvergenceError, match="stagnated"):
-            steady_iterative(build_liouvillian(model), model)
+            steady_gmres(liouv)
 
     def test_loose_solution_is_refused(self, monkeypatch):
         # GMRES meets its own (loosened) tolerance; the true ||L x|| does not
         monkeypatch.setattr(steady, "_GMRES_RTOL", 1e-4)
-        model = driven_emitter_model(6, np.random.default_rng(6))
+        liouv = build_liouvillian(driven_emitter_model(6, np.random.default_rng(6)))
         with pytest.raises(ConvergenceError, match="solution has residual"):
-            steady_iterative(build_liouvillian(model), model)
-
-    def test_layout_must_match(self):
-        model = driven_qubit_model(1.0, 1.0)
-        other = LindbladModel(Operator(single_space(2, "p"), np.zeros((2, 2))))
-        with pytest.raises(LayoutMismatchError):
-            steady_iterative(build_liouvillian(model), other)
+            steady_gmres(liouv)
 
 
 class TestSparseSpectrumManyEigenvalues:
@@ -853,10 +843,8 @@ class TestSparseSpectrumManyEigenvalues:
         assert np.abs(values - dense[:cut]).max() < 1e-12
 
 
-def _route_result(liouv, model, route):
+def _route_result(liouv, route):
     """The result of the route function that ``route`` names, called directly."""
-    if route == "iterative":
-        return steady_iterative(liouv, model)
     return getattr(steady, STEADY_ROUTES[route])(liouv)
 
 
@@ -870,21 +858,21 @@ def _assert_same_result(result, direct, policy):
         assert getattr(result, field) == getattr(direct, field), field
 
 
+DEFAULT_STEADY = ("solve", "steady: the row-replacement solve at every n")
+
+
 class TestSteadyState:
     """``steady_state`` runs the route the size policy or ``method`` picks, and
     records the choice in ``policy``."""
 
     @pytest.mark.parametrize("na,nb,route", [
-        (None, None, "solve"), (2, 1, "solve"), (3, 1, "solve"), (3, 2, "iterative"),
-    ])  # n = 4, 324, 576 (SuperLU), 1296
+        (None, None, "solve"), (2, 1, "solve"), (3, 1, "solve"), (3, 2, "solve"),
+    ])  # n = 4, 324, 576 (SuperLU), 1296 (GMRES)
     def test_default_route_by_size(self, na, nb, route):
         model = (driven_qubit_model(1.0, 1.0) if na is None
                  else cascade_model(CascadeParams(n_a=na, n_b=nb)))
         liouv = build_liouvillian(model)
-        n = liouv.dim
-        reason = f"steady: n={n} < 1024" if route == "solve" else f"steady: n={n} >= 1024"
-        _assert_same_result(steady_state(liouv, model), _route_result(liouv, model, route),
-                            (route, reason))
+        _assert_same_result(steady_state(liouv), _route_result(liouv, route), DEFAULT_STEADY)
 
     @pytest.mark.parametrize("method", list(STEADY_ROUTES))
     @pytest.mark.parametrize("na,nb", [(None, None), (2, 1)])  # n = 4, 324
@@ -892,47 +880,40 @@ class TestSteadyState:
         model = (driven_qubit_model(1.0, 1.0) if na is None
                  else cascade_model(CascadeParams(n_a=na, n_b=nb)))
         liouv = build_liouvillian(model)
-        _assert_same_result(steady_state(liouv, model, method),
-                            _route_result(liouv, model, method), (method, "requested"))
+        _assert_same_result(steady_state(liouv, method), _route_result(liouv, method),
+                            (method, "requested"))
 
     def test_corpus(self):
         for model in random_corpus():
             liouv = build_liouvillian(model)
-            _assert_same_result(steady_state(liouv, model), steady_linsolve(liouv),
-                                ("solve", f"steady: n={liouv.dim} < 1024"))
+            _assert_same_result(steady_state(liouv), steady_linsolve(liouv), DEFAULT_STEADY)
             for method in STEADY_ROUTES:
-                _assert_same_result(steady_state(liouv, model, method),
-                                    _route_result(liouv, model, method), (method, "requested"))
+                _assert_same_result(steady_state(liouv, method), _route_result(liouv, method),
+                                    (method, "requested"))
 
     def test_bad_method(self):
-        model = driven_qubit_model(1.0, 1.0)
-        with pytest.raises(ValueError, match="method must be"):
-            steady_state(build_liouvillian(model), model, "linsolve")
-
-    @pytest.mark.parametrize("method", [None, *STEADY_ROUTES])
-    def test_layout_must_match(self, method):
-        model = driven_qubit_model(1.0, 1.0)
-        other = LindbladModel(Operator(single_space(2, "p"), np.zeros((2, 2))))
-        with pytest.raises(LayoutMismatchError):
-            steady_state(build_liouvillian(model), other, method)
+        liouv = build_liouvillian(driven_qubit_model(1.0, 1.0))
+        for method in ("linsolve", "iterative", "gmres"):
+            with pytest.raises(ValueError, match="method must be"):
+                steady_state(liouv, method)
 
     @pytest.mark.parametrize("na,nb,method,route", [
         (1, 1, None, "solve"), (1, 1, "dense", "dense"), (1, 1, "sparse", "sparse"),
-        (1, 1, "solve", "solve"), (1, 1, "iterative", "iterative"), (3, 2, None, "iterative"),
+        (1, 1, "solve", "solve"), (3, 2, None, "solve"),
     ])  # n = 144, 1296
     def test_each_route_function_runs_once(self, na, nb, method, route, monkeypatch):
         # the benchmark's tracer replaces these module attributes with wrappers
         counts = count_route_calls(monkeypatch)
         model = cascade_model(CascadeParams(n_a=na, n_b=nb))
-        assert steady_state(build_liouvillian(model), model, method).policy.route == route
+        assert steady_state(build_liouvillian(model), method).policy.route == route
         assert counts == {name: int(name == route) for name in STEADY_ROUTES}
 
     def test_small_sparse_request_runs_only_the_sparse_route(self, monkeypatch):
         # n = 4 is too small for ARPACK: the sparse route takes the eigenvector
         # densely, but does not count as a call of the dense route
         counts = count_route_calls(monkeypatch)
-        model = driven_qubit_model(1.0, 1.0)
-        assert steady_state(build_liouvillian(model), model, "sparse").method == "sparse-eig"
+        liouv = build_liouvillian(driven_qubit_model(1.0, 1.0))
+        assert steady_state(liouv, "sparse").method == "sparse-eig"
         assert counts == {name: int(name == "sparse") for name in STEADY_ROUTES}
 
 
@@ -1012,7 +993,7 @@ class TestTraceDeflation:
     def test_non_trace_preserving_generator_is_refused(self):
         # d rho / dt = -rho preserves Hermiticity, not the trace
         layout = single_space(2, "q")
-        decay = SuperOperator(layout, -sp.eye_array(4))
+        decay = SuperOperator(layout, -sp.eye_array(4), -0.5 * np.eye(2))
         with pytest.raises(ValueError, match="does not preserve the trace"):
             _trace_zero_generator(decay, dense=False)
         for route in ("dense", "sparse"):
@@ -1033,5 +1014,7 @@ class TestTraceDeflation:
             decoupled_driven_qubits(),
         ]
         for model in models:
-            report = check_uniqueness(build_liouvillian(model), route)
-            assert not report.unique, model
+            liouv = build_liouvillian(model)
+            assert not check_uniqueness(liouv, route).unique, model
+            with pytest.raises(DegeneracyError):  # the solve's GMRES branch
+                steady_gmres(liouv)

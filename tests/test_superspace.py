@@ -245,11 +245,13 @@ class TestSuperOperatorStorage:
         for task, n in crossovers.items():
             assert choose_route(task, n - 1, k=5) == ("dense", f"{task}: n={n - 1} < {n}")
             assert choose_route(task, n, k=5) == ("sparse", f"{task}: n={n} >= {n}")
-        # steady states: the row-replacement solve, then GMRES; no eigenvector route by default
-        assert choose_route("steady", 1) == ("solve", "steady: n=1 < 1024")
-        assert choose_route("steady", 1023) == ("solve", "steady: n=1023 < 1024")
-        assert choose_route("steady", 1024) == ("iterative", "steady: n=1024 >= 1024")
-        assert choose_route("steady", 321_489).route == "iterative"
+        # steady states: the row-replacement solve at every n, by LU and then
+        # GMRES; no eigenvector route by default
+        for n in (1, 1023, 1024, 321_489):
+            assert choose_route("steady", n) == ("solve", "steady: the row-replacement solve at every n")
+        assert choose_route("linsolve", 1023) == ("sparse", "linsolve: n=1023 >= 400")
+        assert choose_route("linsolve", 1024) == ("gmres", "linsolve: n=1024 >= 1024")
+        assert choose_route("linsolve", 321_489).route == "gmres"
         assert choose_route("spectrum", 2025, k=11).route == "dense"
         assert choose_route("spectrum", 10_001, k=11).route == "sparse"
         assert choose_route("spectrum", 4, k=3).route == "dense"  # ARPACK: k < n-1
@@ -260,7 +262,7 @@ class TestSuperOperatorStorage:
 
     def test_requested_routes(self):
         requestable = {
-            "steady": ("dense", "sparse", "solve", "iterative"),
+            "steady": ("dense", "sparse", "solve"),
             "spectrum": ("dense", "sparse"),
             "evolve": ("dense", "sparse"),
         }
@@ -270,7 +272,7 @@ class TestSuperOperatorStorage:
                     assert choose_route(task, n, k=2, method=method) == (method, "requested")
             with pytest.raises(ValueError, match="method must be 'dense' or 'sparse'"):
                 choose_route(task, 400, k=2, method="bogus")
-        for task, method in (("spectrum", "solve"), ("evolve", "iterative")):
+        for task, method in (("spectrum", "solve"), ("evolve", "gmres"), ("steady", "iterative")):
             with pytest.raises(ValueError):
                 choose_route(task, 400, k=2, method=method)
         # the LU route picks dense or sparse by n alone
@@ -290,12 +292,16 @@ class TestSuperOperatorStorage:
         layout = single_space(3)
         superop = dissipator(Operator(layout, random_matrix(rng, 3)), 1.0)
         dense = superop.to_dense()
-        rebuilt = SuperOperator(layout, dense)
+        rebuilt = SuperOperator(layout, dense, superop.no_jump)
         assert isinstance(rebuilt.matrix, sp.csr_array)
         assert np.array_equal(rebuilt.to_dense(), dense)
         assert np.array_equal(rebuilt.matrix.toarray(), dense)
         assert np.array_equal((2 * rebuilt).to_dense(), 2 * dense)
         assert np.array_equal((rebuilt * -1).matrix.toarray(), -dense)
+        # c * L scales the no-jump generator K it keeps, which must be d x d
+        assert np.array_equal((2 * rebuilt).no_jump, 2 * superop.no_jump)
+        with pytest.raises(ValueError, match="no-jump generator shape"):
+            SuperOperator(layout, dense, np.eye(2))
         assert rebuilt.norm_inf() == pytest.approx(np.abs(dense).sum(axis=1).max(), abs=1e-12)
 
     def test_dense_capacity_guard(self):
