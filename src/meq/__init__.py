@@ -17,11 +17,26 @@ compute reduced states, partial transposes and log negativities.  Submodules:
 - ``modelspec``: text model format and the built-in cascade benchmark
 - ``cli``: the ``meq`` command
 
-Submodules are imported lazily so the ``meq`` command can cap the linear
-algebra thread pools (MEQ_THREADS) before numpy loads.
+Set MEQ_THREADS=N to cap the BLAS/LAPACK and OpenMP thread pools at N:
+importing ``meq`` sets each of their environment variables that is unset to
+N before it imports numpy, so the cap holds only where nothing in the
+process has imported numpy yet.
 """
 
-from importlib import import_module
+import os
+
+_THREAD_VARS = (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+)
+if os.environ.get("MEQ_THREADS"):
+    for _var in _THREAD_VARS:
+        os.environ.setdefault(_var, os.environ["MEQ_THREADS"])
+
+from . import cli, dynamics, hilbert, measures, modelspec, steady, superspace  # noqa: E402
 
 __version__ = "0.1.0"
 
@@ -87,15 +102,6 @@ _EXPORTS = {
 
 __all__ = ["__version__", *_SUBMODULES, *_EXPORTS]
 
-
-def __getattr__(name):
-    if name in _SUBMODULES:
-        return import_module(f".{name}", __name__)
-    if name in _EXPORTS:
-        module = import_module(f".{_EXPORTS[name]}", __name__)
-        return getattr(module, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(__all__)
+for _name, _module in _EXPORTS.items():
+    globals()[_name] = getattr(globals()[_module], _name)
+del _name, _module

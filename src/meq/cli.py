@@ -9,9 +9,10 @@ stderr):
 Complex numbers appear as two-element [re, im] arrays, matrices as row-major
 nested arrays; identical inputs give byte-identical records apart from the
 timings block.  Exit codes: 0 success, 1 usage problems, 2 model file errors
-(lexical/syntax/semantic), 3 numerical failures (non-convergence, degenerate
-steady states, a dense route above the dense capacity, a propagated state
-that is not a density matrix, or memory that ran out).
+(lexical, a byte that is not UTF-8 included, syntax or semantic), 3 numerical
+failures (non-convergence, degenerate steady states, a dense route above the
+dense capacity, a propagated state that is not a density matrix, or memory
+that ran out).
 
 Each command hashes and parses its model text (the model file, or the
 cascade's :func:`meq.modelspec.cascade_text`), then builds, solves and
@@ -23,9 +24,8 @@ the fields and defaults of :class:`meq.modelspec.CascadeParams`, with
 ``--na``/``--nb`` for ``n_a``/``n_b``; a cascade mode takes the flags of the
 command or report it runs, and any other flag is a usage error.
 
-Set MEQ_THREADS to cap the BLAS/LAPACK thread pools; it must take effect
-before the numeric libraries load, which is why this module defers every
-heavy import until after the environment is prepared.
+MEQ_THREADS caps the BLAS/LAPACK thread pools; the package applies it when
+``meq`` is imported (see :mod:`meq`).
 """
 
 from __future__ import annotations
@@ -36,19 +36,17 @@ import dataclasses
 import functools
 import hashlib
 import json
-import os
 import sys
 import time
 
-__all__ = ["main", "run", "build_parser"]
+import numpy as np
 
-_THREAD_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS",
-)
+from . import dynamics, hilbert, measures, modelspec, steady, superspace
+from .dynamics import PropagationError
+from .modelspec import ModelError, ModelLexicalError
+from .steady import CapacityError, ConvergenceError, DegeneracyError
+
+__all__ = ["main", "run", "build_parser"]
 
 
 class _UsageError(Exception):
@@ -58,14 +56,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems exit 1, not argparse's 2
         raise _UsageError(message)
-
-
-def _apply_thread_cap():
-    cap = os.environ.get("MEQ_THREADS")
-    if not cap:
-        return
-    for var in _THREAD_VARS:
-        os.environ.setdefault(var, cap)
 
 
 def _parse_complex(text: str) -> complex:
@@ -113,7 +103,7 @@ _FLAGS = {
                                   "density-matrix expression")),
     "check_truncation": ("--check-truncation", dict(
         action="store_true", help="rerun with one more photon per mode, report drift")),
-    "method": ("--method", dict(choices=("dense", "sparse", "solve"),
+    "method": ("--method", dict(choices=superspace._REQUESTABLE["steady"],
                                 help="steady-state route (default: by problem size)")),
 }
 
@@ -161,12 +151,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_casc = sub.add_parser("cascade", help="built-in cascade benchmark")
     # one flag per CascadeParams field; the Fock truncations keep short spellings
-    from .modelspec import CascadeParams
-
     flag_types = {"float": float, "complex": _parse_complex, "int": int}
     spellings = {"n_a": ("--na", "Fock truncation of mode a"),
                  "n_b": ("--nb", "Fock truncation of mode b")}
-    for field in dataclasses.fields(CascadeParams):
+    for field in dataclasses.fields(modelspec.CascadeParams):
         flag, help_text = spellings.get(field.name, ("--" + field.name.replace("_", "-"), None))
         p_casc.add_argument(flag, dest=field.name, type=flag_types[field.type],
                             default=field.default, help=help_text)
@@ -215,8 +203,6 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _encode(value):
-    import numpy as np
-
     if isinstance(value, dict):
         return {key: _encode(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
@@ -234,19 +220,12 @@ def _encode(value):
 
 
 class _Runner:
-    """One CLI invocation; numeric modules are imported lazily at creation."""
+    """One CLI invocation.  It calls each numeric function through its module
+    (``steady.spectrum``), looked up at call time."""
 
     def __init__(self, args, stdout):
-        from . import dynamics, hilbert, measures, modelspec, steady, superspace
-
         self.args = args
         self.stdout = stdout
-        self.hilbert = hilbert
-        self.superspace = superspace
-        self.steady = steady
-        self.dynamics = dynamics
-        self.measures = measures
-        self.modelspec = modelspec
         self.timings: dict[str, float] = {}
 
     # -- plumbing ----------------------------------------------------------
@@ -264,7 +243,7 @@ class _Runner:
         args = self.args
         with self._timed("parse"):
             if args.command == "cascade":
-                raw = self.modelspec.cascade_text(self._cascade_params()).encode("utf-8")
+                raw = modelspec.cascade_text(self._cascade_params()).encode("utf-8")
             else:
                 try:
                     with open(args.model, "rb") as handle:
@@ -272,34 +251,42 @@ class _Runner:
                 except OSError as exc:
                     raise _UsageError(f"cannot read model file {args.model!r}: {exc}") from exc
             self.model_hash = hashlib.sha256(raw).hexdigest()
-            text = raw.decode("utf-8")
+            try:
+                text = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:  # a model file is UTF-8 text
+                line_start = raw.rfind(b"\n", 0, exc.start) + 1
+                raise ModelLexicalError(
+                    f"invalid UTF-8 byte {raw[exc.start]:#04x} ({exc.reason})",
+                    raw.count(b"\n", 0, exc.start) + 1,
+                    len(raw[line_start:exc.start].decode("utf-8")) + 1,
+                ) from None
             if getattr(args, "emit_model", False):
                 self.stdout.write(text)
                 return None
-            return self.modelspec.parse_model(text)
+            return modelspec.parse_model(text)
 
     def _build(self, doc):
         """The document's bindings and the generator of its model."""
         with self._timed("operators"):
-            layout, env = self.modelspec.document_environment(doc)
-            model = self.modelspec.build_model(doc, (layout, env))
+            layout, env = modelspec.document_environment(doc)
+            model = modelspec.build_model(doc, (layout, env))
         with self._timed("assemble"):
-            liouv = self.superspace.build_liouvillian(model)
+            liouv = superspace.build_liouvillian(model)
         return env, liouv
 
     def _steady(self, doc):
         """The document's bindings and :func:`meq.steady.steady_state` of its model."""
         env, liouv = self._build(doc)
         with self._timed("solve"):
-            return env, self.steady.steady_state(liouv, self.args.method)
+            return env, steady.steady_state(liouv, self.args.method)
 
     def _observables(self, doc, env, states):
         """Each ``--observables`` expression, evaluated once, with its
         expectation value in each of ``states``."""
         values = {}
         for text in _split_top_level(self.args.observables):
-            op = self.modelspec.evaluate_observable(doc, text, env=env)
-            values[text] = [self.measures.expectation(op, state) for state in states]
+            op = modelspec.evaluate_observable(doc, text, env=env)
+            values[text] = [measures.expectation(op, state) for state in states]
         return values
 
     def _steady_observables(self, doc, env, rho):
@@ -347,7 +334,7 @@ class _Runner:
     def cmd_spectrum(self, doc):
         _, liouv = self._build(doc)
         with self._timed("solve"):
-            spec = self.steady.spectrum(liouv, self.args.count)
+            spec = steady.spectrum(liouv, self.args.count)
         results = {
             "count_requested": spec.count_requested,
             "eigenvalues": list(spec.eigenvalues),
@@ -359,11 +346,11 @@ class _Runner:
     def _initial_state(self, doc, layout, env):
         text = self.args.initial
         if text == "ground":  # |1><1| on the whole space: the first basis state
-            first = self.hilbert.transition(layout.total_dim, 1, 1)
-            return self.hilbert.Operator(layout, first)
+            first = hilbert.transition(layout.total_dim, 1, 1)
+            return hilbert.Operator(layout, first)
         if text == "maximally-mixed":
-            return self.hilbert.identity_operator(layout) / layout.total_dim
-        op = self.modelspec.evaluate_observable(doc, text, env=env)
+            return hilbert.identity_operator(layout) / layout.total_dim
+        op = modelspec.evaluate_observable(doc, text, env=env)
         trace = op.trace()
         if abs(trace) <= 1e-12 * abs(op.matrix).max():  # <=: the zero operator too
             raise _UsageError(f"initial state expression {text!r} has zero trace")
@@ -376,7 +363,7 @@ class _Runner:
             raise _UsageError("no times given")
         rho0 = self._initial_state(doc, liouv.layout, env)
         with self._timed("solve"):
-            trajectory = self.dynamics.evolve_trajectory(liouv, rho0, times)
+            trajectory = dynamics.evolve_trajectory(liouv, rho0, times)
         with self._timed("measure"):
             observables = (self._observables(doc, env, trajectory.states)
                            if self.args.observables else {})
@@ -407,7 +394,7 @@ class _Runner:
     def _reduce_to(self, rho, keep):
         """Partial trace over every subsystem not in ``keep``."""
         traced = [n for n in rho.layout.names if n not in keep]
-        return self.hilbert.partial_trace(rho, traced) if traced else rho
+        return hilbert.partial_trace(rho, traced) if traced else rho
 
     def cmd_negativity(self, doc):
         transpose = self._subsystems(doc, "transpose")
@@ -418,7 +405,7 @@ class _Runner:
         _, result = self._steady(doc)
         with self._timed("measure"):
             rho = self._reduce_to(result.rho, keep) if keep else result.rho
-            value = self.measures.log_negativity(rho, transpose)
+            value = measures.log_negativity(rho, transpose)
         extra = {"transpose": transpose}
         if keep:
             extra["keep"] = keep
@@ -434,8 +421,8 @@ class _Runner:
     # -- cascade -----------------------------------------------------------
 
     def _cascade_params(self):
-        fields = dataclasses.fields(self.modelspec.CascadeParams)
-        return self.modelspec.CascadeParams(**{f.name: getattr(self.args, f.name) for f in fields})
+        fields = dataclasses.fields(modelspec.CascadeParams)
+        return modelspec.CascadeParams(**{f.name: getattr(self.args, f.name) for f in fields})
 
     def cmd_cascade(self, doc):
         """Run what the first mode flag given picks, or report the populations."""
@@ -453,13 +440,13 @@ class _Runner:
                 ("n_a", env["am"].dag() * env["am"]),
                 ("n_b", env["bm"].dag() * env["bm"]),
             ]
-            report = self.measures.population_report(observables, result.rho)
+            report = measures.population_report(observables, result.rho)
             entries = {"populations": dataclasses.asdict(report)}
             if params.g_a != 0 and params.g_b != 0:
                 entries["displaced_populations"] = {
-                    "mode_a": self.measures.displaced_mode_population(
+                    "mode_a": measures.displaced_mode_population(
                         result.rho, env["am"], params.alpha),
-                    "mode_b": self.measures.displaced_mode_population(
+                    "mode_b": measures.displaced_mode_population(
                         result.rho, env["bm"], params.beta),
                 }
         values = [*report.values, *entries.get("displaced_populations", {}).values()]
@@ -472,7 +459,7 @@ class _Runner:
         if self.args.check_truncation:
             bumped = dataclasses.replace(params, n_a=params.n_a + 1, n_b=params.n_b + 1)
             with self._timed("parse"):
-                bumped_doc = self.modelspec.cascade_document(bumped)
+                bumped_doc = modelspec.cascade_document(bumped)
             bumped_values = self._cascade_populations(bumped_doc, bumped)[3]
             extra["truncation_check"] = {
                 "n_a": bumped.n_a,
@@ -483,8 +470,8 @@ class _Runner:
 
     def _cascade_negativities(self, doc):
         _, result = self._steady(doc)
-        partial_trace = self.hilbert.partial_trace
-        log_negativity = self.measures.log_negativity
+        partial_trace = hilbert.partial_trace
+        log_negativity = measures.log_negativity
         with self._timed("measure"):
             values = {
                 "cascade_vs_modes": log_negativity(result.rho, ["xi"]),
@@ -503,17 +490,12 @@ def run(argv=None, stdout=None, stderr=None) -> int:
     """
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    _apply_thread_cap()
     try:
         args = _parser().parse_args(argv)
         _check_flags(args)
     except _UsageError as exc:
         print(f"meq: error: usage: {exc}", file=stderr)
         return 1
-
-    from .dynamics import PropagationError
-    from .modelspec import ModelError
-    from .steady import CapacityError, ConvergenceError, DegeneracyError
 
     try:
         runner = _Runner(args, stdout)

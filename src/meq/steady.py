@@ -139,8 +139,10 @@ class SteadyStateResult:
     exactly 0 on the routes that solve in the real Hermitian basis;
     ``eigenvalue`` is the computed leading eigenvalue where the route
     provides one; ``policy`` is :func:`steady_state`'s route choice (None on
-    a direct route call); ``diagnostics`` holds the deterministic counters
-    of the row-replacement solve (:func:`steady_linsolve`).
+    a direct route call); ``diagnostics`` holds what the row-replacement
+    solve (:func:`steady_linsolve`) records, deterministic at a fixed BLAS
+    thread count: ``gmres_relative_residual`` and ``state_difference`` can
+    change with that count.
     """
 
     rho: Operator
@@ -308,16 +310,6 @@ def steady_sparse(liouv: SuperOperator) -> SteadyStateResult:
     return _finalize(liouv, _to_operator(vec, liouv.layout.total_dim), "sparse-eig", lam0)
 
 
-def _replace_row(matrix: sp.csr_array, s: int, cols: np.ndarray, value: float) -> sp.csr_array:
-    """Copy of a CSR matrix whose row ``s`` holds ``value`` at ``cols`` only."""
-    start, stop = matrix.indptr[s], matrix.indptr[s + 1]
-    indptr = matrix.indptr.copy()
-    indptr[s + 1:] += cols.size - (stop - start)
-    indices = np.concatenate((matrix.indices[:start], cols.astype(indptr.dtype), matrix.indices[stop:]))
-    data = np.concatenate((matrix.data[:start], np.full(cols.size, value, matrix.dtype), matrix.data[stop:]))
-    return sp.csr_array((data, indices, indptr), shape=matrix.shape)
-
-
 def steady_linsolve(liouv: SuperOperator) -> SteadyStateResult:
     """Steady state from the row-replacement linear system, the paper's method.
 
@@ -349,10 +341,12 @@ def steady_linsolve(liouv: SuperOperator) -> SteadyStateResult:
         return _finalize(liouv, rho, "linsolve", None, diagnostics)
     rhs = np.zeros(liouv.dim)
     rhs[0] = gamma
-    replaced = _replace_row(_real_generator(liouv), 0, np.arange(d) * (d + 1), gamma)
+    real = _real_generator(liouv)
+    trace_row = np.zeros((1, liouv.dim))
+    trace_row[0, :: d + 1] = gamma  # the d diagonal coordinates l (d + 1)
 
     if policy.route == "sparse":
-        replaced = replaced.tocsc()
+        replaced = sp.vstack((sp.csr_array(trace_row), real[1:]), format="csc")
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", spla.MatrixRankWarning)
@@ -380,7 +374,8 @@ def steady_linsolve(liouv: SuperOperator) -> SteadyStateResult:
         solve = lu.solve
         diagnostics["lu_nnz"] = lu.L.nnz + lu.U.nnz
     else:
-        replaced = replaced.toarray()
+        replaced = real.toarray()
+        replaced[0] = trace_row[0]
         anorm = float(np.abs(replaced).sum(axis=0).max())
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

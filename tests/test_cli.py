@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 
@@ -129,6 +130,14 @@ class TestExitCodes:
         code, out, err = invoke(["steady", str(path)])
         assert code == 2 and out == ""
         assert "error: model" in err and message in err and "line 4" in err
+
+    def test_non_utf8_byte_is_model_error(self, tmp_path):
+        path = tmp_path / "latin1.model"
+        path.write_bytes(b"spaces:\n  q 2\nhamiltonian:\n  \xff*trans(q,1,2)\n")
+        code, out, err = invoke(["steady", str(path)])
+        assert (code, out) == (2, "")
+        assert err == ("meq: error: model: line 4, column 3: "
+                       "invalid UTF-8 byte 0xff (invalid start byte)\n")
 
     # an overflowing literal used to pass the lexer as inf, with a numpy
     # RuntimeWarning and a late usage or Hermiticity error
@@ -766,13 +775,6 @@ class TestDefaultSteadyRoute:
 class TestOneSteadyEntryPoint:
     """Every steady command solves through ``meq.steady.steady_state``."""
 
-    def test_method_choices_are_the_requestable_steady_routes(self):
-        # cli keeps its own copy: _FLAGS is built before MEQ_THREADS takes effect,
-        # so it cannot import meq.superspace (and numpy)
-        from meq import cli, superspace
-
-        assert cli._FLAGS["method"][1]["choices"] == superspace._REQUESTABLE["steady"]
-
     @pytest.mark.parametrize("argv,route,calls", [
         (["steady"], "solve", 1),
         (["steady", "--method", "dense"], "dense", 1),
@@ -848,6 +850,53 @@ class TestConsoleScript:
         assert proc.returncode == 0, proc.stderr
         record = json.loads(proc.stdout)
         assert record["method"] == "dense-eig"
+
+
+class TestThreadCap:
+    def test_meq_threads_is_set_before_numpy_loads(self):
+        # MEQ_THREADS fills the unset variables; a set OMP_NUM_THREADS is kept
+        expected = {"OMP_NUM_THREADS": "5", "OPENBLAS_NUM_THREADS": "2",
+                    "MKL_NUM_THREADS": "2", "NUMEXPR_NUM_THREADS": "2",
+                    "VECLIB_MAXIMUM_THREADS": "2"}
+        # a finder first in sys.meta_path sees the environment as numpy starts to load
+        script = (
+            "import json, os, sys\n"
+            "seen = {}\n"
+            "class Probe:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == 'numpy' and not seen:\n"
+            "            seen.update(os.environ)\n"
+            "sys.meta_path.insert(0, Probe())\n"
+            "import meq\n"
+            f"print(json.dumps({{var: seen.get(var) for var in {list(expected)!r}}}))\n"
+        )
+        src = os.path.dirname(os.path.dirname(meq.__file__))
+        env = {k: v for k, v in os.environ.items() if k not in expected}
+        env.update(MEQ_THREADS="2", OMP_NUM_THREADS="5")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == expected
+
+
+class TestBenchmarkTracer:
+    def test_tracer_sees_every_layer_the_cli_calls(self, model_file):
+        # the traced benchmark run wraps module attributes; the CLI must call
+        # through them, not through names bound at import
+        tracing = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                               "perfbench", "tracing.py")
+        tracer = runpy.run_path(tracing)["Tracer"]()
+        path = model_file(QUBIT_DECAY)
+        tracer.install()
+        try:
+            assert invoke(["steady", path])[0] == 0
+            assert invoke(["spectrum", path, "-k", "2"])[0] == 0
+        finally:
+            tracer.close()
+        names = {span.name for span in tracer.spans}
+        assert {"modelspec.parse_model", "superspace.build_liouvillian",
+                "steady.steady_linsolve", "steady.spectrum"} <= names
 
 
 class TestPrivateScipyNames:
