@@ -11,8 +11,8 @@ nested arrays; identical inputs give byte-identical records apart from the
 timings block.  Exit codes: 0 success, 1 usage problems, 2 model file errors
 (lexical, a byte that is not UTF-8 included, syntax or semantic), 3 numerical
 failures (non-convergence, degenerate steady states, a dense route above the
-dense capacity, a propagated state that is not a density matrix, or memory
-that ran out).
+dense capacity, a propagated state that is not a density matrix, a time gap
+too long to propagate, or memory that ran out).
 
 Each command hashes and parses its model text (the model file, or the
 cascade's :func:`meq.modelspec.cascade_text`), then builds, solves and
@@ -103,8 +103,8 @@ _FLAGS = {
                                   "density-matrix expression")),
     "check_truncation": ("--check-truncation", dict(
         action="store_true", help="rerun with one more photon per mode, report drift")),
-    "method": ("--method", dict(choices=superspace._REQUESTABLE["steady"],
-                                help="steady-state route (default: by problem size)")),
+    "method": ("--method", dict(choices=tuple(steady._ROUTES),
+                                help="steady-state route (default: the row-replacement solve)")),
 }
 
 # the model commands: name -> (help, the flag it requires, the flags it may take)

@@ -3,8 +3,9 @@
 The solution of the vectorized master equation is rho(t) = exp(L t) rho(0).
 Propagation runs in real arithmetic, in the Hermitian operator basis T of
 :mod:`meq.superspace`: rho(t) = T exp(R t) x(0) with R = T^dag L T and the
-real coordinates x(0) of rho(0).  Small problems exponentiate R once per distinct
-time gap (scaling and squaring) and apply it; larger ones compute the action
+real coordinates x(0) of rho(0).  Small problems, and generators whose L is a
+quarter full or more, exponentiate R once per distinct time gap (scaling and
+squaring) and apply it; larger ones compute the action
 exp(R t) x by the truncated Taylor steps of Al-Mohy and Higham (SIAM J. Sci.
 Comput. 33, 488 (2011), algorithm 3.2, the method of
 ``scipy.sparse.linalg.expm_multiply``) and never form the exponential.  That
@@ -104,9 +105,15 @@ class _TaylorPlan:
             for t in gaps:
                 if self.norm == 0.0:
                     self.schedules[t] = (0, 1)
-                else:
-                    norms.set_scale(t)
+                    continue
+                norms.set_scale(t)
+                try:
                     self.schedules[t] = _fragment_3_1(norms, 1, 2.0**-53, ell=2)
+                except OverflowError as exc:  # the step count is infinite
+                    raise PropagationError(
+                        f"time gap {t:g} is too long for the Taylor route: "
+                        f"its step count overflows ({exc})"
+                    ) from exc
 
     def apply(self, x: np.ndarray, t: float) -> np.ndarray:
         m_star, s = self.schedules[t]
@@ -116,25 +123,21 @@ class _TaylorPlan:
         return self._core(self.shifted, x, t, self.shift, m_star, s)
 
 
-def evolve_trajectory(
-    liouv: SuperOperator,
-    rho0: Operator,
-    times: Sequence[float],
-    method: str | None = None,
-) -> Trajectory:
+def evolve_trajectory(liouv: SuperOperator, rho0: Operator, times: Sequence[float]) -> Trajectory:
     """Propagate through an ascending list of times.
 
-    ``method`` is "dense" (real ``expm`` once per distinct gap), "sparse"
-    (the Taylor steps of ``expm_multiply``, with one plan per trajectory and
-    one schedule per distinct gap), or None for the choice of
-    :func:`choose_route`.  The result's ``diagnostics`` record the propagator
-    of each distinct gap (see :class:`Trajectory`).  Evolution proceeds
-    incrementally from point to point (the semigroup property makes this
-    equivalent to evolving each point from rho0, up to the propagator's
-    tolerance).  The times must be finite.  ``rho0`` must be
-    Hermitian, within 1e-10 of its largest element, with no eigenvalue below
-    -1e-8, or ``ValueError`` is raised; a propagated state with an
-    eigenvalue below -1e-8 raises :class:`PropagationError`.
+    :func:`choose_route` picks the route: "dense" (real ``expm`` once per
+    distinct gap) or "sparse" (the Taylor steps of ``expm_multiply``, with
+    one plan per trajectory and one schedule per distinct gap).  The result's
+    ``diagnostics`` record the propagator of each distinct gap (see
+    :class:`Trajectory`).  Evolution proceeds incrementally from point to
+    point (the semigroup property makes this equivalent to evolving each
+    point from rho0, up to the propagator's tolerance).  The times must be
+    finite.  ``rho0`` must be Hermitian, within 1e-10 of its largest
+    element, with no eigenvalue below -1e-8, or ``ValueError`` is raised; a
+    propagated state with an eigenvalue below -1e-8 or a non-finite entry,
+    or a gap whose Taylor step count overflows, raises
+    :class:`PropagationError`.
     """
     times = [float(t) for t in times]
     if not times:
@@ -147,7 +150,7 @@ def evolve_trajectory(
         raise ValueError("times must be ascending")
     if rho0.layout != liouv.layout:
         raise LayoutMismatchError("state and generator live on different layouts")
-    policy = choose_route("evolve", liouv.dim, method=method)
+    policy = choose_route("evolve", liouv.dim, nnz=liouv.matrix.nnz)
 
     rho = rho0.to_dense()
     defect = float(np.abs(rho - rho.conj().T).max())

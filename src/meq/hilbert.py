@@ -187,6 +187,7 @@ def transition(dim: int, j: int, k: int) -> np.ndarray:
     return mat
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class Operator:
     """A linear operator on a composite space, tied to its :class:`SpaceLayout`.
 
@@ -197,42 +198,34 @@ class Operator:
     operator product (or scaling when one side is a scalar).
     """
 
-    __slots__ = ("layout", "_matrix")
+    layout: SpaceLayout
+    matrix: np.ndarray
 
     # keep numpy from coercing us in mixed scalar products; defer to __rmul__
     __array_ufunc__ = None
 
-    def __init__(self, layout: SpaceLayout, matrix):
-        d = layout.total_dim
-        mat = np.asarray(matrix, dtype=complex)
+    def __post_init__(self):
+        d = self.layout.total_dim
+        mat = np.asarray(self.matrix, dtype=complex)
         if mat.shape != (d, d):
             raise ValueError(
                 f"matrix shape {mat.shape} does not match layout dimension {d}"
             )
-        object.__setattr__(self, "layout", layout)
-        object.__setattr__(self, "_matrix", mat)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Operator is immutable")
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The underlying dense matrix."""
-        return self._matrix
+        object.__setattr__(self, "matrix", mat)
 
     def to_dense(self) -> np.ndarray:
-        return self._matrix.copy()
+        return self.matrix.copy()
 
     def dag(self) -> "Operator":
         """Hermitian conjugate."""
-        return Operator(self.layout, self._matrix.conj().T)
+        return Operator(self.layout, self.matrix.conj().T)
 
     def trace(self) -> complex:
-        return complex(self._matrix.trace())
+        return complex(self.matrix.trace())
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         """True if the defect max|M - M^dag| is below tol * max(1, max|M|)."""
-        mat = self._matrix
+        mat = self.matrix
         defect = np.abs(mat - mat.conj().T).max() if mat.size else 0.0
         scale = max(1.0, np.abs(mat).max()) if mat.size else 1.0
         return defect <= tol * scale
@@ -247,34 +240,34 @@ class Operator:
         if not isinstance(other, Operator):
             return NotImplemented
         self._check_layout(other)
-        return Operator(self.layout, self._matrix + other._matrix)
+        return Operator(self.layout, self.matrix + other.matrix)
 
     def __sub__(self, other):
         if not isinstance(other, Operator):
             return NotImplemented
         self._check_layout(other)
-        return Operator(self.layout, self._matrix - other._matrix)
+        return Operator(self.layout, self.matrix - other.matrix)
 
     def __mul__(self, other):
         if isinstance(other, Operator):
             self._check_layout(other)
-            return Operator(self.layout, self._matrix @ other._matrix)
+            return Operator(self.layout, self.matrix @ other.matrix)
         if np.isscalar(other):
-            return Operator(self.layout, self._matrix * complex(other))
+            return Operator(self.layout, self.matrix * complex(other))
         return NotImplemented
 
     def __rmul__(self, other):
         if np.isscalar(other):
-            return Operator(self.layout, self._matrix * complex(other))
+            return Operator(self.layout, self.matrix * complex(other))
         return NotImplemented
 
     def __truediv__(self, other):
         if np.isscalar(other):
-            return Operator(self.layout, self._matrix / complex(other))
+            return Operator(self.layout, self.matrix / complex(other))
         return NotImplemented
 
     def __neg__(self):
-        return Operator(self.layout, -self._matrix)
+        return Operator(self.layout, -self.matrix)
 
     def __repr__(self) -> str:
         return f"Operator({self.layout!r})"

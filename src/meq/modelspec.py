@@ -575,6 +575,13 @@ def _as_operator(value, layout: SpaceLayout) -> Operator:
     return complex(value) * identity_operator(layout)
 
 
+def _check_finite(value, what: str, pos: tuple[int, int], part: str = "its value") -> None:
+    """Refuse an overflowing value of a model expression at its position."""
+    if not np.isfinite(value).all():
+        raise ModelSemanticError(f"{what} expression overflows: {part} has a non-finite entry",
+                                 *pos)
+
+
 def document_environment(doc: ModelDocument) -> tuple[SpaceLayout, dict]:
     """Evaluate every binding; returns the layout and the name -> value map."""
     layout = SpaceLayout(doc.spaces)
@@ -591,17 +598,25 @@ def build_model(
 
     ``environment`` is this document's :func:`document_environment`, for a
     caller that has already evaluated the bindings; without it they are
-    evaluated here.
+    evaluated here.  A Hamiltonian or jump operator with a non-finite entry,
+    or a channel whose 2 rate J^dag J overflows (it bounds the channel's
+    entries of L), raises :class:`ModelSemanticError` at its expression.
     """
     layout, env = environment if environment is not None else document_environment(doc)
-    h_value = _evaluate(doc.hamiltonian, layout, env)
-    h_op = _as_operator(h_value, layout)
+    h_op = _as_operator(_evaluate(doc.hamiltonian, layout, env), layout)
+    _check_finite(h_op.matrix, "hamiltonian", doc.hamiltonian.pos)
     if not h_op.is_hermitian(tol=1e-12):
         raise ModelSemanticError("hamiltonian expression is not Hermitian", *doc.hamiltonian.pos)
-    dissipators = [
-        (rate, _as_operator(_evaluate(expr, layout, env), layout))
-        for rate, expr in doc.dissipators
-    ]
+    dissipators = []
+    for rate, expr in doc.dissipators:
+        jump = _as_operator(_evaluate(expr, layout, env), layout)
+        _check_finite(jump.matrix, "jump operator", expr.pos)
+        # L holds rate J^dag J and 2 rate conj(J) (x) J, whose entries are at
+        # most 2 rate max|J|^2 <= 2 rate max diag(J^dag J)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _check_finite(2.0 * rate * (jump.matrix.conj().T @ jump.matrix), "dissipator",
+                          expr.pos, f"2 times rate {rate:g} times J^dag J")
+        dissipators.append((rate, jump))
     return LindbladModel(h_op, dissipators)
 
 

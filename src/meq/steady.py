@@ -55,6 +55,7 @@ import scipy.sparse.linalg as spla
 
 from .hilbert import Operator
 from .superspace import (
+    _ARPACK_MIN_RESTART,
     CapacityError,
     RouteChoice,
     SuperOperator,
@@ -116,6 +117,8 @@ _STATE_GAP_TOL = 1e-6
 # A GMRES solution x (trace 1) with ||L x||_inf above this times
 # ||L||_inf is refused.
 _RESIDUAL_TOL = 1e-10
+# The steady routes a caller may request, and the function that runs each.
+_ROUTES = {"dense": "steady_dense", "sparse": "steady_sparse", "solve": "steady_linsolve"}
 
 
 class DegeneracyError(RuntimeError):
@@ -249,12 +252,12 @@ def _eigenvector_state(liouv: SuperOperator, method: str) -> SteadyStateResult:
 
 
 def _arpack_params(n: int, k: int) -> dict:
-    # deterministic start vector; restart dimension 40, or 3k for k > 13, at most n
+    # deterministic start vector; restart dimension max(3k, 40), at most n
     return {
         "v0": np.ones(n) / np.sqrt(n),
         "tol": 1e-12,
         "maxiter": 10 * n,
-        "ncv": min(n, max(3 * k, 40)),
+        "ncv": min(n, max(3 * k, _ARPACK_MIN_RESTART)),
     }
 
 
@@ -526,13 +529,13 @@ def _gmres_state(liouv: SuperOperator, norm: float, diagnostics: dict) -> np.nda
     check_level = int(populations.argmin())
     check, check_iterations, _ = _replaced_gmres(liouv, precondition, check_level, gamma)
     residual = max(float(np.abs(liouv.apply(x)).max()) for x in (first, check))
-    if residual > _RESIDUAL_TOL * norm:
+    if not residual <= _RESIDUAL_TOL * norm:  # also catches NaN
         raise ConvergenceError(
             f"GMRES solution has residual {residual:.2e}, above "
             f"{_RESIDUAL_TOL:g} times ||L||_inf = {norm:.3e}"
         )
     difference = float(np.abs(first - check).max())
-    if difference > _STATE_GAP_TOL:
+    if not difference <= _STATE_GAP_TOL:
         raise DegeneracyError(
             f"two replaced rows gave steady states {difference:.2e} apart "
             f"(tolerance {_STATE_GAP_TOL:g}); degenerate kernel"
@@ -551,20 +554,21 @@ def _gmres_state(liouv: SuperOperator, norm: float, diagnostics: dict) -> np.nda
 
 
 def steady_state(liouv: SuperOperator, method: str | None = None) -> SteadyStateResult:
-    """The steady state on the route :func:`choose_route` picks or ``method``
-    requests; the result's ``policy`` records the choice."""
-    policy = choose_route("steady", liouv.dim, method=method)
-    # routes are looked up at call time, so wrappers set on this module see the call
-    if policy.route == "dense":
-        result = steady_dense(liouv)
-    elif policy.route == "sparse":
-        result = steady_sparse(liouv)
+    """The steady state by the paper's row-replacement solve, or on the route
+    ``method`` requests ("dense", "sparse" or "solve"); the result's
+    ``policy`` records the choice."""
+    if method is None:
+        policy = RouteChoice("solve", "steady: the row-replacement solve at every n")
+    elif method in _ROUTES:
+        policy = RouteChoice(method, "requested")
     else:
-        result = steady_linsolve(liouv)
+        raise ValueError(f"method must be {' or '.join(map(repr, _ROUTES))}, got {method!r}")
+    # routes are looked up at call time, so wrappers set on this module see the call
+    result = globals()[_ROUTES[policy.route]](liouv)
     return replace(result, policy=policy)
 
 
-def spectrum(liouv: SuperOperator, k: int, method: str | None = None) -> SpectrumResult:
+def spectrum(liouv: SuperOperator, k: int) -> SpectrumResult:
     """The k eigenvalues of largest real part, sorted descending.
 
     A trace-preserving generator has the eigenvalue 0 exactly, and the rest
@@ -585,13 +589,13 @@ def spectrum(liouv: SuperOperator, k: int, method: str | None = None) -> Spectru
     tolerance of 0) has a positive imaginary part.  The spectrum of the real
     R|W is closed under conjugation, so when the k-th value's partner is not
     among the first k the pair is split at the cut, and its +imag member is
-    returned (ARPACK may have converged to either).  Without ``method``
-    :func:`choose_route` picks; ARPACK needs k < n - 1.
+    returned (ARPACK may have converged to either).  :func:`choose_route`
+    picks the route.
     """
     n = liouv.dim
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range [1, {n}]")
-    policy = choose_route("spectrum", n, k, method)
+    policy = choose_route("spectrum", n, k)
 
     restricted = _trace_zero_generator(liouv, dense=policy.route == "dense")
     scale = liouv.norm_inf() or 1.0
@@ -636,7 +640,7 @@ def spectrum(liouv: SuperOperator, k: int, method: str | None = None) -> Spectru
                           diagnostics=diagnostics)
 
 
-def check_uniqueness(liouv: SuperOperator, method: str | None = None) -> GapReport:
+def check_uniqueness(liouv: SuperOperator) -> GapReport:
     """Verify the kernel is one-dimensional from the two leading eigenvalues.
 
     These are :func:`spectrum`'s exact 0 and the leading eigenvalue of R on
@@ -647,7 +651,7 @@ def check_uniqueness(liouv: SuperOperator, method: str | None = None) -> GapRepo
     minus the tolerance.  A one-level model has no second eigenvalue.
     """
     tol = _GAP_TOL * (liouv.norm_inf() or 1.0)
-    lead = spectrum(liouv, min(2, liouv.dim), method=method).eigenvalues
+    lead = spectrum(liouv, min(2, liouv.dim)).eigenvalues
     lam0 = complex(lead[0])
     lam1 = complex(lead[1]) if lead.size > 1 else None
     unique = abs(lam0.real) < tol and (lam1 is None or lam1.real < -tol)

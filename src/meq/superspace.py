@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -60,23 +61,20 @@ __all__ = [
 # (1.6 GB of complex entries, before any LAPACK workspace).
 _DENSE_CAPACITY = 10_000
 
-# Route policy crossovers: the superspace dimension n from which each task's
-# sparse route beats its dense one (medians at one BLAS thread; the README
-# lists the measurements).  Spectra with k above _SPARSE_SPECTRUM_MAX_K stay
-# dense while they fit, although ARPACK (restart dimension max(3k, 40)) won
-# for k <= 30 from n = 576; no benchmark runs k > 10 (README, spectrum policy).
-_SPARSE_FROM = {"spectrum": 200, "linsolve": 400, "evolve": 150}
-_SPARSE_SPECTRUM_MAX_K = 10
+# Route policy crossovers: the superspace dimension n from which the sparse
+# LU and the Taylor propagation beat their dense routes (medians at one BLAS
+# thread; the README lists the measurements).  Propagation stays dense from
+# there while L has n^2 / 4 nonzeros or more, where dense expm won up to
+# n = 900.  ARPACK spectra run from _ARPACK_MARGIN times their restart
+# dimension max(3(k - 1), 40) on the deflated problem (steady._arpack_params),
+# n = 200 for every k <= 14.
+_SPARSE_FROM = {"linsolve": 400, "evolve": 150}
+_ARPACK_MARGIN = 5
+_ARPACK_MIN_RESTART = 40
 # The row-replaced system is solved by GMRES from this n on, by LU below it:
 # the LU solve beat GMRES up to n = 576 and lost to it from n = 1296 (README
 # lists medians).
 _GMRES_FROM = 1024
-# The routes a caller may request per task; the solve picks its own by n.
-_REQUESTABLE = {
-    "steady": ("dense", "sparse", "solve"),
-    "spectrum": ("dense", "sparse"),
-    "evolve": ("dense", "sparse"),
-}
 # Imaginary parts of T^dag L T up to this times max(1, ||L||_inf) are rounding;
 # LindbladModel admits Hamiltonians with Hermiticity defects of 1e-12 relative.
 _HERMITIAN_TOL = 1e-10
@@ -106,67 +104,56 @@ class RouteChoice(NamedTuple):
     reason: str
 
 
-def choose_route(
-    task: str, n: int, k: int | None = None, method: str | None = None
-) -> RouteChoice:
-    """The one dense-versus-sparse policy for superspace computations.
+def choose_route(task: str, n: int, k: int | None = None, nnz: int | None = None) -> RouteChoice:
+    """The one dense-versus-sparse size policy for superspace computations.
 
-    ``task`` is "steady" (the row-replacement "solve" route at every n),
-    "spectrum" (``k`` leading eigenvalues), "linsolve" (the solve route's
-    dense or sparse LU, or "gmres" from :data:`_GMRES_FROM`) or "evolve"
-    (propagation); ``n`` is the superspace dimension.  A caller's ``method``
-    (steady: "dense", "sparse" or "solve"; spectrum and evolve: "dense" or
-    "sparse") is checked and returned as requested, except that a sparse
-    spectrum with k >= n - 1, which ARPACK cannot compute, runs dense.
+    ``task`` is "spectrum" (``k`` leading eigenvalues), "linsolve" (the
+    steady solve's dense or sparse LU, or "gmres" from :data:`_GMRES_FROM`)
+    or "evolve" (propagation of a generator with ``nnz`` nonzeros); ``n`` is
+    the superspace dimension.  Spectra run ARPACK from n = 5 max(3(k - 1), 40),
+    and above the dense capacity whenever it can (k < n - 1).  Propagation is
+    sparse from n = 150 unless L has n^2 / 4 nonzeros or more and fits the
+    dense capacity.  The reason names the input that decided.
     """
-    if method is not None:
-        allowed = _REQUESTABLE[task]
-        if method not in allowed:
-            raise ValueError(f"method must be {' or '.join(map(repr, allowed))}, got {method!r}")
-        if not (task == "spectrum" and method == "sparse" and k >= n - 1):
-            return RouteChoice(method, "requested")
-    if task == "steady":
-        return RouteChoice("solve", "steady: the row-replacement solve at every n")
     if task == "linsolve" and n >= _GMRES_FROM:
         return RouteChoice("gmres", f"linsolve: n={n} >= {_GMRES_FROM}")
-    threshold = _SPARSE_FROM[task]
     if task == "spectrum":
-        if k >= n - 1:
-            return RouteChoice("dense", f"spectrum: k={k} >= n-1={n - 1}, ARPACK needs k < n-1")
-        if k > _SPARSE_SPECTRUM_MAX_K and n <= _DENSE_CAPACITY:
-            return RouteChoice("dense", f"spectrum: k={k} > {_SPARSE_SPECTRUM_MAX_K}")
-    if n >= threshold:
-        return RouteChoice("sparse", f"{task}: n={n} >= {threshold}")
-    return RouteChoice("dense", f"{task}: n={n} < {threshold}")
+        restart = 3 * (k - 1)
+        cut = _ARPACK_MARGIN * max(restart, _ARPACK_MIN_RESTART)
+        suffix = f" for k={k}" if restart > _ARPACK_MIN_RESTART else ""
+        if cut > n > _DENSE_CAPACITY and k < n - 1:  # ARPACK is the route that fits
+            return RouteChoice("sparse", f"spectrum: n={n} > dense capacity {_DENSE_CAPACITY}")
+    else:
+        cut, suffix = _SPARSE_FROM[task], ""
+        if task == "evolve" and cut <= n <= _DENSE_CAPACITY and 4 * nnz >= n * n:
+            return RouteChoice("dense", f"evolve: nnz={nnz} >= n^2/4, n={n}")
+    if n >= cut:
+        return RouteChoice("sparse", f"{task}: n={n} >= {cut}{suffix}")
+    return RouteChoice("dense", f"{task}: n={n} < {cut}{suffix}")
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class SuperOperator:
     """A d^2 x d^2 matrix acting on vectorized operators, stored as CSR, and
     the d x d no-jump generator K = -i H_eff it was built with: L cannot give
     K back, and the GMRES of the steady solve preconditions with it."""
 
-    __slots__ = ("layout", "_matrix", "no_jump")
+    layout: SpaceLayout
+    matrix: sp.csr_array
+    no_jump: np.ndarray
 
     __array_ufunc__ = None
 
-    def __init__(self, layout: SpaceLayout, matrix, no_jump):
-        d = layout.total_dim
-        matrix = sp.csr_array(matrix, dtype=complex)
+    def __post_init__(self):
+        d = self.layout.total_dim
+        matrix = sp.csr_array(self.matrix, dtype=complex)
         if matrix.shape != (d * d, d * d):
             raise ValueError(f"superoperator shape {matrix.shape} does not match d^2 = {d * d}")
-        no_jump = np.array(no_jump, dtype=complex)
+        no_jump = np.array(self.no_jump, dtype=complex)
         if no_jump.shape != (d, d):
             raise ValueError(f"no-jump generator shape {no_jump.shape} does not match d = {d}")
-        object.__setattr__(self, "layout", layout)
-        object.__setattr__(self, "_matrix", matrix)
+        object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "no_jump", no_jump)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SuperOperator is immutable")
-
-    @property
-    def matrix(self) -> sp.csr_array:
-        return self._matrix
 
     @property
     def dim(self) -> int:
@@ -176,28 +163,29 @@ class SuperOperator:
     def to_dense(self) -> np.ndarray:
         """Dense copy, refused with :class:`CapacityError` above the dense capacity."""
         check_dense_capacity(self.dim)
-        return self._matrix.toarray()
+        return self.matrix.toarray()
 
     def apply(self, vec) -> np.ndarray:
         """Matrix-vector product on a column-stacked operator of length d^2."""
-        return self._matrix @ np.asarray(vec, dtype=complex)
+        return self.matrix @ np.asarray(vec, dtype=complex)
 
     def norm_inf(self) -> float:
         """Matrix infinity norm (max absolute row sum)."""
-        return float(np.abs(self._matrix).sum(axis=1).max()) if self.dim else 0.0
+        return float(np.abs(self.matrix).sum(axis=1).max()) if self.dim else 0.0
 
     def __mul__(self, other):
         if np.isscalar(other):
             other = complex(other)
-            return SuperOperator(self.layout, self._matrix * other, self.no_jump * other)
+            return SuperOperator(self.layout, self.matrix * other, self.no_jump * other)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __repr__(self) -> str:
-        return f"SuperOperator({self.layout!r}, dim={self.dim}, nnz={self._matrix.nnz})"
+        return f"SuperOperator({self.layout!r}, dim={self.dim}, nnz={self.matrix.nnz})"
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class LindbladModel:
     """A Hamiltonian plus a list of (rate, jump operator) dissipation channels.
 
@@ -207,17 +195,14 @@ class LindbladModel:
     coherent evolution).
     """
 
-    __slots__ = ("hamiltonian", "dissipators")
+    hamiltonian: Operator
+    dissipators: Iterable[tuple[float, Operator]] = ()
 
-    def __init__(
-        self,
-        hamiltonian: Operator,
-        dissipators: Iterable[tuple[float, Operator]] = (),
-    ):
-        dissipators = tuple((float(rate), jump) for rate, jump in dissipators)
-        if not hamiltonian.is_hermitian(tol=1e-12):
+    def __post_init__(self):
+        dissipators = tuple((float(rate), jump) for rate, jump in self.dissipators)
+        if not self.hamiltonian.is_hermitian(tol=1e-12):
             raise ValueError("hamiltonian is not Hermitian (defect above 1e-12)")
-        layout = hamiltonian.layout
+        layout = self.hamiltonian.layout
         for rate, jump in dissipators:
             if not np.isfinite(rate):
                 raise ValueError(f"dissipation rate must be finite, got {rate}")
@@ -225,11 +210,7 @@ class LindbladModel:
                 raise ValueError(f"dissipation rate must be > 0, got {rate}")
             if jump.layout != layout:
                 raise LayoutMismatchError("jump operator layout differs from hamiltonian")
-        object.__setattr__(self, "hamiltonian", hamiltonian)
         object.__setattr__(self, "dissipators", dissipators)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LindbladModel is immutable")
 
     @property
     def layout(self) -> SpaceLayout:
@@ -459,8 +440,11 @@ def _to_coordinates(rho: np.ndarray) -> np.ndarray:
 
 
 def _lowest_eigenvalue(rho: np.ndarray, what: str, error: type[Exception]) -> float:
-    """The smallest eigenvalue of a Hermitian rho; below -_POSITIVITY_TOL it
-    raises ``error``, naming the state ``what``."""
+    """The smallest eigenvalue of a Hermitian rho; below -_POSITIVITY_TOL, or
+    for a rho with a non-finite entry, it raises ``error``, naming the state
+    ``what``."""
+    if not np.isfinite(rho).all():
+        raise error(f"{what} has a non-finite entry; it is not a density matrix")
     lowest = float(np.linalg.eigvalsh(rho).min())
     if lowest < -_POSITIVITY_TOL:
         raise error(f"{what} has eigenvalue {lowest:.3e}, below -{_POSITIVITY_TOL:g}; "

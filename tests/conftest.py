@@ -12,6 +12,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 settings.register_profile("meq", derandomize=True, deadline=None)
 settings.load_profile("meq")
 
+from helpers import force_route
 from meq.modelspec import CascadeParams, cascade_document, cascade_model, document_environment
 from meq.steady import spectrum, steady_dense, steady_linsolve, steady_sparse
 from meq.superspace import build_liouvillian
@@ -60,4 +61,7 @@ def cascade_solve(cascade_liouvillian):
 
 @pytest.fixture(scope="session")
 def cascade_top5(cascade_liouvillian):
-    return spectrum(cascade_liouvillian, 5, method="dense")
+    """The top 5 of the benchmark spectrum on the dense route."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        force_route(monkeypatch, "spectrum", "dense")
+        return spectrum(cascade_liouvillian, 5)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from meq.hilbert import Operator, SpaceLayout
-from meq.superspace import LindbladModel, RouteChoice
+from meq.superspace import LindbladModel, RouteChoice, choose_route
 
 
 def random_hermitian(rng, d):
@@ -38,10 +38,17 @@ STEADY_ROUTES = {
 }
 
 
-def force_linsolve_route(monkeypatch, route):
-    """Make :func:`meq.steady.steady_linsolve` take its ``route`` branch ("dense",
-    "sparse" or "gmres") at any size, with the policy reason "forced"."""
-    monkeypatch.setattr("meq.steady.choose_route", lambda task, n, k=None: RouteChoice(route, "forced"))
+def force_route(monkeypatch, task, route):
+    """Make :mod:`meq.steady` and :mod:`meq.dynamics` take ``route`` for ``task``
+    ("linsolve", "spectrum" or "evolve") at any size, with the policy reason
+    "forced"; every other task keeps the size policy."""
+    def forced(this_task, n, k=None, nnz=None):
+        if this_task == task:
+            return RouteChoice(route, "forced")
+        return choose_route(this_task, n, k, nnz)
+
+    for module in ("meq.steady", "meq.dynamics"):
+        monkeypatch.setattr(f"{module}.choose_route", forced)
 
 
 def steady_gmres(liouv):
@@ -49,7 +56,7 @@ def steady_gmres(liouv):
     from meq import steady
 
     with pytest.MonkeyPatch.context() as monkeypatch:
-        force_linsolve_route(monkeypatch, "gmres")
+        force_route(monkeypatch, "linsolve", "gmres")
         return steady.steady_linsolve(liouv)
 
 

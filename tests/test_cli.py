@@ -152,6 +152,29 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == f"meq: error: model: {position}: number out of range '1e400'\n"
 
+    # finite literals whose products overflow: scipy's "array must not contain
+    # infs or NaNs" as a usage error, or a Hamiltonian called non-Hermitian
+    @pytest.mark.parametrize("command", [
+        ["steady"], ["steady", "--method", "dense"], ["steady", "--method", "sparse"],
+        ["steady", "--method", "solve"], ["spectrum", "-k", "2"],
+    ])
+    def test_overflowing_dissipator_is_model_error(self, model_file, command):
+        # 2 rate J^dag J = 2 * 1e300 * 1e20
+        path = model_file("spaces:\n  q 2\nhamiltonian:\n  0.5*(trans(q,1,2) + trans(q,2,1))\n"
+                          "dissipators:\n  1e300 , 1e10*trans(q,1,2)\n")
+        code, out, err = invoke([command[0], path, *command[1:]])
+        assert (code, out) == (2, "")
+        assert err.startswith("meq: error: model: line 6, column 15: dissipator expression "
+                              "overflows: 2 times rate 1e+300 times J^dag J has a non-finite entry")
+
+    def test_overflowing_hamiltonian_is_model_error(self, model_file):
+        path = model_file("spaces:\n  q 2\ndefine:\n  x = 1e200*(trans(q,1,2) + trans(q,2,1))\n"
+                          "hamiltonian:\n  x*x\ndissipators:\n  1 , trans(q,1,2)\n")
+        code, out, err = invoke(["steady", path])
+        assert (code, out) == (2, "")
+        assert err == ("meq: error: model: line 6, column 4: hamiltonian expression "
+                       "overflows: its value has a non-finite entry\n")
+
     @pytest.mark.parametrize("command", [
         ["steady", "{path}"], ["evolve", "{path}", "--times", "0,1"], ["cascade", *SMALL_CASCADE],
     ])
@@ -428,6 +451,18 @@ class TestEvolveCommand:
         assert code == 3 and out == ""
         assert "error: numerical" in err and "not a density matrix" in err
 
+    def test_huge_gap_on_the_dense_route_exits_numerical(self, model_file):
+        # expm(R 1e200) is NaN: the state check refuses it instead of writing NaN
+        code, out, err = invoke(["evolve", model_file(DRIVEN_QUBIT), "--times", "1e200"])
+        assert code == 3 and out == ""
+        assert "error: numerical" in err and "non-finite entry" in err
+
+    def test_huge_gap_on_the_taylor_route_exits_numerical(self):
+        # superspace 324: the step count of a gap of 1e308 overflows
+        code, out, err = invoke(["cascade", "--na", "2", "--nb", "1", "--times", "1e308"])
+        assert code == 3 and out == ""
+        assert "error: numerical" in err and "time gap 1e+308" in err
+
 
 class TestReductionCommands:
     def test_ptrace_product_steady_state(self, model_file):
@@ -563,10 +598,11 @@ class TestCascadeCommand:
         assert record["method"] == record["results"]["policy"]["route"] == "dense"
 
     def test_method_is_the_route_that_ran(self):
-        # superspace 225: ARPACK by size, but k = 224 >= n - 1 forces eigvals
+        # superspace 225: ARPACK for k <= 14, but k = 224 puts the cut at
+        # 5 * 3(k - 1) = 3345, which also keeps every k >= n - 1 dense
         record = invoke_record(["cascade", "--na", "4", "--nb", "0", "-k", "224"])
         assert record["method"] == "dense"
-        assert record["results"]["policy"]["reason"] == "spectrum: k=224 >= n-1=224, ARPACK needs k < n-1"
+        assert record["results"]["policy"]["reason"] == "spectrum: n=225 < 3345 for k=224"
         record = invoke_record(["cascade", "--na", "4", "--nb", "0", "-k", "3"])
         assert record["method"] == "sparse"
         record = invoke_record(["cascade", *SMALL_CASCADE, "--times", "0,1"])

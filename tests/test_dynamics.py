@@ -7,7 +7,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from helpers import random_density, random_model, single_space
+from helpers import force_route, random_density, random_model, single_space
 from meq import dynamics
 from meq.dynamics import PropagationError, Trajectory, evolve_trajectory
 from meq.hilbert import LayoutMismatchError, Operator, transition
@@ -35,22 +35,24 @@ def excited_state():
 
 
 class TestEvolve:
-    def test_zero_time_is_identity(self):
+    def test_zero_time_is_identity(self, monkeypatch):
         rho0 = excited_state()
         for method in ("dense", "sparse"):
-            state = evolve_trajectory(qubit_decay_liouvillian(), rho0, [0.0], method).states[0]
+            force_route(monkeypatch, "evolve", method)
+            state = evolve_trajectory(qubit_decay_liouvillian(), rho0, [0.0]).states[0]
             assert np.array_equal(state.to_dense(), rho0.to_dense())
 
     @pytest.mark.parametrize("method", ["dense", "sparse"])
     @pytest.mark.parametrize("t", [0.3, 1.0, 2.5])
-    def test_exponential_decay(self, method, t):
+    def test_exponential_decay(self, monkeypatch, method, t):
         rate = 1.0
         liouv = qubit_decay_liouvillian(rate)
-        rho_t = evolve_trajectory(liouv, excited_state(), [t], method).states[0].to_dense()
+        force_route(monkeypatch, "evolve", method)
+        rho_t = evolve_trajectory(liouv, excited_state(), [t]).states[0].to_dense()
         assert rho_t[1, 1].real == pytest.approx(np.exp(-2 * rate * t), abs=1e-9)
         assert rho_t[0, 0].real == pytest.approx(1 - np.exp(-2 * rate * t), abs=1e-9)
 
-    def test_krylov_matches_dense_expm(self):
+    def test_krylov_matches_dense_expm(self, monkeypatch):
         rng = np.random.default_rng(60)
         for seed in range(3):
             model = random_model(rng, 4, 2)
@@ -58,7 +60,8 @@ class TestEvolve:
             rho0 = Operator(model.layout, random_density(rng, 4))
             t = 0.8
             direct = scipy.linalg.expm(liouv.to_dense() * t) @ rho0.to_dense().ravel(order="F")
-            state = evolve_trajectory(liouv, rho0, [t], "sparse").states[0]
+            force_route(monkeypatch, "evolve", "sparse")
+            state = evolve_trajectory(liouv, rho0, [t]).states[0]
             sparse = state.to_dense().ravel(order="F")
             assert np.abs(direct - sparse).max() < 1e-8
 
@@ -66,13 +69,14 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve_trajectory(qubit_decay_liouvillian(), excited_state(), [-1.0])
 
-    def test_trace_and_hermiticity_preserved(self):
+    def test_trace_and_hermiticity_preserved(self, monkeypatch):
         rng = np.random.default_rng(61)
         model = random_model(rng, 3, 1)
         liouv = build_liouvillian(model)
         rho0 = Operator(model.layout, random_density(rng, 3))
         for method in ("dense", "sparse"):
-            rho_t = evolve_trajectory(liouv, rho0, [2.0], method).states[0].to_dense()
+            force_route(monkeypatch, "evolve", method)
+            rho_t = evolve_trajectory(liouv, rho0, [2.0]).states[0].to_dense()
             assert abs(np.trace(rho_t) - 1) < 1e-10
             assert np.abs(rho_t - rho_t.conj().T).max() < 1e-10
 
@@ -144,9 +148,10 @@ class TestTrajectory:
 
     @pytest.mark.parametrize("method", ["dense", "sparse"])
     @pytest.mark.parametrize("times", [[np.nan], [1.0, np.nan], [np.inf], [0.5, np.inf]])
-    def test_rejects_non_finite_times(self, method, times):
+    def test_rejects_non_finite_times(self, monkeypatch, method, times):
+        force_route(monkeypatch, "evolve", method)
         with pytest.raises(ValueError, match="times must be finite"):
-            evolve_trajectory(qubit_decay_liouvillian(), excited_state(), times, method)
+            evolve_trajectory(qubit_decay_liouvillian(), excited_state(), times)
 
     def test_trajectory_type_checks_lengths(self):
         with pytest.raises(ValueError):
@@ -162,7 +167,7 @@ class TestCascadeRelaxation:
         # sparse and dense steady states agree to 1e-8, see acceptance)
         layout = cascade_liouvillian.layout
         rho0 = Operator(layout, np.eye(layout.total_dim) / layout.total_dim)
-        evolved = evolve_trajectory(cascade_liouvillian, rho0, [10.0], "sparse").states[0]
+        evolved = evolve_trajectory(cascade_liouvillian, rho0, [10.0]).states[0]  # Taylor by size
         from meq.measures import expectation
 
         for label in ("s11", "s22", "s33", "n_a", "n_b"):
@@ -173,17 +178,18 @@ class TestCascadeRelaxation:
 
 
 class TestKrylovStepping:
-    def test_stiff_generator_substeps(self):
+    def test_stiff_generator_substeps(self, monkeypatch):
         # fast decay plus slow drive: stiffness forces several substeps
         layout = single_space(2, "q")
         hamiltonian = Operator(layout, 0.1 * (transition(2, 1, 2) + transition(2, 2, 1)))
         jump = Operator(layout, transition(2, 1, 2))
         liouv = build_liouvillian(LindbladModel(hamiltonian, [(50.0, jump)]))
-        rho_t = evolve_trajectory(liouv, excited_state(), [3.0], "sparse").states[0].to_dense()
+        force_route(monkeypatch, "evolve", "sparse")
+        rho_t = evolve_trajectory(liouv, excited_state(), [3.0]).states[0].to_dense()
         direct = scipy.linalg.expm(liouv.to_dense() * 3.0) @ excited_state().to_dense().ravel(order="F")
         assert np.abs(rho_t.ravel(order="F") - direct).max() < 1e-8
 
-    def test_stiff_random_generator_matches_complex_expm(self):
+    def test_stiff_random_generator_matches_complex_expm(self, monkeypatch):
         # rates of 20-200 against times up to 3: ||L t||_inf reaches the
         # thousands, so expm_multiply needs many steps of its own
         rng = np.random.default_rng(66)
@@ -194,19 +200,21 @@ class TestKrylovStepping:
         assert liouv.norm_inf() > 500
         rho0 = Operator(model.layout, random_density(rng, 4))
         times = [0.001, 0.01, 0.5, 3.0]
-        trajectory = evolve_trajectory(liouv, rho0, times, method="sparse")
+        force_route(monkeypatch, "evolve", "sparse")
+        trajectory = evolve_trajectory(liouv, rho0, times)
         for t, state in zip(times, trajectory.states):
             direct = scipy.linalg.expm(liouv.to_dense() * t) @ rho0.to_dense().ravel(order="F")
             assert np.abs(state.to_dense().ravel(order="F") - direct).max() < 1e-8
 
-    def test_sparse_storage_generator(self):
+    def test_sparse_storage_generator(self, monkeypatch):
         layout = single_space(2, "q")
         jump = Operator(layout, transition(2, 1, 2))
         liouv = build_liouvillian(
             LindbladModel(Operator(layout, np.zeros((2, 2))), [(1.0, jump)])
         )
         assert isinstance(liouv.matrix, sp.csr_array)
-        rho_t = evolve_trajectory(liouv, excited_state(), [1.0], "sparse").states[0].to_dense()
+        force_route(monkeypatch, "evolve", "sparse")
+        rho_t = evolve_trajectory(liouv, excited_state(), [1.0]).states[0].to_dense()
         assert rho_t[1, 1].real == pytest.approx(np.exp(-2.0), abs=1e-9)
 
 
@@ -214,21 +222,23 @@ class TestStateChecks:
     """Propagation needs a Hermitian initial state and returns density matrices."""
 
     @pytest.mark.parametrize("method", ["dense", "sparse"])
-    def test_rejects_non_hermitian_initial_state(self, method):
+    def test_rejects_non_hermitian_initial_state(self, monkeypatch, method):
         layout = single_space(2, "q")
         rho0 = Operator(layout, np.array([[0.5, 0.1], [0.0, 0.5]]))
+        force_route(monkeypatch, "evolve", method)
         with pytest.raises(ValueError, match="not Hermitian"):
-            evolve_trajectory(qubit_decay_liouvillian(), rho0, [0.0, 1.0], method=method)
+            evolve_trajectory(qubit_decay_liouvillian(), rho0, [0.0, 1.0])
 
     @pytest.mark.parametrize("method", ["dense", "sparse"])
-    def test_rejects_negative_initial_state(self, method):
+    def test_rejects_negative_initial_state(self, monkeypatch, method):
         layout = single_space(2, "q")
         rho0 = Operator(layout, np.diag([1.0 + 1e-7, -1e-7]))
+        force_route(monkeypatch, "evolve", method)
         with pytest.raises(ValueError, match="not a density matrix"):
-            evolve_trajectory(qubit_decay_liouvillian(), rho0, [1.0], method=method)
+            evolve_trajectory(qubit_decay_liouvillian(), rho0, [1.0])
         # rounding-sized negative eigenvalues pass
         rho0 = Operator(layout, np.diag([1.0 + 1e-9, -1e-9]))
-        evolve_trajectory(qubit_decay_liouvillian(), rho0, [1.0], method=method)
+        evolve_trajectory(qubit_decay_liouvillian(), rho0, [1.0])
 
     def test_rejects_state_on_another_layout(self):
         rho0 = Operator(single_space(2, "p"), np.diag([1.0, 0.0]))
@@ -236,58 +246,74 @@ class TestStateChecks:
             evolve_trajectory(qubit_decay_liouvillian(), rho0, [1.0])
 
     @pytest.mark.parametrize("method", ["dense", "sparse"])
-    def test_min_eigenvalues_recorded(self, method):
+    def test_min_eigenvalues_recorded(self, monkeypatch, method):
         rng = np.random.default_rng(67)
         model = random_model(rng, 3, 2)
         liouv = build_liouvillian(model)
         rho0 = Operator(model.layout, random_density(rng, 3))
-        trajectory = evolve_trajectory(liouv, rho0, [0.0, 0.5, 0.5, 2.0], method=method)
+        force_route(monkeypatch, "evolve", method)
+        trajectory = evolve_trajectory(liouv, rho0, [0.0, 0.5, 0.5, 2.0])
         assert len(trajectory.min_eigenvalues) == 4
         for state, lowest in zip(trajectory.states, trajectory.min_eigenvalues):
             assert lowest == np.linalg.eigvalsh(state.to_dense()).min()
         assert min(trajectory.min_eigenvalues) > -1e-12
 
     @pytest.mark.parametrize("method", ["dense", "sparse"])
-    def test_traces_recorded(self, method):
+    def test_traces_recorded(self, monkeypatch, method):
         rng = np.random.default_rng(69)
         model = random_model(rng, 3, 2)
         rho0 = Operator(model.layout, random_density(rng, 3))
-        trajectory = evolve_trajectory(build_liouvillian(model), rho0, [0.0, 0.5, 0.5, 2.0],
-                                       method=method)
+        force_route(monkeypatch, "evolve", method)
+        trajectory = evolve_trajectory(build_liouvillian(model), rho0, [0.0, 0.5, 0.5, 2.0])
         assert trajectory.traces == tuple(state.trace() for state in trajectory.states)
         assert max(abs(trace - 1) for trace in trajectory.traces) < 1e-12
 
     @pytest.mark.parametrize("method", ["dense", "sparse"])
-    def test_negative_propagated_state_raises(self, method):
+    def test_negative_propagated_state_raises(self, monkeypatch, method):
         # -L pumps population into the excited state, so rho_11 turns negative
         liouv = -1.0 * qubit_decay_liouvillian()
-        trajectory = evolve_trajectory(liouv, excited_state(), [0.0], method=method)
+        force_route(monkeypatch, "evolve", method)
+        trajectory = evolve_trajectory(liouv, excited_state(), [0.0])
         assert trajectory.min_eigenvalues == (0.0,)
         with pytest.raises(PropagationError, match="t = 0.5 .*not a density matrix"):
-            evolve_trajectory(liouv, excited_state(), [0.5, 1.0], method=method)
+            evolve_trajectory(liouv, excited_state(), [0.5, 1.0])
+
+
+def driven_ladder_model(rng, d):
+    """A driven, damped d-level ladder: L has about 7 n nonzeros, far below n^2 / 4."""
+    layout = single_space(d, "q")
+    ladder = np.diag(np.ones(d - 1), 1)
+    hamiltonian = Operator(layout, ladder + ladder.T + np.diag(rng.uniform(-1, 1, d)))
+    return LindbladModel(hamiltonian, [(1.0, Operator(layout, ladder))])
 
 
 class TestRoutePolicy:
     @pytest.mark.parametrize("d,route", [(12, "dense"), (13, "sparse")])  # n = 144, 169
-    def test_route_by_size(self, d, route):
-        rng = np.random.default_rng(d)
-        model = random_model(rng, d, 1)
+    def test_route_by_size(self, monkeypatch, d, route):
+        self.check_route(monkeypatch, driven_ladder_model(np.random.default_rng(d), d), route)
+
+    @pytest.mark.parametrize("d", [12, 13])
+    def test_dense_generator_stays_dense(self, monkeypatch, d):
+        # nnz(L) = n^2: dense expm was 6-15 times faster than Taylor at n = 169-400
+        self.check_route(monkeypatch, random_model(np.random.default_rng(d), d, 1), "dense")
+
+    @staticmethod
+    def check_route(monkeypatch, model, route):
+        """The policy's route for ``model``, and the other route's states."""
+        d = model.layout.total_dim
         liouv = build_liouvillian(model)
-        rho0 = Operator(model.layout, random_density(rng, d))
+        rho0 = Operator(model.layout, random_density(np.random.default_rng(d), d))
         trajectory = evolve_trajectory(liouv, rho0, [0.0, 0.3, 0.6])
         assert trajectory.policy.route == route
-        assert trajectory.policy == choose_route("evolve", liouv.dim)
-        other = "sparse" if route == "dense" else "dense"
-        reference = evolve_trajectory(liouv, rho0, [0.0, 0.3, 0.6], method=other)
-        assert reference.policy == (other, "requested")
-        for state, expected in zip(trajectory.states, reference.states):
-            assert np.abs(state.to_dense() - expected.to_dense()).max() < 1e-8
+        assert trajectory.policy == choose_route("evolve", liouv.dim, nnz=liouv.matrix.nnz)
         single = evolve_trajectory(liouv, rho0, [0.6]).states[0].to_dense()
         assert np.abs(single - trajectory.states[-1].to_dense()).max() < 1e-8
-
-    def test_rejects_unknown_method(self):
-        with pytest.raises(ValueError):
-            evolve_trajectory(qubit_decay_liouvillian(), excited_state(), [1.0], method="rk4")
+        other = "sparse" if route == "dense" else "dense"
+        force_route(monkeypatch, "evolve", other)
+        reference = evolve_trajectory(liouv, rho0, [0.0, 0.3, 0.6])
+        assert reference.policy == (other, "forced")
+        for state, expected in zip(trajectory.states, reference.states):
+            assert np.abs(state.to_dense() - expected.to_dense()).max() < 1e-8
 
 
 class TestTaylorPlan:
@@ -303,14 +329,15 @@ class TestTaylorPlan:
         [0.01, 0.02, 0.1, 0.6],  # ||R gap||_1 below condition (3.13): no norm estimates
         [1.3, 200.0, 400.0],  # 1300 steps a gap; exp(shift gap) underflows
     ])
-    def test_matches_public_expm_multiply_per_gap(self, cascade_576, times):
+    def test_matches_public_expm_multiply_per_gap(self, monkeypatch, cascade_576, times):
         liouv = cascade_576
         d = liouv.layout.total_dim
         rho0 = Operator(liouv.layout, random_density(np.random.default_rng(68), d))
         real = _real_generator(liouv)
         basis, adjoint = _hermitian_basis(d)
         norm = spla.norm(real, 1)
-        trajectory = evolve_trajectory(liouv, rho0, times, method="sparse")
+        force_route(monkeypatch, "evolve", "sparse")
+        trajectory = evolve_trajectory(liouv, rho0, times)
         previous, x = 0.0, (adjoint @ rho0.to_dense().ravel(order="F")).real
         for t, state in zip(times, trajectory.states):
             gap = t - previous
@@ -328,18 +355,19 @@ class TestTaylorPlan:
             assert set(entry) == {"gap", "taylor_degree", "taylor_steps"}
             assert entry["taylor_steps"] >= 1
 
-    def test_norm_estimates_leave_global_random_state(self, cascade_576):
+    def test_norm_estimates_leave_global_random_state(self, monkeypatch, cascade_576):
         # gap 5 is above condition (3.13), so the plan estimates ||A^p||_1 with
         # onenormest, which draws from numpy's global random state
         liouv = cascade_576
         d = liouv.layout.total_dim
         rho0 = Operator(liouv.layout, random_density(np.random.default_rng(70), d))
         plans = []
+        force_route(monkeypatch, "evolve", "sparse")
         for prior_draws in (0, 7):
             np.random.seed(prior_draws)
             np.random.random(prior_draws)
             state = np.random.get_state()
-            trajectory = evolve_trajectory(liouv, rho0, [0.5, 1.0, 6.0], method="sparse")
+            trajectory = evolve_trajectory(liouv, rho0, [0.5, 1.0, 6.0])
             after = np.random.random(3)
             np.random.set_state(state)
             assert np.array_equal(after, np.random.random(3))
@@ -347,21 +375,23 @@ class TestTaylorPlan:
         assert [entry["gap"] for entry in plans[0]] == [0.5, 5.0]
         assert plans[0] == plans[1]
 
-    def test_dense_route_records_one_expm_per_gap(self):
+    def test_dense_route_records_one_expm_per_gap(self, monkeypatch):
         rng = np.random.default_rng(69)
         model = random_model(rng, 3, 1)
         liouv = build_liouvillian(model)
         rho0 = Operator(model.layout, random_density(rng, 3))
-        trajectory = evolve_trajectory(liouv, rho0, [0.0, 0.5, 1.0, 2.0], method="dense")
+        force_route(monkeypatch, "evolve", "dense")
+        trajectory = evolve_trajectory(liouv, rho0, [0.0, 0.5, 1.0, 2.0])
         assert trajectory.diagnostics == {
             "gaps": [{"gap": 0.5, "expm_calls": 1}, {"gap": 1.0, "expm_calls": 1}]
         }
 
-    def test_zero_generator(self):
+    def test_zero_generator(self, monkeypatch):
         # R = 0: no Taylor terms, the state stays put
         layout = single_space(2, "q")
         liouv = build_liouvillian(LindbladModel(Operator(layout, np.zeros((2, 2)))))
-        trajectory = evolve_trajectory(liouv, excited_state(), [1.0, 3.0], method="sparse")
+        force_route(monkeypatch, "evolve", "sparse")
+        trajectory = evolve_trajectory(liouv, excited_state(), [1.0, 3.0])
         for state in trajectory.states:
             assert np.array_equal(state.to_dense(), excited_state().to_dense())
         assert trajectory.diagnostics["gaps"] == [

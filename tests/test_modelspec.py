@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -247,6 +248,16 @@ class TestErrors:
         doc = parse_model("spaces:\n  q 2\nhamiltonian:\n  trans(q,1,2)\n")
         with pytest.raises(ModelSemanticError):
             build_model(doc)
+
+    @pytest.mark.parametrize("jump,message", [
+        ("1e200*trans(q,1,2)*1e200", "jump operator expression overflows: its value"),
+        ("1e154*trans(q,1,2)", "2 times rate 1 times J^dag J"),  # 2 * 1e308
+    ])
+    def test_overflowing_jump_rejected(self, jump, message):
+        doc = parse_model(f"spaces:\n  q 2\nhamiltonian:\n  0\ndissipators:\n  1 , {jump}\n")
+        with pytest.raises(ModelSemanticError, match=re.escape(message)) as info:
+            build_model(doc)
+        assert info.value.line == 6
 
 
 SPACE_M = "spaces:\n  m 3\n"

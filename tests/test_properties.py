@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from helpers import (
+    force_route,
     ptrace_oracle,
     ptranspose_oracle,
     random_density,
@@ -151,7 +152,9 @@ def test_spectrum_routes_match_complex_eigenvalues(model, k):
     complex_values = np.linalg.eigvals(liouv.to_dense())
     top_real = np.sort(complex_values.real)[::-1][:k]
     for route in ("dense", "sparse"):
-        values = spectrum(liouv, k, route).eigenvalues
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            force_route(monkeypatch, "spectrum", route)
+            values = spectrum(liouv, k).eigenvalues
         assert np.abs(values.real - top_real).max() < tol  # the k largest real parts
         distance = np.abs(values[:, None] - complex_values[None, :])
         rows, cols = linear_sum_assignment(distance)
@@ -168,6 +171,8 @@ def test_propagation_routes_match_complex_expm(model, seed, t):
         scipy.linalg.expm(liouv.to_dense() * time) @ rho0.ravel(order="F") for time in times
     ]
     for route in ("dense", "sparse"):
-        trajectory = evolve_trajectory(liouv, Operator(model.layout, rho0), times, route)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            force_route(monkeypatch, "evolve", route)
+            trajectory = evolve_trajectory(liouv, Operator(model.layout, rho0), times)
         for state, direct in zip(trajectory.states, expected):
             assert np.abs(state.to_dense().ravel(order="F") - direct).max() < 1e-10

@@ -1,10 +1,14 @@
 import itertools
+import random
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from helpers import (
+    force_route,
     random_density,
     random_hermitian,
     random_matrix,
@@ -12,6 +16,7 @@ from helpers import (
     single_space,
 )
 from meq.hilbert import LayoutMismatchError, Operator, SpaceLayout, identity_operator, transition
+from meq.modelspec import CascadeParams, build_model, cascade_model, parse_model
 from meq.superspace import (
     CapacityError,
     LindbladModel,
@@ -241,51 +246,48 @@ class TestSuperOperatorStorage:
         for superop in (small, large):
             assert isinstance(superop.matrix, sp.csr_array)
             assert superop.matrix.nnz == 0  # [I, rho] = 0 stores no entries
-        crossovers = {"spectrum": 200, "linsolve": 400, "evolve": 150}
-        for task, n in crossovers.items():
-            assert choose_route(task, n - 1, k=5) == ("dense", f"{task}: n={n - 1} < {n}")
-            assert choose_route(task, n, k=5) == ("sparse", f"{task}: n={n} >= {n}")
-        # steady states: the row-replacement solve at every n, by LU and then
-        # GMRES; no eigenvector route by default
-        for n in (1, 1023, 1024, 321_489):
-            assert choose_route("steady", n) == ("solve", "steady: the row-replacement solve at every n")
+        for task, n in {"spectrum": 200, "linsolve": 400, "evolve": 150}.items():
+            assert choose_route(task, n - 1, k=5, nnz=n) == ("dense", f"{task}: n={n - 1} < {n}")
+            assert choose_route(task, n, k=5, nnz=n) == ("sparse", f"{task}: n={n} >= {n}")
         assert choose_route("linsolve", 1023) == ("sparse", "linsolve: n=1023 >= 400")
         assert choose_route("linsolve", 1024) == ("gmres", "linsolve: n=1024 >= 1024")
         assert choose_route("linsolve", 321_489).route == "gmres"
-        assert choose_route("spectrum", 2025, k=11).route == "dense"
-        assert choose_route("spectrum", 10_001, k=11).route == "sparse"
-        assert choose_route("spectrum", 4, k=3).route == "dense"  # ARPACK: k < n-1
         with pytest.raises(TypeError):
             choose_route("spectrum", 400)  # the spectrum policy needs k
-        with pytest.raises(KeyError):
-            choose_route("bogus", 400)
+        with pytest.raises(TypeError):
+            choose_route("evolve", 400)  # the propagation policy needs nnz
+        for task in ("steady", "bogus"):  # steady states choose no route by size
+            with pytest.raises(KeyError):
+                choose_route(task, 400)
 
-    def test_requested_routes(self):
-        requestable = {
-            "steady": ("dense", "sparse", "solve"),
-            "spectrum": ("dense", "sparse"),
-            "evolve": ("dense", "sparse"),
-        }
-        for task, methods in requestable.items():
-            for n in (4, 2025, 321_489):
-                for method in methods:
-                    assert choose_route(task, n, k=2, method=method) == (method, "requested")
-            with pytest.raises(ValueError, match="method must be 'dense' or 'sparse'"):
-                choose_route(task, 400, k=2, method="bogus")
-        for task, method in (("spectrum", "solve"), ("evolve", "gmres"), ("steady", "iterative")):
-            with pytest.raises(ValueError):
-                choose_route(task, 400, k=2, method=method)
-        # the LU route picks dense or sparse by n alone
-        with pytest.raises(KeyError):
-            choose_route("linsolve", 400, method="dense")
+    def test_spectrum_cut_is_five_arpack_restart_dimensions(self):
+        # 5 max(3(k - 1), 40): n = 200 for every k <= 14, 210 for k = 15
+        for k in (1, 2, 10, 11, 14):
+            assert choose_route("spectrum", 199, k) == ("dense", "spectrum: n=199 < 200")
+            assert choose_route("spectrum", 200, k) == ("sparse", "spectrum: n=200 >= 200")
+        assert choose_route("spectrum", 209, 15) == ("dense", "spectrum: n=209 < 210 for k=15")
+        assert choose_route("spectrum", 210, 15) == ("sparse", "spectrum: n=210 >= 210 for k=15")
+        assert choose_route("spectrum", 2025, 50) == ("sparse", "spectrum: n=2025 >= 735 for k=50")
+        # k >= n - 1, which ARPACK cannot compute, is always below the cut
+        for n in (4, 200, 225, 10_000):
+            for k in (n - 1, n):
+                assert choose_route("spectrum", n, k).route == "dense"
+        assert choose_route("spectrum", 225, 224).reason == "spectrum: n=225 < 3345 for k=224"
+        # above the dense capacity ARPACK runs while it can
+        assert choose_route("spectrum", 10_001, 700) == (
+            "sparse", "spectrum: n=10001 > dense capacity 10000")
+        assert choose_route("spectrum", 10_001, 10_000).route == "dense"
 
-    def test_requested_sparse_spectrum_needs_k_below_n_minus_1(self):
-        assert choose_route("spectrum", 4, k=2, method="sparse") == ("sparse", "requested")
-        for k in (3, 4):
-            assert choose_route("spectrum", 4, k=k, method="sparse") == (
-                "dense", f"spectrum: k={k} >= n-1=3, ARPACK needs k < n-1"
-            )
-            assert choose_route("spectrum", 4, k=k, method="dense") == ("dense", "requested")
+    def test_evolve_density_cut(self):
+        # from n = 150 a generator with n^2 / 4 nonzeros or more stays dense
+        for n in (150, 400, 10_000):
+            quarter = n * n // 4
+            assert choose_route("evolve", n, nnz=quarter) == (
+                "dense", f"evolve: nnz={quarter} >= n^2/4, n={n}")
+            assert choose_route("evolve", n, nnz=quarter - 1) == ("sparse", f"evolve: n={n} >= 150")
+        assert choose_route("evolve", 149, nnz=149 ** 2) == ("dense", "evolve: n=149 < 150")
+        # above the dense capacity only the Taylor route fits
+        assert choose_route("evolve", 10_201, nnz=10_201 ** 2) == ("sparse", "evolve: n=10201 >= 150")
 
     def test_conversion_exact(self):
         rng = np.random.default_rng(11)
@@ -304,7 +306,7 @@ class TestSuperOperatorStorage:
             SuperOperator(layout, dense, np.eye(2))
         assert rebuilt.norm_inf() == pytest.approx(np.abs(dense).sum(axis=1).max(), abs=1e-12)
 
-    def test_dense_capacity_guard(self):
+    def test_dense_capacity_guard(self, monkeypatch):
         # superspace 77841: a dense copy would need 97 GB
         layout = SpaceLayout([("a", 279)])
         superop = coherent(identity_operator(layout))
@@ -314,16 +316,55 @@ class TestSuperOperatorStorage:
         from meq.dynamics import evolve_trajectory
         from meq.steady import spectrum, steady_dense
 
+        force_route(monkeypatch, "spectrum", "dense")
         with pytest.raises(CapacityError):
-            spectrum(superop, 5, method="dense")
+            spectrum(superop, 5)
         with pytest.raises(CapacityError, match="exceeds the dense capacity 10000"):
             steady_dense(superop)
         rho0 = identity_operator(layout) / 279
+        force_route(monkeypatch, "evolve", "dense")
         with pytest.raises(CapacityError):
-            evolve_trajectory(superop, rho0, [1.0], "dense")
+            evolve_trajectory(superop, rho0, [1.0])
 
     def test_apply_checks_layout(self):
         # a column-stacked operator of another dimension is refused
         liouv = coherent(identity_operator(single_space(2)))
         with pytest.raises(ValueError):
             liouv.apply(np.eye(3).ravel(order="F"))
+
+
+# superspace dimension -> (spectrum route for k = 3 and 5, propagation route) of
+# each model the benchmark runs: sweep-small's 12 shapes at seed 7, then the
+# cascades at n = 324, 2025 and 7056.  nnz(L) / n^2 is 0.28 at n = 16 and at
+# most 0.044 from n = 144, so only n decides.
+BENCHMARK_ROUTES = [
+    (16, "dense", "dense"), (36, "dense", "dense"), (36, "dense", "dense"),
+    (64, "dense", "dense"), (81, "dense", "dense"), (100, "dense", "dense"),
+    (144, "dense", "dense"), (144, "dense", "dense"), (144, "dense", "dense"),
+    (225, "sparse", "sparse"), (256, "sparse", "sparse"), (256, "sparse", "sparse"),
+    (324, "sparse", "sparse"), (2025, "sparse", "sparse"), (7056, "sparse", "sparse"),
+]
+
+
+def benchmark_models():
+    """The models of the benchmark's workloads, built as its harness builds them."""
+    workloads = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"))
+    rng = random.Random(7)
+    models = [build_model(parse_model(workloads["sweep_model_text"](levels, modes, rng)))
+              for levels, modes in workloads["SWEEP_SHAPES"]]
+    cascades = [CascadeParams(n_a=2, n_b=1), CascadeParams(n_a=4, n_b=2), CascadeParams(n_a=6, n_b=3)]
+    return models + [cascade_model(params) for params in cascades]
+
+
+def test_benchmark_routes_are_pinned():
+    # a change of a policy constant must not move a benchmark command's route unnoticed
+    for model, (n, spectrum_route, evolve_route) in zip(benchmark_models(), BENCHMARK_ROUTES,
+                                                        strict=True):
+        liouv = build_liouvillian(model)
+        assert liouv.dim == n
+        for k in (3, 5):
+            sign = "<" if spectrum_route == "dense" else ">="
+            assert choose_route("spectrum", n, k) == (spectrum_route, f"spectrum: n={n} {sign} 200")
+        sign = "<" if evolve_route == "dense" else ">="
+        assert choose_route("evolve", n, nnz=liouv.matrix.nnz) == (
+            evolve_route, f"evolve: n={n} {sign} 150")
