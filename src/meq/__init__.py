@@ -11,7 +11,7 @@ compute reduced states, partial transposes and log negativities.  Submodules:
   with the real generator R = T^dag L T, and the density-matrix check
 - ``steady``: dense/sparse eigenvector steady states and the row-replacement
   solve (LU or preconditioned GMRES), spectra, uniqueness checks
-- ``dynamics``: exp(L t) propagation, dense ``expm`` or ``expm_multiply``
+- ``dynamics``: exp(L t) propagation, dense ``expm`` or Krylov steps
 - ``measures``: expectation values, displaced-frame populations,
   logarithmic negativity
 - ``modelspec``: text model format and the built-in cascade benchmark

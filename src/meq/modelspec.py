@@ -583,11 +583,18 @@ def _check_finite(value, what: str, pos: tuple[int, int], part: str = "its value
 
 
 def document_environment(doc: ModelDocument) -> tuple[SpaceLayout, dict]:
-    """Evaluate every binding; returns the layout and the name -> value map."""
+    """Evaluate every binding; returns the layout and the name -> value map.
+
+    A binding that overflows holds non-finite entries, which stay non-finite
+    through +, - and *, so it is refused where a Hamiltonian or jump operator
+    uses it (:func:`build_model`) and is harmless where nothing does; numpy's
+    overflow warnings are silenced here as there.
+    """
     layout = SpaceLayout(doc.spaces)
     env: dict = {}
-    for name, expr in doc.bindings:
-        env[name] = _evaluate(expr, layout, env)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, expr in doc.bindings:
+            env[name] = _evaluate(expr, layout, env)
     return layout, env
 
 
@@ -603,19 +610,22 @@ def build_model(
     entries of L), raises :class:`ModelSemanticError` at its expression.
     """
     layout, env = environment if environment is not None else document_environment(doc)
-    h_op = _as_operator(_evaluate(doc.hamiltonian, layout, env), layout)
+    # each value computed under np.errstate is refused by _check_finite if it
+    # overflowed, so numpy's overflow warnings would only precede that error
+    with np.errstate(over="ignore", invalid="ignore"):
+        h_op = _as_operator(_evaluate(doc.hamiltonian, layout, env), layout)
     _check_finite(h_op.matrix, "hamiltonian", doc.hamiltonian.pos)
     if not h_op.is_hermitian(tol=1e-12):
         raise ModelSemanticError("hamiltonian expression is not Hermitian", *doc.hamiltonian.pos)
     dissipators = []
     for rate, expr in doc.dissipators:
-        jump = _as_operator(_evaluate(expr, layout, env), layout)
-        _check_finite(jump.matrix, "jump operator", expr.pos)
-        # L holds rate J^dag J and 2 rate conj(J) (x) J, whose entries are at
-        # most 2 rate max|J|^2 <= 2 rate max diag(J^dag J)
         with np.errstate(over="ignore", invalid="ignore"):
-            _check_finite(2.0 * rate * (jump.matrix.conj().T @ jump.matrix), "dissipator",
-                          expr.pos, f"2 times rate {rate:g} times J^dag J")
+            jump = _as_operator(_evaluate(expr, layout, env), layout)
+            # L holds rate J^dag J and 2 rate conj(J) (x) J, whose entries are
+            # at most 2 rate max|J|^2 <= 2 rate max diag(J^dag J)
+            bound = 2.0 * rate * (jump.matrix.conj().T @ jump.matrix)
+        _check_finite(jump.matrix, "jump operator", expr.pos)
+        _check_finite(bound, "dissipator", expr.pos, f"2 times rate {rate:g} times J^dag J")
         dissipators.append((rate, jump))
     return LindbladModel(h_op, dissipators)
 

@@ -62,13 +62,15 @@ __all__ = [
 _DENSE_CAPACITY = 10_000
 
 # Route policy crossovers: the superspace dimension n from which the sparse
-# LU and the Taylor propagation beat their dense routes (medians at one BLAS
-# thread; the README lists the measurements).  Propagation stays dense from
-# there while L has n^2 / 4 nonzeros or more, where dense expm won up to
-# n = 900.  ARPACK spectra run from _ARPACK_MARGIN times their restart
-# dimension max(3(k - 1), 40) on the deflated problem (steady._arpack_params),
-# n = 200 for every k <= 14.
-_SPARSE_FROM = {"linsolve": 400, "evolve": 150}
+# LU and the Krylov propagation beat their dense routes (medians at one BLAS
+# thread; the README lists the measurements).  Below _DENSE_EXPM_BELOW
+# propagation stays dense while L has n^2 / 4 nonzeros or more: there dense
+# expm beat the Krylov route from density 0.31, and from n = 256 the Krylov
+# route won on every generator below full density.  ARPACK spectra run from
+# _ARPACK_MARGIN times their restart dimension max(3(k - 1), 40) on the
+# deflated problem (steady._arpack_params), n = 200 for every k <= 14.
+_SPARSE_FROM = {"linsolve": 400, "evolve": 121}
+_DENSE_EXPM_BELOW = 256
 _ARPACK_MARGIN = 5
 _ARPACK_MIN_RESTART = 40
 # The row-replaced system is solved by GMRES from this n on, by LU below it:
@@ -112,8 +114,8 @@ def choose_route(task: str, n: int, k: int | None = None, nnz: int | None = None
     or "evolve" (propagation of a generator with ``nnz`` nonzeros); ``n`` is
     the superspace dimension.  Spectra run ARPACK from n = 5 max(3(k - 1), 40),
     and above the dense capacity whenever it can (k < n - 1).  Propagation is
-    sparse from n = 150 unless L has n^2 / 4 nonzeros or more and fits the
-    dense capacity.  The reason names the input that decided.
+    sparse from n = 121, except below n = 256 while L has n^2 / 4 nonzeros
+    or more.  The reason names the input that decided.
     """
     if task == "linsolve" and n >= _GMRES_FROM:
         return RouteChoice("gmres", f"linsolve: n={n} >= {_GMRES_FROM}")
@@ -125,7 +127,7 @@ def choose_route(task: str, n: int, k: int | None = None, nnz: int | None = None
             return RouteChoice("sparse", f"spectrum: n={n} > dense capacity {_DENSE_CAPACITY}")
     else:
         cut, suffix = _SPARSE_FROM[task], ""
-        if task == "evolve" and cut <= n <= _DENSE_CAPACITY and 4 * nnz >= n * n:
+        if task == "evolve" and 4 * nnz >= n * n and cut <= n < _DENSE_EXPM_BELOW:
             return RouteChoice("dense", f"evolve: nnz={nnz} >= n^2/4, n={n}")
     if n >= cut:
         return RouteChoice("sparse", f"{task}: n={n} >= {cut}{suffix}")

@@ -7,7 +7,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from helpers import force_route, random_density, random_model, single_space
+from helpers import force_route, random_density, random_hermitian, random_model, single_space
 from meq import dynamics
 from meq.dynamics import PropagationError, Trajectory, evolve_trajectory
 from meq.hilbert import LayoutMismatchError, Operator, transition
@@ -15,6 +15,7 @@ from meq.modelspec import CascadeParams, cascade_model
 from meq.steady import steady_dense
 from meq.superspace import (
     LindbladModel,
+    SuperOperator,
     _hermitian_basis,
     _real_generator,
     build_liouvillian,
@@ -167,7 +168,7 @@ class TestCascadeRelaxation:
         # sparse and dense steady states agree to 1e-8, see acceptance)
         layout = cascade_liouvillian.layout
         rho0 = Operator(layout, np.eye(layout.total_dim) / layout.total_dim)
-        evolved = evolve_trajectory(cascade_liouvillian, rho0, [10.0]).states[0]  # Taylor by size
+        evolved = evolve_trajectory(cascade_liouvillian, rho0, [10.0]).states[0]  # Krylov by size
         from meq.measures import expectation
 
         for label in ("s11", "s22", "s33", "n_a", "n_b"):
@@ -191,7 +192,8 @@ class TestKrylovStepping:
 
     def test_stiff_random_generator_matches_complex_expm(self, monkeypatch):
         # rates of 20-200 against times up to 3: ||L t||_inf reaches the
-        # thousands, so expm_multiply needs many steps of its own
+        # thousands; at n = 16 the Krylov basis spans the whole space, so
+        # each gap is one step
         rng = np.random.default_rng(66)
         model = random_model(rng, 4, 2)
         liouv = build_liouvillian(LindbladModel(
@@ -205,6 +207,54 @@ class TestKrylovStepping:
         for t, state in zip(times, trajectory.states):
             direct = scipy.linalg.expm(liouv.to_dense() * t) @ rho0.to_dense().ravel(order="F")
             assert np.abs(state.to_dense().ravel(order="F") - direct).max() < 1e-8
+
+    def test_stiff_generator_takes_many_steps(self, monkeypatch):
+        # n = 64, ||L||_inf about 6e4: dozens of Krylov steps a gap
+        rng = np.random.default_rng(8)
+        model = random_model(rng, 8, 2)
+        liouv = build_liouvillian(LindbladModel(
+            model.hamiltonian, [(100.0 * rate, jump) for rate, jump in model.dissipators]
+        ))
+        rho0 = Operator(model.layout, random_density(rng, 8))
+        times = [0.001, 0.01, 0.5, 3.0]
+        force_route(monkeypatch, "evolve", "sparse")
+        trajectory = evolve_trajectory(liouv, rho0, times)
+        assert max(entry["krylov_steps"] for entry in trajectory.diagnostics["gaps"]) > 10
+        for t, state in zip(times, trajectory.states):
+            direct = scipy.linalg.expm(liouv.to_dense() * t) @ rho0.to_dense().ravel(order="F")
+            assert np.abs(state.to_dense().ravel(order="F") - direct).max() < 1e-12
+
+    def test_long_gap_without_damping(self, monkeypatch):
+        # n = 36, H only: nothing relaxes, so the steps stay about as short as
+        # the first, and a gap of 2500 takes more than a thousand of them
+        rng = np.random.default_rng(6)
+        layout = single_space(6, "q")
+        hamiltonian = random_hermitian(rng, 6)
+        rho0 = Operator(layout, random_density(rng, 6))
+        force_route(monkeypatch, "evolve", "sparse")
+        liouv = build_liouvillian(LindbladModel(Operator(layout, hamiltonian)))
+        trajectory = evolve_trajectory(liouv, rho0, [2500.0])
+        assert trajectory.diagnostics["gaps"][0]["krylov_steps"] > 1000
+        unitary = scipy.linalg.expm(-2500j * hamiltonian)
+        expected = unitary @ rho0.to_dense() @ unitary.conj().T
+        assert np.abs(trajectory.states[0].to_dense() - expected).max() < 1e-9
+        assert abs(trajectory.traces[0] - 1) < 1e-12
+
+    @pytest.mark.parametrize("gap", [1e14, 1e18])
+    def test_huge_gap_after_relaxation_keeps_the_trace_or_raises(self, gap):
+        # n = 324: a relaxed state spans an invariant space of dimension 1,
+        # whose Rayleigh quotient, rounding noise, is exponentiated over the gap
+        liouv = build_liouvillian(cascade_model(CascadeParams(n_a=2, n_b=1)))
+        ground = np.zeros((liouv.layout.total_dim,) * 2)
+        ground[0, 0] = 1.0
+        assert choose_route("evolve", liouv.dim, nnz=liouv.matrix.nnz).route == "sparse"
+        for times in ([gap], [400.0, 400.0 + gap]):
+            try:
+                trajectory = evolve_trajectory(liouv, Operator(liouv.layout, ground), times)
+            except PropagationError as error:
+                assert f"t = {times[-1]:g}" in str(error)
+            else:
+                assert max(abs(trace - 1) for trace in trajectory.traces) <= 1e-8
 
     def test_sparse_storage_generator(self, monkeypatch):
         layout = single_space(2, "q")
@@ -269,6 +319,17 @@ class TestStateChecks:
         assert max(abs(trace - 1) for trace in trajectory.traces) < 1e-12
 
     @pytest.mark.parametrize("method", ["dense", "sparse"])
+    def test_trace_losing_generator_raises(self, monkeypatch, method):
+        # L = -0.5: rho(t) = exp(-t / 2) rho(0) stays positive but loses its trace
+        layout = single_space(2, "q")
+        liouv = SuperOperator(layout, -0.5 * sp.identity(4, format="csr"), np.zeros((2, 2)))
+        force_route(monkeypatch, "evolve", method)
+        assert evolve_trajectory(liouv, excited_state(), [0.0, 1e-8]).traces[-1] != 1.0
+        with pytest.raises(PropagationError, match="^state at t = 0.5 has trace 0.778800783071, "
+                                                   "off the initial 1 by more than 1e-08$"):
+            evolve_trajectory(liouv, excited_state(), [1e-8, 0.5])
+
+    @pytest.mark.parametrize("method", ["dense", "sparse"])
     def test_negative_propagated_state_raises(self, monkeypatch, method):
         # -L pumps population into the excited state, so rho_11 turns negative
         liouv = -1.0 * qubit_decay_liouvillian()
@@ -288,13 +349,13 @@ def driven_ladder_model(rng, d):
 
 
 class TestRoutePolicy:
-    @pytest.mark.parametrize("d,route", [(12, "dense"), (13, "sparse")])  # n = 144, 169
+    @pytest.mark.parametrize("d,route", [(10, "dense"), (11, "sparse")])  # n = 100, 121
     def test_route_by_size(self, monkeypatch, d, route):
         self.check_route(monkeypatch, driven_ladder_model(np.random.default_rng(d), d), route)
 
     @pytest.mark.parametrize("d", [12, 13])
     def test_dense_generator_stays_dense(self, monkeypatch, d):
-        # nnz(L) = n^2: dense expm was 6-15 times faster than Taylor at n = 169-400
+        # nnz(L) = n^2: dense expm was 2.2-3.6 times faster than Krylov at n = 121-169
         self.check_route(monkeypatch, random_model(np.random.default_rng(d), d, 1), "dense")
 
     @staticmethod
@@ -317,8 +378,9 @@ class TestRoutePolicy:
 
 
 class TestTaylorPlan:
-    """The sparse route plans once per trajectory and takes the same steps
-    as one public ``expm_multiply(R gap, x)`` per gap."""
+    """The sparse route's Krylov steps against one public ``expm_multiply(R
+    gap, x)`` per gap, the Taylor method of Al-Mohy and Higham, and its
+    per-gap counters."""
 
     @pytest.fixture(scope="class")
     def cascade_576(self):
@@ -327,7 +389,7 @@ class TestTaylorPlan:
     @pytest.mark.parametrize("times", [
         [0.5, 1.0, 1.5, 2.0],  # one gap, repeated
         [0.01, 0.02, 0.1, 0.6],  # ||R gap||_1 below condition (3.13): no norm estimates
-        [1.3, 200.0, 400.0],  # 1300 steps a gap; exp(shift gap) underflows
+        [1.3, 200.0, 400.0],  # the state relaxes, and one step takes the rest of a gap
     ])
     def test_matches_public_expm_multiply_per_gap(self, monkeypatch, cascade_576, times):
         liouv = cascade_576
@@ -349,31 +411,32 @@ class TestTaylorPlan:
             x = (adjoint @ state.to_dense().ravel(order="F")).real
             previous = t
         gaps = np.diff([0.0, *times])
-        plan = trajectory.diagnostics["gaps"]
-        assert [entry["gap"] for entry in plan] == list(dict.fromkeys(gaps))
-        for entry in plan:
-            assert set(entry) == {"gap", "taylor_degree", "taylor_steps"}
-            assert entry["taylor_steps"] >= 1
+        counts = trajectory.diagnostics["gaps"]
+        assert [entry["gap"] for entry in counts] == list(dict.fromkeys(gaps))
+        for entry in counts:
+            assert set(entry) == {"gap", "krylov_steps", "rejected_steps"}
+            assert entry["krylov_steps"] >= 1
 
-    def test_norm_estimates_leave_global_random_state(self, monkeypatch, cascade_576):
-        # gap 5 is above condition (3.13), so the plan estimates ||A^p||_1 with
-        # onenormest, which draws from numpy's global random state
+    def test_step_budget_names_the_gap(self, monkeypatch, cascade_576):
         liouv = cascade_576
-        d = liouv.layout.total_dim
-        rho0 = Operator(liouv.layout, random_density(np.random.default_rng(70), d))
-        plans = []
+        rho0 = Operator(liouv.layout, np.eye(liouv.layout.total_dim) / liouv.layout.total_dim)
         force_route(monkeypatch, "evolve", "sparse")
-        for prior_draws in (0, 7):
-            np.random.seed(prior_draws)
-            np.random.random(prior_draws)
-            state = np.random.get_state()
-            trajectory = evolve_trajectory(liouv, rho0, [0.5, 1.0, 6.0])
-            after = np.random.random(3)
-            np.random.set_state(state)
-            assert np.array_equal(after, np.random.random(3))
-            plans.append(trajectory.diagnostics["gaps"])
-        assert [entry["gap"] for entry in plans[0]] == [0.5, 5.0]
-        assert plans[0] == plans[1]
+        (entry,) = evolve_trajectory(liouv, rho0, [5.0]).diagnostics["gaps"]
+        assert entry["krylov_steps"] + entry["rejected_steps"] > 2
+        monkeypatch.setattr(dynamics, "_MAX_KRYLOV_STEPS", 2)
+        with pytest.raises(PropagationError, match="^time gap 5 needs more than 2 Krylov steps$"):
+            evolve_trajectory(liouv, rho0, [5.0])
+
+    def test_whole_space_basis_is_one_exact_step(self, monkeypatch):
+        # n = 4: the basis of R and the excited state spans the whole space
+        force_route(monkeypatch, "evolve", "sparse")
+        trajectory = evolve_trajectory(qubit_decay_liouvillian(), excited_state(), [1.0, 3.0])
+        assert trajectory.diagnostics["gaps"] == [
+            {"gap": 1.0, "krylov_steps": 1, "rejected_steps": 0},
+            {"gap": 2.0, "krylov_steps": 1, "rejected_steps": 0},
+        ]
+        for t, state in zip(trajectory.times, trajectory.states):
+            assert state.to_dense()[1, 1].real == pytest.approx(np.exp(-2 * t), abs=1e-15)
 
     def test_dense_route_records_one_expm_per_gap(self, monkeypatch):
         rng = np.random.default_rng(69)
@@ -387,7 +450,7 @@ class TestTaylorPlan:
         }
 
     def test_zero_generator(self, monkeypatch):
-        # R = 0: no Taylor terms, the state stays put
+        # R = 0: no Krylov steps, the state stays put
         layout = single_space(2, "q")
         liouv = build_liouvillian(LindbladModel(Operator(layout, np.zeros((2, 2)))))
         force_route(monkeypatch, "evolve", "sparse")
@@ -395,8 +458,8 @@ class TestTaylorPlan:
         for state in trajectory.states:
             assert np.array_equal(state.to_dense(), excited_state().to_dense())
         assert trajectory.diagnostics["gaps"] == [
-            {"gap": 1.0, "taylor_degree": 0, "taylor_steps": 1},
-            {"gap": 2.0, "taylor_degree": 0, "taylor_steps": 1},
+            {"gap": 1.0, "krylov_steps": 0, "rejected_steps": 0},
+            {"gap": 2.0, "krylov_steps": 0, "rejected_steps": 0},
         ]
 
 

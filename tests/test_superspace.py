@@ -246,7 +246,7 @@ class TestSuperOperatorStorage:
         for superop in (small, large):
             assert isinstance(superop.matrix, sp.csr_array)
             assert superop.matrix.nnz == 0  # [I, rho] = 0 stores no entries
-        for task, n in {"spectrum": 200, "linsolve": 400, "evolve": 150}.items():
+        for task, n in {"spectrum": 200, "linsolve": 400, "evolve": 121}.items():
             assert choose_route(task, n - 1, k=5, nnz=n) == ("dense", f"{task}: n={n - 1} < {n}")
             assert choose_route(task, n, k=5, nnz=n) == ("sparse", f"{task}: n={n} >= {n}")
         assert choose_route("linsolve", 1023) == ("sparse", "linsolve: n=1023 >= 400")
@@ -279,15 +279,16 @@ class TestSuperOperatorStorage:
         assert choose_route("spectrum", 10_001, 10_000).route == "dense"
 
     def test_evolve_density_cut(self):
-        # from n = 150 a generator with n^2 / 4 nonzeros or more stays dense
-        for n in (150, 400, 10_000):
-            quarter = n * n // 4
+        # from n = 121 to 255 a generator with n^2 / 4 nonzeros or more stays dense
+        for n in (121, 255):
+            quarter = -(-n * n // 4)  # the fewest nonzeros with 4 nnz >= n^2
             assert choose_route("evolve", n, nnz=quarter) == (
                 "dense", f"evolve: nnz={quarter} >= n^2/4, n={n}")
-            assert choose_route("evolve", n, nnz=quarter - 1) == ("sparse", f"evolve: n={n} >= 150")
-        assert choose_route("evolve", 149, nnz=149 ** 2) == ("dense", "evolve: n=149 < 150")
-        # above the dense capacity only the Taylor route fits
-        assert choose_route("evolve", 10_201, nnz=10_201 ** 2) == ("sparse", "evolve: n=10201 >= 150")
+            assert choose_route("evolve", n, nnz=quarter - 1) == ("sparse", f"evolve: n={n} >= 121")
+        assert choose_route("evolve", 120, nnz=120 ** 2) == ("dense", "evolve: n=120 < 121")
+        # from n = 256 the Krylov route runs at any density, above the dense capacity too
+        for n in (256, 400, 10_000, 10_201):
+            assert choose_route("evolve", n, nnz=n * n) == ("sparse", f"evolve: n={n} >= 121")
 
     def test_conversion_exact(self):
         rng = np.random.default_rng(11)
@@ -340,7 +341,7 @@ class TestSuperOperatorStorage:
 BENCHMARK_ROUTES = [
     (16, "dense", "dense"), (36, "dense", "dense"), (36, "dense", "dense"),
     (64, "dense", "dense"), (81, "dense", "dense"), (100, "dense", "dense"),
-    (144, "dense", "dense"), (144, "dense", "dense"), (144, "dense", "dense"),
+    (144, "dense", "sparse"), (144, "dense", "sparse"), (144, "dense", "sparse"),
     (225, "sparse", "sparse"), (256, "sparse", "sparse"), (256, "sparse", "sparse"),
     (324, "sparse", "sparse"), (2025, "sparse", "sparse"), (7056, "sparse", "sparse"),
 ]
@@ -367,4 +368,4 @@ def test_benchmark_routes_are_pinned():
             assert choose_route("spectrum", n, k) == (spectrum_route, f"spectrum: n={n} {sign} 200")
         sign = "<" if evolve_route == "dense" else ">="
         assert choose_route("evolve", n, nnz=liouv.matrix.nnz) == (
-            evolve_route, f"evolve: n={n} {sign} 150")
+            evolve_route, f"evolve: n={n} {sign} 121")
