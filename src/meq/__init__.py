@@ -1,7 +1,8 @@
 """Lindblad master equations in superspace for composite systems.
 
 Build Liouvillians from Hamiltonians and jump operators, find steady states
-by three independent routes (``steady_state`` picks one), propagate states, and
+by three independent routes (``steady_state`` runs the paper's
+row-replacement solve unless a route is requested), propagate states, and
 compute reduced states, partial transposes and log negativities.  Submodules:
 
 - ``hilbert``: composite-space layouts, index maps, embeddings, partial

@@ -312,14 +312,15 @@ class _Runner:
         if result.diagnostics is not None:
             results["diagnostics"] = result.diagnostics
         results.update(extra)
-        return self._record(result.method, results, result.policy)
+        return self._record(results, result.policy)
 
-    def _record(self, method, results, policy):
+    def _record(self, results, policy):
+        """The command's record; its ``method`` is the route ``policy`` chose."""
         results["policy"] = policy._asdict()
         return {
             "command": self.args.command,
             "model_hash": self.model_hash,
-            "method": method,
+            "method": policy.route,
             "results": _encode(results),
             "timings": {k: round(v, 6) for k, v in self.timings.items()},
         }
@@ -336,12 +337,12 @@ class _Runner:
         with self._timed("solve"):
             spec = steady.spectrum(liouv, self.args.count)
         results = {
-            "count_requested": spec.count_requested,
+            "count_requested": len(spec.eigenvalues),
             "eigenvalues": list(spec.eigenvalues),
         }
         if spec.diagnostics is not None:
             results["diagnostics"] = spec.diagnostics
-        return self._record(spec.policy.route, results, spec.policy)
+        return self._record(results, spec.policy)
 
     def _initial_state(self, doc, layout, env):
         text = self.args.initial
@@ -376,7 +377,7 @@ class _Runner:
         }
         if observables:
             results["observables"] = observables
-        return self._record(trajectory.policy.route, results, trajectory.policy)
+        return self._record(results, trajectory.policy)
 
     def _subsystems(self, doc, dest):
         """The names a ``--keep`` or ``--transpose`` list gives, each a space of the

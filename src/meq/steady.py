@@ -61,7 +61,6 @@ from .superspace import (
     SuperOperator,
     _lowest_eigenvalue,
     _real_generator,
-    _seeded_global_random_state,
     _to_operator,
     _trace_zero_generator,
     check_dense_capacity,
@@ -141,16 +140,16 @@ class SteadyStateResult:
     that normalization drops from the solver output (divided by its trace),
     exactly 0 on the routes that solve in the real Hermitian basis;
     ``eigenvalue`` is the computed leading eigenvalue where the route
-    provides one; ``policy`` is :func:`steady_state`'s route choice (None on
-    a direct route call); ``diagnostics`` holds what the row-replacement
-    solve (:func:`steady_linsolve`) records, deterministic at a fixed BLAS
-    thread count: ``gmres_relative_residual`` and ``state_difference`` can
-    change with that count.
+    provides one; ``policy`` is :func:`steady_state`'s route choice, the one
+    name of the route that ran (None on a direct route call);
+    ``diagnostics`` holds what the row-replacement solve
+    (:func:`steady_linsolve`) records, deterministic at a fixed BLAS thread
+    count: ``gmres_relative_residual`` and ``state_difference`` can change
+    with that count.
     """
 
     rho: Operator
     residual: float
-    method: str
     trace_before_normalization: complex
     min_eigenvalue: float
     hermiticity_defect: float
@@ -163,12 +162,12 @@ class SteadyStateResult:
 class SpectrumResult:
     """Leading eigenvalues sorted by descending real part, and the route used.
 
+    ``eigenvalues`` holds exactly the k values requested.
     ``diagnostics["arpack_matvecs"]`` is the sparse route's count of products
     with R|W (0 for k = 1); the dense route records none.
     """
 
     eigenvalues: np.ndarray
-    count_requested: int
     policy: RouteChoice
     diagnostics: dict | None = None
 
@@ -192,10 +191,10 @@ def _descending_order(values: np.ndarray, scale: float) -> np.ndarray:
     return order[np.lexsort((-values.imag[order], group))]
 
 
-def _finalize(liouv: SuperOperator, rho: np.ndarray, method: str,
-              eigenvalue: complex | None, diagnostics: dict | None = None) -> SteadyStateResult:
+def _finalize(liouv: SuperOperator, rho: np.ndarray, eigenvalue: complex | None,
+              diagnostics: dict | None = None) -> SteadyStateResult:
     """Normalize a solver's d x d operator into a checked density matrix,
-    the result of route ``method`` with its ``diagnostics``."""
+    a route's result with its ``diagnostics``."""
     trace_raw = complex(np.trace(rho))
     scale = np.linalg.norm(rho)
     if abs(trace_raw) < 1e-8 * max(scale, np.finfo(float).tiny):
@@ -211,9 +210,8 @@ def _finalize(liouv: SuperOperator, rho: np.ndarray, method: str,
     return SteadyStateResult(
         rho=Operator(liouv.layout, rho),
         residual=residual,
-        method=method,
         trace_before_normalization=trace_raw,
-        min_eigenvalue=_lowest_eigenvalue(rho, f"the {method} state", ConvergenceError),
+        min_eigenvalue=_lowest_eigenvalue(rho, "the steady state", ConvergenceError),
         hermiticity_defect=hermiticity_defect,
         eigenvalue=eigenvalue,
         diagnostics=diagnostics,
@@ -228,11 +226,11 @@ def steady_dense(liouv: SuperOperator) -> SteadyStateResult:
     density matrix.  Above the dense capacity this raises
     :class:`CapacityError`.
     """
-    return _eigenvector_state(liouv, "dense-eig")
+    return _eigenvector_state(liouv)
 
 
-def _eigenvector_state(liouv: SuperOperator, method: str) -> SteadyStateResult:
-    """:func:`steady_dense`'s state, recorded as ``method``."""
+def _eigenvector_state(liouv: SuperOperator) -> SteadyStateResult:
+    """:func:`steady_dense`'s state, and :func:`steady_sparse`'s below n = 5."""
     n = liouv.dim
     check_dense_capacity(n)
     values, vectors = np.linalg.eig(_real_generator(liouv).toarray())
@@ -247,8 +245,7 @@ def _eigenvector_state(liouv: SuperOperator, method: str) -> SteadyStateResult:
                 f"leading eigenvalues {lam0:.3e} and {lam1:.3e} are degenerate "
                 f"within gap tolerance {tol:.3g}"
             )
-    return _finalize(liouv, _to_operator(vectors[:, order[0]], liouv.layout.total_dim),
-                     method, lam0)
+    return _finalize(liouv, _to_operator(vectors[:, order[0]], liouv.layout.total_dim), lam0)
 
 
 def _arpack_params(n: int, k: int) -> dict:
@@ -273,7 +270,7 @@ def steady_sparse(liouv: SuperOperator) -> SteadyStateResult:
     """
     n = liouv.dim
     if n < 5:  # too small for ARPACK; the dense route is exact here
-        return _eigenvector_state(liouv, "sparse-eig")
+        return _eigenvector_state(liouv)
     matrix = _real_generator(liouv)
     scale = liouv.norm_inf() or 1.0
     params = _arpack_params(n, 2)
@@ -310,7 +307,7 @@ def steady_sparse(liouv: SuperOperator) -> SteadyStateResult:
     vec = vectors[:, order[0]]
     # Rayleigh quotient: more accurate than the back-transformed ARPACK value
     lam0 = complex((vec.conj() @ (matrix @ vec)) / (vec.conj() @ vec))
-    return _finalize(liouv, _to_operator(vec, liouv.layout.total_dim), "sparse-eig", lam0)
+    return _finalize(liouv, _to_operator(vec, liouv.layout.total_dim), lam0)
 
 
 def steady_linsolve(liouv: SuperOperator) -> SteadyStateResult:
@@ -341,7 +338,7 @@ def steady_linsolve(liouv: SuperOperator) -> SteadyStateResult:
     diagnostics = {"linsolve_policy": policy._asdict()}
     if policy.route == "gmres":
         rho = _gmres_state(liouv, norm, diagnostics)
-        return _finalize(liouv, rho, "linsolve", None, diagnostics)
+        return _finalize(liouv, rho, None, diagnostics)
     rhs = np.zeros(liouv.dim)
     rhs[0] = gamma
     real = _real_generator(liouv)
@@ -366,14 +363,14 @@ def steady_linsolve(liouv: SuperOperator) -> SteadyStateResult:
                 f"replaced generator is singular ({exc}); degenerate steady states"
             ) from exc
         # ||A||_1 ||A^-1||_1 as dgecon estimates it on the dense branch, with
-        # the Higham-Tisseur block estimate of ||A^-1||_1 from LU solves
+        # the Higham-Tisseur estimate of ||A^-1||_1 from LU solves; with one
+        # column (t = 1) it draws nothing at random
         inverse = spla.LinearOperator(
             replaced.shape, matvec=lu.solve, rmatvec=lambda b: lu.solve(b, trans="T"),
             dtype=replaced.dtype,
         )
         anorm = float(abs(replaced).sum(axis=0).max())
-        with _seeded_global_random_state():
-            rcond = 1.0 / (anorm * spla.onenormest(inverse))
+        rcond = 1.0 / (anorm * spla.onenormest(inverse, t=1))
         solve = lu.solve
         diagnostics["lu_nnz"] = lu.L.nnz + lu.U.nnz
     else:
@@ -393,7 +390,7 @@ def steady_linsolve(liouv: SuperOperator) -> SteadyStateResult:
         )
     solution = solve(rhs)
 
-    return _finalize(liouv, _to_operator(solution, d), "linsolve", None, diagnostics)
+    return _finalize(liouv, _to_operator(solution, d), None, diagnostics)
 
 
 def _no_jump_inverse(liouv: SuperOperator, norm: float):
@@ -636,8 +633,7 @@ def spectrum(liouv: SuperOperator, k: int) -> SpectrumResult:
     tol = _GAP_TOL * scale
     if abs(last.imag) > tol and not (np.abs(values[:-1] - last.conjugate()) <= tol).any():
         values[-1] = complex(last.real, abs(last.imag))
-    return SpectrumResult(eigenvalues=values, count_requested=k, policy=policy,
-                          diagnostics=diagnostics)
+    return SpectrumResult(eigenvalues=values, policy=policy, diagnostics=diagnostics)
 
 
 def check_uniqueness(liouv: SuperOperator) -> GapReport:

@@ -36,7 +36,6 @@ positivity check, :func:`_lowest_eigenvalue`.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
@@ -82,8 +81,6 @@ _GMRES_FROM = 1024
 _HERMITIAN_TOL = 1e-10
 # States may have eigenvalues down to minus this (their trace is 1).
 _POSITIVITY_TOL = 1e-8
-# Seed of numpy's global random state while scipy's onenormest draws from it.
-_ONENORMEST_SEED = 0
 
 
 class CapacityError(RuntimeError):
@@ -316,23 +313,6 @@ def liouvillian_oracle(model: LindbladModel) -> SuperOperator:
                     out[row, col] = val
     no_jump = -1j * h - sum(rate * jdj for rate, _, jdj in channels)
     return SuperOperator(model.layout, out, no_jump)
-
-
-@contextlib.contextmanager
-def _seeded_global_random_state():
-    """Run the block on numpy's global random state seeded with
-    _ONENORMEST_SEED, then give the caller's state back.
-
-    ``scipy.sparse.linalg.onenormest`` draws its start vectors from the
-    global state, so without this its estimates would depend on what else
-    drew from it, and every estimate would advance the caller's stream.
-    """
-    saved = np.random.get_state()
-    np.random.seed(_ONENORMEST_SEED)
-    try:
-        yield
-    finally:
-        np.random.set_state(saved)
 
 
 @functools.lru_cache(maxsize=4)

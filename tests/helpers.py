@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from meq.hilbert import Operator, SpaceLayout
+from meq.steady import _ROUTES as STEADY_ROUTES  # each steady route and its function
 from meq.superspace import LindbladModel, RouteChoice, choose_route
 
 
@@ -28,14 +29,6 @@ def random_density(rng, d):
     mat = random_matrix(rng, d)
     rho = mat @ mat.conj().T + 1e-3 * np.eye(d)
     return rho / np.trace(rho)
-
-
-# each steady route of meq.steady.steady_state and the function that runs it
-STEADY_ROUTES = {
-    "dense": "steady_dense",
-    "sparse": "steady_sparse",
-    "solve": "steady_linsolve",
-}
 
 
 def force_route(monkeypatch, task, route):

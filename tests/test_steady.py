@@ -93,10 +93,11 @@ class TestQubitDecay:
         assert result.rho.trace() == 1.0
 
     def test_methods_report_provenance(self):
+        # a route's one name is its policy's route; a direct route call records none
         liouv = build_liouvillian(qubit_decay_model())
-        assert steady_dense(liouv).method == "dense-eig"
-        assert steady_sparse(liouv).method == "sparse-eig"
-        assert steady_linsolve(liouv).method == "linsolve"
+        for route, name in STEADY_ROUTES.items():
+            assert steady_state(liouv, route).policy.route == route
+            assert getattr(steady, name)(liouv).policy is None
 
 
 class TestDrivenQubit:
@@ -186,7 +187,7 @@ class TestDegeneracy:
     def test_traceless_kernel_vector_is_refused(self):
         liouv = build_liouvillian(driven_qubit_model(1.0, 1.0))
         with pytest.raises(DegeneracyError, match="traceless kernel vector"):
-            steady._finalize(liouv, np.diag([1.0, -1.0]), "dense-eig", None)
+            steady._finalize(liouv, np.diag([1.0, -1.0]), None)
 
     def test_linsolve_sparse_storage_degenerate(self):
         # d = 20 puts the LU route on SuperLU (n = 400), the 2x2 model on LAPACK
@@ -454,8 +455,8 @@ class TestRoutePolicy:
         replaced[0, np.arange(d) * (d + 1)] = 1.0
         exact = np.linalg.cond(replaced, 1)
         # the route refuses an estimate above the limit: it passes at cond_1 and
-        # fails at cond_1 / 3; onenormest runs under its own fixed seed, so the
-        # seeds here do not change the estimate
+        # fails at cond_1 / 3; onenormest with one column (t = 1) draws nothing
+        # at random, so the seeds here do not change the estimate
         monkeypatch.setattr(steady, "_COND_LIMIT", exact * (1 + 1e-9))
         np.random.seed(576)
         steady_linsolve(liouv)
@@ -629,7 +630,7 @@ class TestPositivity:
             assert method(liouv).hermiticity_defect == 0.0
         assert steady_gmres(liouv).hermiticity_defect < 1e-12
         raw = np.array([[1.2, 0.2], [0.6, 0.8]], dtype=complex)  # trace 2
-        result = steady._finalize(liouv, raw, "linsolve", None)
+        result = steady._finalize(liouv, raw, None)
         assert result.hermiticity_defect == pytest.approx(0.1, abs=1e-15)
         assert np.allclose(result.rho.to_dense(), [[0.6, 0.2], [0.2, 0.4]], atol=1e-15)
 
@@ -665,7 +666,7 @@ class TestIterative:
         liouv = build_liouvillian(qubit_decay_model())
         result = steady_gmres(liouv)
         assert np.allclose(result.rho.to_dense(), np.diag([1.0, 0.0]), atol=1e-12)
-        assert result.method == "linsolve" and result.eigenvalue is None
+        assert result.eigenvalue is None
         assert result.diagnostics["linsolve_policy"] == {"route": "gmres", "reason": "forced"}
         shift = result.diagnostics["sylvester_shift"]
         assert shift == pytest.approx(steady._SYLVESTER_SHIFT * liouv.norm_inf())
@@ -856,7 +857,7 @@ def _assert_same_result(result, direct, policy):
     assert result.policy == policy
     assert direct.policy is None
     assert np.array_equal(result.rho.matrix, direct.rho.matrix)
-    for field in ("residual", "method", "trace_before_normalization", "min_eigenvalue",
+    for field in ("residual", "trace_before_normalization", "min_eigenvalue",
                   "hermiticity_defect", "eigenvalue", "diagnostics"):
         assert getattr(result, field) == getattr(direct, field), field
 
@@ -916,7 +917,7 @@ class TestSteadyState:
         # densely, but does not count as a call of the dense route
         counts = count_route_calls(monkeypatch)
         liouv = build_liouvillian(driven_qubit_model(1.0, 1.0))
-        assert steady_state(liouv, "sparse").method == "sparse-eig"
+        assert steady_state(liouv, "sparse").policy.route == "sparse"
         assert counts == {name: int(name == "sparse") for name in STEADY_ROUTES}
 
 
