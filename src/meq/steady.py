@@ -11,7 +11,9 @@ GMRES from it on (:func:`steady_linsolve`).
 Everything but GMRES works on the real generator R = T^dag L T in the
 Hermitian operator basis T that :mod:`meq.superspace` describes: the
 eigenvector routes, the LU solves, :func:`spectrum` and
-:func:`check_uniqueness`.  Real LU factors take half the bytes per entry,
+:func:`check_uniqueness`.  The two sparse factorizations, of the
+row-replaced R and of the shifted R - sigma I, share one SuperLU setup
+(:func:`_superlu`).  Real LU factors take half the bytes per entry,
 and on the cascade they also have about a quarter fewer entries and take
 40% of the complex factorization time; real ARPACK takes about half the
 time of complex.
@@ -143,7 +145,8 @@ class SteadyStateResult:
     provides one; ``policy`` is :func:`steady_state`'s route choice, the one
     name of the route that ran (None on a direct route call);
     ``diagnostics`` holds what the row-replacement solve
-    (:func:`steady_linsolve`) records, deterministic at a fixed BLAS thread
+    (:func:`steady_linsolve`) and the shift-inverted iteration
+    (:func:`steady_sparse`) record, deterministic at a fixed BLAS thread
     count: ``gmres_relative_residual`` and ``state_difference`` can change
     with that count.
     """
@@ -261,12 +264,18 @@ def _arpack_params(n: int, k: int) -> dict:
 def steady_sparse(liouv: SuperOperator) -> SteadyStateResult:
     """Steady state from a shift-inverted Arnoldi iteration targeting 0.
 
-    The iteration runs on the real generator R with a real shift.  The
+    The iteration runs on the real generator R with a real shift sigma, and
+    ARPACK applies (R - sigma I)^-1 by solves with :func:`_superlu`'s
+    factors, the ordering of :func:`steady_linsolve`'s SuperLU branch.  The
     target eigenvalue of a valid generator is exactly 0, the largest real
     part in the spectrum, so inverting around a tiny shift converges to the
-    same eigenvector as a largest-real-part iteration but much faster.
-    Two eigenvalues are requested; a second one inside the gap tolerance
-    means the kernel is degenerate.
+    same eigenvector as a largest-real-part iteration but much faster.  The
+    shift is 1e-10 ||L||_inf, and 1e-7 or 1e-4 ||L||_inf when the factor is
+    singular.  Two eigenvalues are requested; a second one inside the gap
+    tolerance means the kernel is degenerate.  ``diagnostics`` records the
+    factors' fill ``lu_nnz``, the relative ``shift`` that ran and the count
+    of solves ``arpack_solves``; below n = 5 the dense route runs and
+    records none.
     """
     n = liouv.dim
     if n < 5:  # too small for ARPACK; the dense route is exact here
@@ -274,10 +283,22 @@ def steady_sparse(liouv: SuperOperator) -> SteadyStateResult:
     matrix = _real_generator(liouv)
     scale = liouv.norm_inf() or 1.0
     params = _arpack_params(n, 2)
+    solves = 0
+
+    def solve(x):
+        nonlocal solves
+        solves += 1
+        return lu.solve(x)
+
+    inverse = spla.LinearOperator((n, n), matvec=solve, dtype=float)
     last_error: Exception | None = None
-    for sigma in (1e-10 * scale, 1e-7 * scale, 1e-4 * scale):
+    for shift in (1e-10, 1e-7, 1e-4):
+        sigma = shift * scale
         try:
-            values, vectors = spla.eigs(matrix, k=2, sigma=sigma, which="LM", **params)
+            lu = _superlu(matrix - sigma * sp.eye_array(n, format="csr"))
+            values, vectors = spla.eigs(
+                matrix, k=2, sigma=sigma, which="LM", OPinv=inverse, **params
+            )
             break
         except spla.ArpackNoConvergence as exc:
             raise ConvergenceError(
@@ -307,7 +328,28 @@ def steady_sparse(liouv: SuperOperator) -> SteadyStateResult:
     vec = vectors[:, order[0]]
     # Rayleigh quotient: more accurate than the back-transformed ARPACK value
     lam0 = complex((vec.conj() @ (matrix @ vec)) / (vec.conj() @ vec))
-    return _finalize(liouv, _to_operator(vec, liouv.layout.total_dim), lam0)
+    diagnostics = {"lu_nnz": lu.L.nnz + lu.U.nnz, "shift": shift, "arpack_solves": solves}
+    return _finalize(liouv, _to_operator(vec, liouv.layout.total_dim), lam0, diagnostics)
+
+
+def _superlu(matrix) -> spla.SuperLU:
+    """SuperLU factors of a sparse R - sigma I or row-replaced R, the one
+    SuperLU setup of the steady routes; an exactly singular factor raises
+    ``RuntimeError``.
+
+    Both matrices are nearly structurally symmetric: an A + A^T ordering
+    with diagonal pivots halves the fill of the default column ordering
+    (2.13M and 2.20M entries against about 4.4M for the cascade at
+    n = 7056).  Without relaxed supernodes (relax=1) the fill is the same
+    and the row-replaced factorization took 45% less time at n = 7056, 67%
+    at 18225.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", spla.MatrixRankWarning)
+        return spla.splu(
+            sp.csc_array(matrix), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+            relax=1, options={"SymmetricMode": True},
+        )
 
 
 def steady_linsolve(liouv: SuperOperator) -> SteadyStateResult:
@@ -346,18 +388,9 @@ def steady_linsolve(liouv: SuperOperator) -> SteadyStateResult:
     trace_row[0, :: d + 1] = gamma  # the d diagonal coordinates l (d + 1)
 
     if policy.route == "sparse":
-        replaced = sp.vstack((sp.csr_array(trace_row), real[1:]), format="csc")
+        replaced = sp.vstack((sp.csr_array(trace_row), real[1:]))
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", spla.MatrixRankWarning)
-                # the row-replaced R is nearly structurally symmetric: an
-                # A + A^T ordering with diagonal pivots halves the fill.  Without
-                # relaxed supernodes (relax=1) the fill is the same and the
-                # factorization took 45% less time at n = 7056, 67% at 18225
-                lu = spla.splu(
-                    replaced, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
-                    relax=1, options={"SymmetricMode": True},
-                )
+            lu = _superlu(replaced)
         except RuntimeError as exc:
             raise DegeneracyError(
                 f"replaced generator is singular ({exc}); degenerate steady states"

@@ -963,6 +963,13 @@ class TestThreadIndependence:
             gaps = [record["results"]["diagnostics"]["gaps"] for record in records]
             assert gaps[0] == gaps[1]
 
+    def test_shift_invert_counters_match_at_one_and_two_threads(self):
+        argv = ["cascade", "--na", "2", "--nb", "1", "--method", "sparse"]  # n = 324
+        records = [json.loads(invoke_process(argv, threads)[1]) for threads in ("1", "2")]
+        diagnostics = [record["results"]["diagnostics"] for record in records]
+        assert set(diagnostics[0]) == {"lu_nnz", "shift", "arpack_solves"}
+        assert diagnostics[0] == diagnostics[1]
+
 
 class TestBenchmarkTracer:
     def test_tracer_sees_every_layer_the_cli_calls(self, model_file):

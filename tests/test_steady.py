@@ -313,7 +313,8 @@ class TestSparseStorage:
 
 
 class TestArpackFailures:
-    """The ARPACK failure paths, reached by a stand-in for ``scipy.sparse.linalg.eigs``."""
+    """The ARPACK failure paths, reached by stand-ins for ``scipy.sparse.linalg.eigs``
+    and ``steady._superlu``."""
 
     @staticmethod
     def liouvillian():
@@ -322,34 +323,37 @@ class TestArpackFailures:
     def test_sparse_retries_at_the_next_shift(self, monkeypatch):
         liouv = self.liouvillian()
         reference = steady_sparse(liouv)
-        real_eigs, shifts = spla.eigs, []
+        assert reference.diagnostics["shift"] == 1e-10
+        real_superlu, diagonals = steady._superlu, []
 
-        def singular_once(matrix, **kwargs):
-            shifts.append(kwargs["sigma"])
-            if len(shifts) == 1:
+        def singular_once(matrix):
+            diagonals.append(matrix.diagonal())
+            if len(diagonals) == 1:
                 raise RuntimeError("Factor is exactly singular")
-            return real_eigs(matrix, **kwargs)
+            return real_superlu(matrix)
 
-        monkeypatch.setattr(steady.spla, "eigs", singular_once)
+        monkeypatch.setattr(steady, "_superlu", singular_once)
         result = steady_sparse(liouv)
+        # the factored matrices are R - sigma I at the first two shifts
         scale = liouv.norm_inf()
-        assert shifts == [1e-10 * scale, 1e-7 * scale]
+        shifts = [np.median(_real_generator(liouv).diagonal() - diagonal) for diagonal in diagonals]
+        assert shifts == pytest.approx([1e-10 * scale, 1e-7 * scale], rel=1e-3)
+        assert result.diagnostics["shift"] == 1e-7
         assert np.abs(result.rho.to_dense() - reference.rho.to_dense()).max() < 1e-10
 
     def test_sparse_gives_up_after_three_shifts(self, monkeypatch):
         liouv = self.liouvillian()
-        shifts = []
+        factored = []
 
-        def always_singular(matrix, **kwargs):
-            shifts.append(kwargs["sigma"])
+        def always_singular(matrix):
+            factored.append(matrix.shape)
             raise RuntimeError("Factor is exactly singular")
 
-        monkeypatch.setattr(steady.spla, "eigs", always_singular)
+        monkeypatch.setattr(steady, "_superlu", always_singular)
         with pytest.raises(ConvergenceError, match="could not factorize the shifted generator: "
                            "Factor is exactly singular"):
             steady_sparse(liouv)
-        scale = liouv.norm_inf()
-        assert shifts == [1e-10 * scale, 1e-7 * scale, 1e-4 * scale]
+        assert factored == [(liouv.dim, liouv.dim)] * 3
 
     @pytest.mark.parametrize("solve,message", [
         (steady_sparse, "shift-inverted Arnoldi did not converge"),
@@ -473,6 +477,35 @@ class TestRoutePolicy:
         np.random.seed(576)
         assert steady_linsolve(liouv).diagnostics["lu_nnz"] > 0  # the SuperLU branch
         assert np.array_equal(np.random.random(3), expected)
+
+    def test_both_sparse_routes_factor_through_one_superlu_setup(self, monkeypatch):
+        # the solve's SuperLU branch (n = 576) and the shift-inverted ARPACK
+        # (n = 144) factor through steady._superlu, with the same options
+        factored, options = [], []
+        real_superlu, real_splu = steady._superlu, spla.splu
+
+        def record_superlu(matrix):
+            factored.append(matrix.shape[0])
+            return real_superlu(matrix)
+
+        def record_splu(matrix, **kwargs):
+            options.append((matrix.format, kwargs))
+            return real_splu(matrix, **kwargs)
+
+        monkeypatch.setattr(steady, "_superlu", record_superlu)
+        monkeypatch.setattr(steady.spla, "splu", record_splu)
+        solve = steady_linsolve(build_liouvillian(cascade_model(CascadeParams(n_a=3, n_b=1))))
+        sparse = steady_sparse(build_liouvillian(cascade_model(CascadeParams(n_a=1, n_b=1))))
+        assert factored == [576, 144]
+        assert len(options) == 2 and options[0] == options[1]
+        assert options[0] == ("csc", {
+            "permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.1, "relax": 1,
+            "options": {"SymmetricMode": True},
+        })
+        assert solve.diagnostics["lu_nnz"] > 0
+        assert set(sparse.diagnostics) == {"lu_nnz", "shift", "arpack_solves"}
+        assert sparse.diagnostics["lu_nnz"] > 0 and sparse.diagnostics["arpack_solves"] > 0
+        assert sparse.diagnostics["shift"] == 1e-10
 
     def test_sparse_lu_matches_dense_lu_on_corpus(self, monkeypatch):
         liouvs = [build_liouvillian(model) for model in random_corpus()]
