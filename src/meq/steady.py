@@ -388,7 +388,7 @@ def steady_linsolve(liouv: SuperOperator) -> SteadyStateResult:
     trace_row[0, :: d + 1] = gamma  # the d diagonal coordinates l (d + 1)
 
     if policy.route == "sparse":
-        replaced = sp.vstack((sp.csr_array(trace_row), real[1:]))
+        replaced = sp.vstack((sp.csr_array(trace_row), real[1:]), format="csc")
         try:
             lu = _superlu(replaced)
         except RuntimeError as exc:

@@ -320,24 +320,37 @@ class TestArpackFailures:
     def liouvillian():
         return build_liouvillian(driven_emitter_model(3, np.random.default_rng(3)))  # n = 9
 
+    @staticmethod
+    def shifted(liouv, shift):
+        """R - shift ||L||_inf I, computed as steady_sparse computes it."""
+        n = liouv.dim
+        return _real_generator(liouv) - shift * liouv.norm_inf() * sp.eye_array(n, format="csr")
+
     def test_sparse_retries_at_the_next_shift(self, monkeypatch):
         liouv = self.liouvillian()
         reference = steady_sparse(liouv)
         assert reference.diagnostics["shift"] == 1e-10
-        real_superlu, diagonals = steady._superlu, []
+        real_superlu, real_eigs = steady._superlu, spla.eigs
+        factored, sigmas = [], []
 
         def singular_once(matrix):
-            diagonals.append(matrix.diagonal())
-            if len(diagonals) == 1:
+            factored.append(matrix.toarray())
+            if len(factored) == 1:
                 raise RuntimeError("Factor is exactly singular")
             return real_superlu(matrix)
 
+        def record_sigma(matrix, **kwargs):
+            sigmas.append(kwargs["sigma"])
+            return real_eigs(matrix, **kwargs)
+
         monkeypatch.setattr(steady, "_superlu", singular_once)
+        monkeypatch.setattr(steady.spla, "eigs", record_sigma)
         result = steady_sparse(liouv)
-        # the factored matrices are R - sigma I at the first two shifts
-        scale = liouv.norm_inf()
-        shifts = [np.median(_real_generator(liouv).diagonal() - diagonal) for diagonal in diagonals]
-        assert shifts == pytest.approx([1e-10 * scale, 1e-7 * scale], rel=1e-3)
+        assert len(factored) == 2
+        for matrix, shift in zip(factored, (1e-10, 1e-7)):
+            assert np.array_equal(matrix, self.shifted(liouv, shift).toarray())
+        # ARPACK runs at the shift whose factors it applies
+        assert sigmas == [1e-7 * liouv.norm_inf()]
         assert result.diagnostics["shift"] == 1e-7
         assert np.abs(result.rho.to_dense() - reference.rho.to_dense()).max() < 1e-10
 
@@ -346,14 +359,16 @@ class TestArpackFailures:
         factored = []
 
         def always_singular(matrix):
-            factored.append(matrix.shape)
+            factored.append(matrix.toarray())
             raise RuntimeError("Factor is exactly singular")
 
         monkeypatch.setattr(steady, "_superlu", always_singular)
         with pytest.raises(ConvergenceError, match="could not factorize the shifted generator: "
                            "Factor is exactly singular"):
             steady_sparse(liouv)
-        assert factored == [(liouv.dim, liouv.dim)] * 3
+        assert len(factored) == 3
+        for matrix, shift in zip(factored, (1e-10, 1e-7, 1e-4)):
+            assert np.array_equal(matrix, self.shifted(liouv, shift).toarray())
 
     @pytest.mark.parametrize("solve,message", [
         (steady_sparse, "shift-inverted Arnoldi did not converge"),
