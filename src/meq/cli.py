@@ -8,11 +8,16 @@ stderr):
 
 Complex numbers appear as two-element [re, im] arrays, matrices as row-major
 nested arrays; identical inputs give byte-identical records apart from the
-timings block.  Exit codes: 0 success, 1 usage problems, 2 model file errors
-(lexical, a byte that is not UTF-8 included, syntax or semantic), 3 numerical
-failures (non-convergence, degenerate steady states, a dense route above the
-dense capacity, a propagated state that is not a density matrix, a time gap
-too long to propagate, or memory that ran out).
+timings block.  The text is indented by two spaces, one number per line,
+floats in Python's shortest round-trip form (``repr``) and non-finite values
+spelled as json spells them (``NaN``, ``Infinity``, ``-Infinity``): the bytes
+of ``json.dumps(record, indent=2)``, written by ``_json_text``, which formats
+each float or complex array in one pass.  Exit codes: 0 success, 1 usage
+problems, 2 model file errors (lexical, a byte that is not UTF-8 included,
+syntax or semantic), 3 numerical failures (non-convergence, degenerate steady
+states, a dense route above the dense capacity, a propagated state that is
+not a density matrix, a time gap too long to propagate, or memory that ran
+out).
 
 Each command hashes and parses its model text (the model file, or the
 cascade's :func:`meq.modelspec.cascade_text`), then builds, solves and
@@ -202,21 +207,53 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _encode(value):
+def _bracketed(items, level, brackets="[]"):
+    """``items`` inside ``brackets``, one a line, as json's indent=2 lays them out."""
+    if not items:
+        return brackets
+    inner = "\n" + "  " * (level + 1)
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * level + brackets[1]
+
+
+def _array_template(shape, level):
+    """The nested-list layout of an array of ``shape``, one ``%s`` per number."""
+    if not shape:
+        return "%s"
+    return _bracketed([_array_template(shape[1:], level + 1)] * shape[0], level)
+
+
+def _json_text(value, level=0) -> str:
+    """``value`` as JSON with a two-space indent, as ``json.dumps(..., indent=2)``
+    writes it once complex numbers are ``[re, im]`` lists, numpy scalars Python
+    numbers (a bool an int) and arrays nested lists.  A float or complex array
+    is written in one pass: the values' texts fill a template of its shape."""
     if isinstance(value, dict):
-        return {key: _encode(item) for key, item in value.items()}
+        return _bracketed([json.dumps(key if isinstance(key, str) else json.dumps(key))
+                           + ": " + _json_text(item, level + 1)
+                           for key, item in value.items()], level, "{}")
     if isinstance(value, (list, tuple)):
-        return [_encode(item) for item in value]
+        return _bracketed([_json_text(item, level + 1) for item in value], level)
     if isinstance(value, (complex, np.complexfloating)):
         value = complex(value)
-        return [value.real, value.imag]
+        return _json_text([value.real, value.imag], level)
     if isinstance(value, (float, np.floating)):
-        return float(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, np.ndarray):
-        return _encode(value.tolist())
-    return value
+        value = float(value)
+    elif isinstance(value, (int, np.integer)):
+        value = int(value)
+    elif isinstance(value, np.ndarray):
+        kind = value.dtype.kind
+        if kind == "c":  # (re, im) pairs; .view(float) would misread complex64
+            value, kind = np.stack((value.real, value.imag), axis=-1), "f"
+        if kind == "f":
+            numbers = value.astype(float, copy=False)  # a longdouble lists as itself
+            # json spells the non-finite ones, so only such an array pays for json.dumps
+            text = float.__repr__ if np.isfinite(numbers).all() else json.dumps
+        elif kind in "biu":
+            numbers, text = value, int.__repr__  # a bool is 1 or 0, as int(True) is
+        else:
+            return _json_text(value.tolist(), level)
+        return _array_template(value.shape, level) % tuple(map(text, numbers.ravel().tolist()))
+    return json.dumps(value)  # a number, str or None; anything else raises TypeError
 
 
 class _Runner:
@@ -321,7 +358,7 @@ class _Runner:
             "command": self.args.command,
             "model_hash": self.model_hash,
             "method": policy.route,
-            "results": _encode(results),
+            "results": results,
             "timings": {k: round(v, 6) for k, v in self.timings.items()},
         }
 
@@ -503,7 +540,7 @@ def run(argv=None, stdout=None, stderr=None) -> int:
         doc = runner.document()
         if doc is not None:
             record = getattr(runner, f"cmd_{args.command}")(doc)
-            stdout.write(json.dumps(record, indent=2) + "\n")
+            stdout.write(_json_text(record) + "\n")
         return 0
     except ModelError as exc:
         print(f"meq: error: model: {exc}", file=stderr)

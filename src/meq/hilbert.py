@@ -195,7 +195,11 @@ class Operator:
     why), and sparse input raises ``TypeError``.
 
     Instances are immutable; arithmetic returns new operators.  ``*`` is the
-    operator product (or scaling when one side is a scalar).
+    operator product (or scaling when one side is a scalar).  Like the other
+    frozen slots classes (:class:`meq.superspace.SuperOperator` and
+    :class:`meq.superspace.LindbladModel`), setting a field raises
+    ``dataclasses.FrozenInstanceError`` and setting any other name raises
+    ``TypeError`` on Python 3.11 (other versions may raise ``AttributeError``).
     """
 
     layout: SpaceLayout

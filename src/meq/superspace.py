@@ -135,7 +135,8 @@ def choose_route(task: str, n: int, k: int | None = None, nnz: int | None = None
 class SuperOperator:
     """A d^2 x d^2 matrix acting on vectorized operators, stored as CSR, and
     the d x d no-jump generator K = -i H_eff it was built with: L cannot give
-    K back, and the GMRES of the steady solve preconditions with it."""
+    K back, and the GMRES of the steady solve preconditions with it.  Frozen
+    slots, as :class:`meq.hilbert.Operator` says."""
 
     layout: SpaceLayout
     matrix: sp.csr_array
@@ -191,7 +192,7 @@ class LindbladModel:
     All operators must share one layout; the Hamiltonian must be Hermitian
     (defect below 1e-12 relative to its largest element) and every rate
     finite and strictly positive.  The dissipator list may be empty (purely
-    coherent evolution).
+    coherent evolution).  Frozen slots, as :class:`meq.hilbert.Operator` says.
     """
 
     hamiltonian: Operator

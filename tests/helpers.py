@@ -1,11 +1,14 @@
-"""Shared test utilities: random models and loop-based reference oracles.
+"""Shared test utilities: random models and reference oracles.
 
-The oracles here deliberately avoid the library's permute/reshape and
+The loop oracles deliberately avoid the library's permute/reshape and
 Kronecker code paths; they enumerate indices explicitly so the two
-implementations can be checked against each other.
+implementations can be checked against each other.  The record-text oracle
+writes a record through the standard library's encoder, element by element,
+where the CLI fills one template per array.
 """
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -13,6 +16,31 @@ import pytest
 from meq.hilbert import Operator, SpaceLayout
 from meq.steady import _ROUTES as STEADY_ROUTES  # each steady route and its function
 from meq.superspace import LindbladModel, RouteChoice, choose_route
+
+
+def _encode(value):
+    """``value`` with complex numbers as [re, im] lists, numpy scalars as Python
+    numbers (a bool as an int) and arrays as nested lists."""
+    if isinstance(value, dict):
+        return {key: _encode(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_encode(item) for item in value]
+    if isinstance(value, (complex, np.complexfloating)):
+        value = complex(value)
+        return [value.real, value.imag]
+    if isinstance(value, (float, np.floating)):
+        return float(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, np.ndarray):
+        return _encode(value.tolist())
+    return value
+
+
+def record_text_oracle(value):
+    """The text of a record by the standard library's encoder, element by element:
+    the CLI's record writer must produce exactly these bytes."""
+    return json.dumps(_encode(value), indent=2)
 
 
 def random_hermitian(rng, d):

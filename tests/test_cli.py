@@ -1,6 +1,7 @@
 import ast
 import io
 import json
+import math
 import os
 import runpy
 import subprocess
@@ -9,9 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from helpers import STEADY_ROUTES, count_route_calls
+from helpers import STEADY_ROUTES, count_route_calls, record_text_oracle
 import meq
+from meq import cli
 from meq.cli import run
 from meq.modelspec import CascadeParams, cascade_document, parse_model, render_model
 
@@ -815,6 +819,94 @@ class TestCascadeIsItsModelText:
         assert shared >= {"policy"} and shared != {"policy"}
         assert {key: built_in["results"][key] for key in shared} == {
             key: from_file["results"][key] for key in shared}
+
+
+# the floats whose text is easiest to get wrong: signed zero, the smallest subnormal,
+# the exponent switches of repr and the values json spells in its own way
+SPECIAL_FLOATS = [-0.0, 5e-324, 1e-5, 1e16, 1e22, math.nan, math.inf, -math.inf]
+FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+COMPLEXES = st.builds(complex, FLOATS, FLOATS)
+ARRAY_ELEMENTS = {"f": FLOATS, "c": COMPLEXES,
+                  "i": st.integers(-2**63, 2**63 - 1), "b": st.booleans()}
+
+
+@st.composite
+def record_arrays(draw):
+    """An array of a dtype a record may carry, or of extended precision: 0-d,
+    empty, (1,), (d, d) or (2, 3, 2)."""
+    dtype = np.dtype(draw(st.sampled_from([np.float64, np.float32, np.complex128, np.complex64,
+                                           np.int64, np.bool_, np.longdouble, np.clongdouble])))
+    d = draw(st.integers(1, 4))
+    shape = draw(st.sampled_from([(), (0,), (1,), (d, d), (2, 3, 2)]))
+    values = draw(st.lists(ARRAY_ELEMENTS[dtype.kind], min_size=math.prod(shape),
+                           max_size=math.prod(shape)))
+    with np.errstate(over="ignore"):  # a float64 beyond float32's range casts to inf
+        return np.array(values, dtype=dtype).reshape(shape)
+
+
+TEXTS = st.one_of(st.sampled_from(['"', "\\", "é", "\u2028", "\U0001f600", 'a "b" ç']),
+                  st.text(max_size=8))
+RECORD_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), FLOATS, COMPLEXES,
+    TEXTS, record_arrays(),
+    st.builds(np.float64, FLOATS), st.builds(np.float32, st.floats(width=32)),
+    st.builds(np.complex128, COMPLEXES),
+    st.builds(np.complex64, st.complex_numbers(width=64)),
+    st.builds(np.int64, st.integers(-2**63, 2**63 - 1)),
+)
+RECORDS = st.recursive(
+    RECORD_LEAVES,
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.lists(children, max_size=3).map(tuple),
+                               st.dictionaries(TEXTS, children, max_size=4)),
+    max_leaves=12,
+)
+
+
+class TestRecordWriter:
+    """The record writer writes what the standard library's encoder writes for
+    the same value, element by element (``helpers.record_text_oracle``)."""
+
+    @given(RECORDS)
+    def test_writer_matches_the_oracle(self, value):
+        assert cli._json_text(value) == record_text_oracle(value)
+
+    @given(record_arrays())
+    def test_arrays_match_the_oracle_at_every_depth(self, array):
+        for value in (array, [array], {"rho": [[array]]}):
+            assert cli._json_text(value) == record_text_oracle(value)
+
+    @pytest.mark.parametrize("value", [np.bool_(True), object(), {"x": [np.bool_(False)]}])
+    def test_what_the_oracle_refuses_the_writer_refuses(self, value):
+        with pytest.raises(TypeError):
+            record_text_oracle(value)
+        with pytest.raises(TypeError):
+            cli._json_text(value)
+
+    @pytest.mark.parametrize("argv,array", [
+        (["steady", "MODEL", "--observables", "s11,am"], "rho"),
+        (["ptrace", "MODEL", "--keep", "xi"], "rho_reduced"),
+        (["spectrum", "MODEL", "-k", "3"], None),
+        (["evolve", "MODEL", "--times", "0.5,1", "--observables", "s11,am"], None),
+        (["cascade", "--na", "2", "--nb", "1", "--negativity-all"], None),
+    ])
+    def test_records_are_the_oracle_text(self, model_file, monkeypatch, argv, array):
+        path = model_file(emitted_model("--na", "2", "--nb", "1"))  # n = 324
+        argv = [path if arg == "MODEL" else arg for arg in argv]
+        writer, records = cli._json_text, []
+
+        def captured(value, level=0):
+            if level == 0:
+                records.append(value)
+            return writer(value, level)
+
+        monkeypatch.setattr(cli, "_json_text", captured)
+        code, out, err = invoke(argv)
+        assert code == 0, err
+        (record,) = records
+        assert out == record_text_oracle(record) + "\n"
+        if array:  # a density matrix reaches the writer as an array
+            assert isinstance(record["results"][array], np.ndarray)
 
 
 class TestDefaultSteadyRoute:

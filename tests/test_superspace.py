@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import runpy
@@ -166,6 +167,24 @@ class TestLindbladModel:
     def test_empty_dissipators_allowed(self):
         model = LindbladModel(identity_operator(single_space(2)))
         assert model.dissipators == ()
+
+
+@pytest.mark.parametrize("make,field", [
+    (lambda model: model.hamiltonian, "matrix"),
+    (build_liouvillian, "matrix"),
+    (lambda model: model, "hamiltonian"),
+], ids=["Operator", "SuperOperator", "LindbladModel"])
+def test_value_classes_are_frozen_slots(make, field):
+    """``Operator``, ``SuperOperator`` and ``LindbladModel`` take no new value:
+    a field raises ``FrozenInstanceError``, another name an ``AttributeError`` or
+    (the frozen slots classes of Python 3.11) a ``TypeError``, and no instance
+    has a ``__dict__``."""
+    value = make(random_model(np.random.default_rng(3), 2))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, field, None)
+    with pytest.raises((AttributeError, TypeError)):
+        value.foo = 1
+    assert not hasattr(value, "__dict__")
 
 
 class TestBuildLiouvillian:
