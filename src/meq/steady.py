@@ -90,6 +90,15 @@ _TIE_TOL = 1e-12
 # Eigenvalues within this times ||L||_inf of zero (or of each other) count as a
 # degenerate kernel; ||L||_inf sets the scale of the spectrum.
 _GAP_TOL = 1e-8
+# spectrum's sparse route asks ARPACK for at least this many eigenvalues of
+# R|W (n - 3 at most, one when it wants one) and keeps the leading k - 1.
+# Implicit restarts converge at a rate set by the gap between the wanted and
+# the unwanted Ritz values, so a request that ends inside a cluster converges
+# slowly: the cascade's k = 5 ended inside two conjugate pairs 4e-3 apart.
+# Of the minimums that cut its products by 15%, 7 took the fewest summed over
+# k = 2-10 on the models of ROADMAP item 16.  At k = 2 the 7 made half of
+# those models dearer, so one value is asked for.
+_ARPACK_MIN_REQUEST = 7
 # Row-replaced systems with a condition estimate above this are degenerate.
 _COND_LIMIT = 1e14
 # GMRES of the steady solve: Krylov dimension between restarts, restart
@@ -165,7 +174,8 @@ class SteadyStateResult:
 class SpectrumResult:
     """Leading eigenvalues sorted by descending real part, and the route used.
 
-    ``eigenvalues`` holds exactly the k values requested.
+    ``eigenvalues`` holds exactly the k values requested; the sparse route's
+    extra ARPACK values past them (see :func:`spectrum`) are dropped.
     ``diagnostics["arpack_matvecs"]`` is the sparse route's count of products
     with R|W (0 for k = 1); the dense route records none.
     """
@@ -606,8 +616,11 @@ def spectrum(liouv: SuperOperator, k: int) -> SpectrumResult:
     (``superspace._trace_zero_generator``).  So both routes return an exact
     0 plus the k - 1 leading eigenvalues of R|W: the dense route
     diagonalizes R|W fully and truncates, the sparse route runs an Arnoldi
-    largest-real-part iteration for k - 1 values (none for k = 1), and its
-    ``diagnostics["arpack_matvecs"]`` counts the products with R|W.  A
+    largest-real-part iteration, and its ``diagnostics["arpack_matvecs"]``
+    counts the products with R|W.  The iteration is asked for max(k - 1, 7)
+    values, at most n - 3 (one for k = 2, none for k = 1), because a request
+    that ends past the leading cluster converges in fewer products; the
+    values past the leading k - 1 by the order below are dropped.  A
     generator with e^T R above 1e-10 times max(1, ||L||_inf) raises
     ``ValueError``.
 
@@ -619,8 +632,11 @@ def spectrum(liouv: SuperOperator, k: int) -> SpectrumResult:
     tolerance of 0) has a positive imaginary part.  The spectrum of the real
     R|W is closed under conjugation, so when the k-th value's partner is not
     among the first k the pair is split at the cut, and its +imag member is
-    returned (ARPACK may have converged to either).  :func:`choose_route`
-    picks the route.
+    returned.  When the sparse route asked for more than k - 1 values the
+    partner is among them and the order above puts the +imag member first;
+    when it asked for exactly k - 1 (k = 2, k >= 8, or the n - 3 cap), ARPACK
+    may have converged to either member and the -imag one is conjugated.
+    :func:`choose_route` picks the route.
     """
     n = liouv.dim
     if not 1 <= k <= n:
@@ -642,17 +658,21 @@ def spectrum(liouv: SuperOperator, k: int) -> SpectrumResult:
         # test of any eigenvalue outside the tolerance loosens at most 2-fold.
         shift = _GAP_TOL * scale
         matvecs = 0
-
-        def matvec(x):
-            nonlocal matvecs
-            matvecs += 1
-            return restricted @ x + shift * x
-
         if k > 1:
-            operator = spla.LinearOperator(restricted.shape, matvec=matvec, dtype=float)
+            # sorted CSR, like R|W, so each Arnoldi step is one product
+            shifted = restricted + shift * sp.eye_array(n - 1, format="csr")
+
+            def matvec(x):
+                nonlocal matvecs
+                matvecs += 1
+                return shifted @ x
+
+            operator = spla.LinearOperator(shifted.shape, matvec=matvec, dtype=float)
+            # eigs on the (n - 1)-dimensional R|W takes at most n - 3 values
+            nev = 1 if k == 2 else max(k - 1, min(_ARPACK_MIN_REQUEST, n - 3))
             try:
-                values = spla.eigs(operator, k=k - 1, which="LR", return_eigenvectors=False,
-                                   **_arpack_params(n - 1, k - 1)) - shift
+                values = spla.eigs(operator, k=nev, which="LR", return_eigenvectors=False,
+                                   **_arpack_params(n - 1, nev)) - shift
             except spla.ArpackNoConvergence as exc:
                 raise ConvergenceError(
                     f"Arnoldi largest-real-part iteration did not converge: {exc}"

@@ -1062,6 +1062,17 @@ class TestThreadIndependence:
         assert set(diagnostics[0]) == {"lu_nnz", "shift", "arpack_solves"}
         assert diagnostics[0] == diagnostics[1]
 
+    @pytest.mark.parametrize("argv", [
+        ["cascade", "--na", "4", "--nb", "2", "-k", "5"],  # n = 2025
+        ["cascade", "--na", "2", "--nb", "1", "-k", "3"],  # n = 324
+    ])
+    def test_spectrum_counts_match_at_one_and_two_threads(self, argv):
+        results = [json.loads(invoke_process(argv, threads)[1])["results"]
+                   for threads in ("1", "2")]
+        assert results[0]["policy"]["route"] == "sparse"
+        assert results[0]["diagnostics"] == results[1]["diagnostics"]
+        assert results[0]["eigenvalues"] == results[1]["eigenvalues"]
+
 
 class TestBenchmarkTracer:
     def test_tracer_sees_every_layer_the_cli_calls(self, model_file):

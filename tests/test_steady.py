@@ -40,6 +40,7 @@ from meq.superspace import (
     choose_route,
     liouvillian_oracle,
 )
+from test_superspace import benchmark_models
 
 
 def qubit_decay_model(rate=1.0):
@@ -875,24 +876,98 @@ class TestSparseSpectrumManyEigenvalues:
             assert np.abs(values / c - reference[:3]).max() < 1e-8
 
     def test_split_pair_keeps_positive_member(self, monkeypatch):
-        # ARPACK returning the -imag member of the pair at the cut, as it did
-        # with two BLAS threads on the cascade above.  It sees R on the
-        # trace-zero coordinates (shifted), so it returns the k - 1 leading
+        # ARPACK returning the -imag member of a pair its request splits, as it
+        # did with two BLAS threads on the cascade above.  It sees R on the
+        # trace-zero coordinates (shifted), so it returns the leading
         # eigenvalues of the operator it is given, the values after the 0
         liouv = build_liouvillian(driven_emitter_model(4, np.random.default_rng(4)))
         dense = spectrum(liouv, 16).eigenvalues  # n = 16: dense by size
-        cut = next(k for k in range(2, 12) if dense[k - 1].imag > 1e-6)
+        asked = []
 
         def arpack(operator, k, **kwargs):
-            assert k == cut - 1
+            asked.append(k)
             values = np.linalg.eigvals(operator @ np.eye(operator.shape[0]))
             values = values[steady._descending_order(values, 1.0)[:k]]
-            return np.concatenate((values[:-1], values[-1:].conj()))[::-1]
+            if not np.isclose(values[:-1], values[-1].conjugate()).any():
+                values[-1] = values[-1].conjugate()
+            return values[::-1]  # each complete pair -imag member first
 
         monkeypatch.setattr(steady.spla, "eigs", arpack)
         force_route(monkeypatch, "spectrum", "sparse")
-        values = spectrum(liouv, cut).eigenvalues
-        assert np.abs(values - dense[:cut]).max() < 1e-12
+        # the spectrum's values 3-4, 6-7, 8-9 and 13-14 are conjugate pairs, so
+        # each cut keeps one member.  Up to k = 7 the request of 7 values
+        # completes the pair; from k = 8 it asks for k - 1 and ends inside it
+        for cut, requested in ((3, 7), (6, 7), (8, 7), (13, 12)):
+            assert dense[cut - 1].imag > 1e-6 and dense[cut].imag < -1e-6
+            asked.clear()
+            values = spectrum(liouv, cut).eigenvalues
+            assert asked == [requested]
+            assert np.abs(values - dense[:cut]).max() < 1e-12, cut
+
+
+def spy_eigs(monkeypatch):
+    """Record the number of values each ``eigs`` call of :mod:`meq.steady` asks
+    for; returns the list, updated as the calls run."""
+    asked, eigs = [], spla.eigs
+
+    def spy(operator, k, **kwargs):
+        asked.append(k)
+        return eigs(operator, k, **kwargs)
+
+    monkeypatch.setattr(steady.spla, "eigs", spy)
+    return asked
+
+
+class TestSparseSpectrumRequest:
+    """The sparse route asks ARPACK for max(k - 1, 7) values of R|W, at most
+    n - 3 and one for k = 2, and keeps the leading k - 1."""
+
+    # the benchmark's n = 324 cascade and its n = 225 sweep shape (3, (5,))
+    @pytest.mark.parametrize("index,n", [(12, 324), (9, 225)])
+    def test_matches_dense_for_k_2_to_10(self, index, n, monkeypatch):
+        liouv = build_liouvillian(benchmark_models()[index])
+        assert liouv.dim == n
+        force_route(monkeypatch, "spectrum", "dense")
+        dense = spectrum(liouv, 10).eigenvalues
+        force_route(monkeypatch, "spectrum", "sparse")
+        for k in range(2, 11):
+            values = spectrum(liouv, k).eigenvalues
+            assert np.abs(values - dense[:k]).max() < 1e-12 * liouv.norm_inf(), k
+
+    # n = 9, 16: the n - 3 cap binds below the 7 at n = 9
+    @pytest.mark.parametrize("d,asks", [
+        (3, [1, 6, 6, 6, 6, 6]),
+        (4, [1, 7, 7, 7, 7, 7, 7, 8, 9, 10, 11, 12, 13]),
+    ])
+    def test_forced_sparse_every_k_at_small_n(self, d, asks, monkeypatch):
+        # up to k = n - 2, the most values of R|W that eigs accepts plus the 0
+        liouv = build_liouvillian(driven_emitter_model(d, np.random.default_rng(4)))
+        n = liouv.dim
+        dense = spectrum(liouv, n).eigenvalues
+        asked = spy_eigs(monkeypatch)
+        force_route(monkeypatch, "spectrum", "sparse")
+        for k in range(1, n - 1):
+            values = spectrum(liouv, k).eigenvalues
+            assert np.abs(values - dense[:k]).max() < 1e-12 * liouv.norm_inf(), k
+        assert asked == asks
+
+    def test_one_value_for_k_2(self, monkeypatch):
+        liouv = build_liouvillian(cascade_model(CascadeParams(n_a=2, n_b=1)))  # n = 324
+        asked = spy_eigs(monkeypatch)
+        assert check_uniqueness(liouv).unique
+        assert spectrum(liouv, 2).policy.route == "sparse"
+        assert asked == [1, 1]
+
+    def test_request_past_the_cluster_takes_fewer_products(self, monkeypatch):
+        # counts compared within one run: another ARPACK build may count otherwise.
+        # On the cascade the request of k - 1 = 2 or 4 values ends inside the
+        # cluster of two conjugate pairs after -1.063
+        liouv = build_liouvillian(cascade_model(CascadeParams(n_a=2, n_b=1)))  # n = 324
+        counts = {k: spectrum(liouv, k).diagnostics["arpack_matvecs"] for k in range(3, 9)}
+        assert len(set(counts.values())) == 1  # one request of 7 values
+        monkeypatch.setattr(steady, "_ARPACK_MIN_REQUEST", 1)  # ask for k - 1 values
+        for k in (3, 5):
+            assert spectrum(liouv, k).diagnostics["arpack_matvecs"] > counts[k], k
 
 
 def _route_result(liouv, route):
