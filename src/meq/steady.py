@@ -2,11 +2,12 @@
 
 Every valid generator annihilates some density matrix; the routines here
 recover it either from the eigenvector of the (largest-real-part, i.e. zero)
-eigenvalue -- densely or by shift-inverted Arnoldi iteration targeting 0 --
-or, by default, the paper's way: one row of the generator is replaced with
-the trace-normalization condition and the resulting linear system solved,
-by LU factorization below superspace dimension 1024 and by preconditioned
-GMRES from it on (:func:`steady_linsolve`).
+eigenvalue -- densely, by eigenvalues alone and one inverse iteration, or by
+shift-inverted Arnoldi iteration targeting 0 -- or, by default, the paper's
+way: one row of the generator is replaced with the trace-normalization
+condition and the resulting linear system solved, by LU factorization below
+superspace dimension 1024 and by preconditioned GMRES from it on
+(:func:`steady_linsolve`).
 
 Everything but GMRES works on the real generator R = T^dag L T in the
 Hermitian operator basis T that :mod:`meq.superspace` describes: the
@@ -99,6 +100,16 @@ _GAP_TOL = 1e-8
 # k = 2-10 on the models of ROADMAP item 16.  At k = 2 the 7 made half of
 # those models dearer, so one value is asked for.
 _ARPACK_MIN_REQUEST = 7
+# Relative shifts sigma / ||L||_inf of the eigenvector routes' factors of
+# R - (lambda_0 + sigma) I, lambda_0 = 0 on steady_sparse; the next is tried
+# when a factor is exactly singular.
+_SHIFTS = (1e-10, 1e-7, 1e-4)
+# The dense route's inverse iteration stops when two successive unit vectors
+# agree within this in every element, and raises after this many solves.
+# From the ones vector the cascade and the random corpus agreed within 2e-16
+# on the third solve.
+_INVERSE_TOL = 1e-14
+_INVERSE_SOLVES = 20
 # Row-replaced systems with a condition estimate above this are degenerate.
 _COND_LIMIT = 1e14
 # GMRES of the steady solve: Krylov dimension between restarts, restart
@@ -145,7 +156,9 @@ class SteadyStateResult:
 
     ``residual`` is the infinity norm of L applied to the normalized state;
     ``trace_before_normalization`` is the raw trace of the solver output
-    (close to 1 for the linear-solve route, arbitrary for eigenvector routes);
+    (close to 1 for the linear-solve route; for the eigenvector routes that
+    of a unit vector, positive on the dense route and of arbitrary sign on
+    the sparse one);
     ``min_eigenvalue`` is the smallest eigenvalue of the returned state;
     ``hermiticity_defect`` is the largest element of the anti-Hermitian part
     that normalization drops from the solver output (divided by its trace),
@@ -232,21 +245,38 @@ def _finalize(liouv: SuperOperator, rho: np.ndarray, eigenvalue: complex | None,
 
 
 def steady_dense(liouv: SuperOperator) -> SteadyStateResult:
-    """Steady state from the full eigendecomposition of the generator.
+    """Steady state from the eigenvalues of the dense generator and one
+    inverse iteration.
 
-    The real generator R is diagonalized; eigenvalues are sorted by
-    descending real part and the leading eigenvector is normalized into a
-    density matrix.  Above the dense capacity this raises
-    :class:`CapacityError`.
+    All eigenvalues of the real generator R are computed, without
+    eigenvectors, and sorted by descending real part; the leading one's
+    eigenvector comes from inverse iteration and is normalized into a
+    density matrix (:func:`_eigenvector_state`).  Above the dense capacity
+    this raises :class:`CapacityError`.
     """
     return _eigenvector_state(liouv)
 
 
 def _eigenvector_state(liouv: SuperOperator) -> SteadyStateResult:
-    """:func:`steady_dense`'s state, and :func:`steady_sparse`'s below n = 5."""
+    """:func:`steady_dense`'s state, and :func:`steady_sparse`'s below n = 5.
+
+    ``eigvals`` gives R's spectrum; the leading eigenvalue lambda_0 must lead
+    the next by the gap tolerance 1e-8 ||L||_inf, so it is real.  Its
+    eigenvector comes from shifted inverse iteration (Golub and Van Loan,
+    Matrix Computations, 7.6.1) with R - mu I, mu = lambda_0 + sigma and
+    sigma = 1e-10 ||L||_inf: every other eigenvalue is at least 101 times
+    as far from mu, so each solve shrinks the rest of the vector by about
+    that factor or more.  A dense LU factors R - mu I in place, at 1e-7 or
+    1e-4 ||L||_inf when the factor is exactly singular; the solves start
+    from the ones vector and stop when two successive unit vectors agree
+    within 1e-14, after 20 solves with :class:`ConvergenceError`.  The
+    vector's sign makes its trace positive.  At peak the route holds two
+    real n x n arrays: R and ``eigvals``' working copy of it.
+    """
     n = liouv.dim
     check_dense_capacity(n)
-    values, vectors = np.linalg.eig(_real_generator(liouv).toarray())
+    real = _real_generator(liouv)
+    values = np.linalg.eigvals(real.toarray())
     scale = liouv.norm_inf() or 1.0
     order = _descending_order(values, scale)
     lam0 = complex(values[order[0]])
@@ -258,7 +288,43 @@ def _eigenvector_state(liouv: SuperOperator) -> SteadyStateResult:
                 f"leading eigenvalues {lam0:.3e} and {lam1:.3e} are degenerate "
                 f"within gap tolerance {tol:.3g}"
             )
-    return _finalize(liouv, _to_operator(vectors[:, order[0]], liouv.layout.total_dim), lam0)
+    d = liouv.layout.total_dim
+    vec = _inverse_iteration(real, lam0.real, scale)
+    if vec[:: d + 1].sum() < 0:  # the d diagonal coordinates l (d + 1)
+        vec = -vec
+    return _finalize(liouv, _to_operator(vec, d), lam0)
+
+
+def _inverse_iteration(real, target: float, scale: float) -> np.ndarray:
+    """The unit eigenvector of the real sparse R for its eigenvalue
+    ``target``, which lies a gap further right than any other."""
+    n = real.shape[0]
+    diagonal = np.arange(n)
+    for shift in _SHIFTS:
+        # Fortran order, so that LAPACK's LU overwrites it
+        shifted = real.toarray(order="F")
+        shifted[diagonal, diagonal] -= target + shift * scale
+        lu, pivots, info = scipy.linalg.lapack.dgetrf(shifted, overwrite_a=True)
+        if info == 0:  # info > 0 marks an exactly zero pivot
+            break
+    else:
+        raise ConvergenceError(
+            f"the shifted generator is exactly singular at each relative shift {_SHIFTS}"
+        )
+    vec = np.ones(n) / np.sqrt(n)
+    for _ in range(_INVERSE_SOLVES):
+        new = scipy.linalg.lapack.dgetrs(lu, pivots, vec)[0]
+        new /= np.linalg.norm(new)
+        if new @ vec < 0:  # the shifted inverse's leading eigenvalue is negative
+            new = -new
+        step = np.abs(new - vec).max()
+        vec = new
+        if step <= _INVERSE_TOL:
+            return vec
+    raise ConvergenceError(
+        f"inverse iteration did not converge within {_INVERSE_SOLVES} solves "
+        f"(last step {step:.2e}, tolerance {_INVERSE_TOL:g})"
+    )
 
 
 def _arpack_params(n: int, k: int) -> dict:
@@ -284,11 +350,12 @@ def steady_sparse(liouv: SuperOperator) -> SteadyStateResult:
     singular.  Two eigenvalues are requested; a second one inside the gap
     tolerance means the kernel is degenerate.  ``diagnostics`` records the
     factors' fill ``lu_nnz``, the relative ``shift`` that ran and the count
-    of solves ``arpack_solves``; below n = 5 the dense route runs and
-    records none.
+    of solves ``arpack_solves``.  Below n = 5, too small for ARPACK, it runs
+    :func:`steady_dense`'s eigenvalues and inverse iteration and records
+    none.
     """
     n = liouv.dim
-    if n < 5:  # too small for ARPACK; the dense route is exact here
+    if n < 5:
         return _eigenvector_state(liouv)
     matrix = _real_generator(liouv)
     scale = liouv.norm_inf() or 1.0
@@ -302,7 +369,7 @@ def steady_sparse(liouv: SuperOperator) -> SteadyStateResult:
 
     inverse = spla.LinearOperator((n, n), matvec=solve, dtype=float)
     last_error: Exception | None = None
-    for shift in (1e-10, 1e-7, 1e-4):
+    for shift in _SHIFTS:
         sigma = shift * scale
         try:
             lu = _superlu(matrix - sigma * sp.eye_array(n, format="csr"))

@@ -57,7 +57,8 @@ __all__ = [
 ]
 
 # Largest superspace dimension for which a dense d^2 x d^2 array is built
-# (1.6 GB of complex entries, before any LAPACK workspace).
+# (1.6 GB of complex entries, before any LAPACK workspace; the dense steady
+# route holds two real arrays, as many bytes).
 _DENSE_CAPACITY = 10_000
 
 # Route policy crossovers: the superspace dimension n from which the sparse
@@ -88,7 +89,11 @@ class CapacityError(RuntimeError):
 
 
 def check_dense_capacity(n: int) -> None:
-    """Refuse a dense n x n superspace array above the dense capacity."""
+    """Refuse a dense n x n superspace array above the dense capacity.
+
+    The message names 16 n^2 bytes: one complex array, or the two real
+    ones that the dense steady route holds at peak.
+    """
     if n > _DENSE_CAPACITY:
         raise CapacityError(
             f"superspace dimension {n} exceeds the dense capacity "

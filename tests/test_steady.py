@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -1150,3 +1152,162 @@ class TestTraceDeflation:
             assert not check_uniqueness(liouv).unique, model
             with pytest.raises(DegeneracyError):  # the solve's GMRES branch
                 steady_gmres(liouv)
+
+
+def slow_channel_model(rate):
+    """A driven, decaying qubit plus a third level that decays into it at
+    ``rate``: the spectral gap is about rate / 2."""
+    layout = single_space(3, "q")
+    drive = 0.8 * (transition(3, 1, 2) + transition(3, 2, 1))
+    return LindbladModel(
+        Operator(layout, drive),
+        [(1.0, Operator(layout, transition(3, 1, 2))),
+         (rate, Operator(layout, transition(3, 2, 3)))],
+    )
+
+
+def shifted_generator(liouv, c):
+    """L - c I, with the no-jump part that L - c I keeps."""
+    d = liouv.layout.total_dim
+    return SuperOperator(
+        liouv.layout, liouv.matrix - c * sp.eye_array(liouv.dim, format="csr"),
+        liouv.no_jump - 0.5 * c * np.eye(d),
+    )
+
+
+@pytest.fixture(scope="module")
+def small_cascades():
+    """The cascades (1, 1), (2, 1) and (3, 1): n = 144, 324, 576."""
+    return [build_liouvillian(cascade_model(CascadeParams(n_a=a, n_b=b)))
+            for a, b in ((1, 1), (2, 1), (3, 1))]
+
+
+class TestDenseInverseIteration:
+    """steady_dense: eigenvalues alone, then one LU and inverse iteration."""
+
+    def test_matches_linsolve(self, small_cascades):
+        for liouv in [*small_cascades, *(build_liouvillian(m) for m in random_corpus())]:
+            result = steady_dense(liouv)
+            reference = steady_linsolve(liouv).rho.to_dense()
+            assert np.abs(result.rho.to_dense() - reference).max() < 1e-12
+            assert result.trace_before_normalization.real > 0
+            assert abs(result.eigenvalue) < 1e-12 * liouv.norm_inf()
+
+    def test_runs_no_eigenvector_decomposition(self, small_cascades, monkeypatch):
+        def refused(matrix):
+            raise AssertionError("np.linalg.eig called")
+
+        monkeypatch.setattr(steady.np.linalg, "eig", refused)
+        steady_dense(small_cascades[0])
+        steady_sparse(build_liouvillian(driven_qubit_model(1.0, 1.0)))  # n = 4
+
+    def test_shifted_generator_gives_the_same_state(self, small_cascades):
+        # nothing relies on lambda_0 = 0: L - cI has the same eigenvector at -c
+        models = [*small_cascades[:2], *(build_liouvillian(m) for m in random_corpus()[:8])]
+        for liouv in models:
+            c = 0.3 * liouv.norm_inf()
+            result = steady_dense(shifted_generator(liouv, c))
+            assert result.eigenvalue.real == pytest.approx(-c, abs=1e-12 * liouv.norm_inf())
+            assert result.eigenvalue.imag == 0.0
+            reference = steady_linsolve(liouv).rho.to_dense()
+            assert np.abs(result.rho.to_dense() - reference).max() < 1e-12
+
+    @pytest.mark.parametrize("rate", [3e-7, 1e-6])
+    def test_gap_near_the_tolerance_converges(self, rate):
+        liouv = build_liouvillian(slow_channel_model(rate))
+        values = np.sort(np.linalg.eigvals(liouv.to_dense()).real)
+        gap = -values[-2] / (steady._GAP_TOL * liouv.norm_inf())
+        assert 10 < gap < 100
+        reference = steady_linsolve(liouv).rho.to_dense()
+        assert np.abs(steady_dense(liouv).rho.to_dense() - reference).max() < 1e-12
+
+    @pytest.mark.parametrize("c", [1e-16, 1.0, 1e16])
+    def test_degenerate_models_raise_at_every_scale(self, c):
+        h_only = LindbladModel(Operator(single_space(5, "q"), np.diag(np.arange(5.0))))
+        for model in (degenerate_model(), dephasing_model(3), decoupled_driven_qubits(), h_only):
+            liouv = c * build_liouvillian(model)
+            with pytest.raises(DegeneracyError):
+                steady_dense(liouv)
+            if liouv.dim < 5:
+                with pytest.raises(DegeneracyError):
+                    steady_sparse(liouv)
+
+    def test_small_sparse_matches_linsolve(self):
+        one_level = LindbladModel(Operator(single_space(1, "q"), np.zeros((1, 1))))
+        models = [
+            one_level, qubit_decay_model(), qubit_decay_model(0.01),
+            *(driven_qubit_model(omega, rate) for omega, rate in [(1.0, 1.0), (0.5, 3.0)]),
+            *random_corpus()[::4],  # d = 2
+        ]
+        for model in models:
+            liouv = build_liouvillian(model)
+            assert liouv.dim < 5
+            result = steady_sparse(liouv)
+            assert result.diagnostics is None
+            reference = steady_linsolve(liouv).rho.to_dense()
+            assert np.abs(result.rho.to_dense() - reference).max() < 1e-12
+
+    def test_two_calls_give_identical_bytes(self, small_cascades):
+        for liouv in (small_cascades[1], build_liouvillian(random_corpus()[3])):
+            first, second = steady_dense(liouv), steady_dense(liouv)
+            assert first.rho.to_dense().tobytes() == second.rho.to_dense().tobytes()
+            for field in ("residual", "trace_before_normalization", "min_eigenvalue",
+                          "hermiticity_defect", "eigenvalue"):
+                assert getattr(first, field) == getattr(second, field)
+
+    @staticmethod
+    def factored_shifts(monkeypatch, singular):
+        """Stand in for LAPACK's LU: record each matrix, and report an exactly
+        zero pivot on the calls ``singular`` names."""
+        real_dgetrf, matrices = scipy.linalg.lapack.dgetrf, []
+
+        def dgetrf(matrix, **kwargs):
+            matrices.append(matrix.copy())
+            lu, pivots, info = real_dgetrf(matrix, **kwargs)
+            return lu, pivots, 2 if len(matrices) in singular else info
+
+        monkeypatch.setattr(steady.scipy.linalg.lapack, "dgetrf", dgetrf)
+        return matrices
+
+    def shifted_real(self, liouv, shift):
+        """R - (lambda_0 + shift ||L||_inf) I, lambda_0 from steady_dense."""
+        lam0 = steady_dense(liouv).eigenvalue.real
+        return _real_generator(liouv).toarray() - (lam0 + shift * liouv.norm_inf()) * np.eye(
+            liouv.dim)
+
+    def test_singular_factor_takes_the_next_shift(self, monkeypatch):
+        liouv = build_liouvillian(driven_emitter_model(3, np.random.default_rng(3)))  # n = 9
+        reference = steady_dense(liouv).rho.to_dense()
+        expected = [self.shifted_real(liouv, shift) for shift in (1e-10, 1e-7)]
+        matrices = self.factored_shifts(monkeypatch, singular={1})
+        result = steady_dense(liouv)
+        assert len(matrices) == 2
+        for matrix, shifted in zip(matrices, expected):
+            assert np.array_equal(matrix, shifted)
+        assert np.abs(result.rho.to_dense() - reference).max() < 1e-12
+
+    def test_gives_up_after_three_singular_factors(self, monkeypatch):
+        liouv = build_liouvillian(driven_emitter_model(3, np.random.default_rng(3)))
+        matrices = self.factored_shifts(monkeypatch, singular={1, 2, 3})
+        with pytest.raises(ConvergenceError, match="exactly singular at each relative shift"):
+            steady_dense(liouv)
+        assert len(matrices) == 3
+
+    def test_iteration_cap_is_a_convergence_error(self, monkeypatch):
+        liouv = build_liouvillian(driven_emitter_model(3, np.random.default_rng(3)))
+        monkeypatch.setattr(steady, "_INVERSE_SOLVES", 2)
+        with pytest.raises(ConvergenceError, match="did not converge within 2 solves"):
+            steady_dense(liouv)
+
+    def test_peak_memory_is_two_real_arrays(self, small_cascades):
+        # the eigenvector decomposition it replaced peaked at 3.0 8n^2 bytes
+        liouv = small_cascades[2]
+        n = liouv.dim
+        steady_dense(liouv)  # caches the Hermitian basis
+        tracemalloc.start()
+        try:
+            steady_dense(liouv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 8 * n * n
